@@ -8,12 +8,18 @@ not by call order: the initial increments use one Philox stream, and each
 midpoint uses a stream keyed by the bit pattern of its time.  Two runs that
 bisect the same intervals in different orders therefore produce bitwise
 identical samples.
+
+:func:`philox_stream` defines each stream.  Draws do not build it: each
+thread keeps one Philox bit generator and resets it to the stream's
+starting state before every draw, which gives the same numbers without
+the cost of a constructor per draw.
 """
 
 from __future__ import annotations
 
 import bisect
 import struct
+import threading
 from math import sqrt
 
 import numpy as np
@@ -32,7 +38,31 @@ def philox_stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_stream = philox_stream
+_local = threading.local()
+
+
+def _normals(seed: int, tag: int, size=None):
+    """``philox_stream(seed, tag).standard_normal(size)``, bit for bit.
+
+    Resets this thread's Philox to the state a new stream starts in: key
+    (seed, tag), zero counter, empty output buffer.
+    """
+    try:
+        bitgen, gen, state = _local.philox
+    except AttributeError:
+        bitgen = np.random.Philox()
+        gen = np.random.Generator(bitgen)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, dtype=np.uint64),
+                           "key": np.zeros(2, dtype=np.uint64)},
+                 "buffer": np.zeros(4, dtype=np.uint64),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _local.philox = bitgen, gen, state
+    key = state["state"]["key"]
+    key[0] = seed & _MASK64
+    key[1] = tag & _MASK64
+    bitgen.state = state
+    return gen.standard_normal(size)
 
 
 def _time_tag(t: float) -> int:
@@ -80,7 +110,7 @@ class BrownianPath:
         if n < 1:
             raise ValueError("need at least one interval")
         # T * (k/n) puts the last knot at exactly T.
-        inc = _stream(seed, _TAG_INCREMENTS).standard_normal(n) * sqrt(T / n)
+        inc = _normals(seed, _TAG_INCREMENTS, n) * sqrt(T / n)
         values = np.concatenate(([0.0], np.cumsum(inc)))
         times = [T * (k / n) for k in range(n + 1)]
         return cls(times, values, seed)
@@ -194,16 +224,43 @@ class BrownianPath:
                              "in float64")
         mean = 0.5 * (self._values[i] + self._values[i + 1])
         sd = sqrt(0.25 * (t1 - t0)) * self._bridge_scale
-        xi = float(_stream(self.seed, _time_tag(tm)).standard_normal()) if sd else 0.0
+        xi = _normals(self.seed, _time_tag(tm)) if sd else 0.0
         self._times.insert(i + 1, tm)
         self._values.insert(i + 1, mean + sd * xi)
         self._cache = None
         return self
 
     def refine(self) -> "BrownianPath":
-        """One full bisection pass: every interval gains its midpoint."""
-        for i in reversed(range(self.n_intervals)):
-            self.insert_midpoint(i)
+        """One full bisection pass: every interval gains its midpoint.
+
+        Bit for bit the same as :meth:`insert_midpoint` on every interval,
+        done in one array pass.  If some interval cannot be bisected in
+        float64, raises ValueError and leaves the path unchanged.
+        """
+        if self._frozen:
+            raise ValueError("path is frozen")
+        t, v = self.times, self.values
+        t0, t1 = t[:-1], t[1:]
+        # one float64 ufunc per scalar operation: the same roundings
+        tm = 0.5 * (t0 + t1)
+        stuck = np.flatnonzero(~((t0 < tm) & (tm < t1)))
+        if stuck.size:
+            i = stuck[0]
+            raise ValueError(f"interval ({float(t0[i])!r}, "
+                             f"{float(t1[i])!r}) cannot be bisected in "
+                             "float64")
+        sd = np.sqrt(0.25 * (t1 - t0)) * self._bridge_scale
+        xi = np.array([_normals(self.seed, tag) if s else 0.0
+                       for tag, s in zip(tm.view(np.uint64).tolist(),
+                                         sd.tolist())])
+        vm = 0.5 * (v[:-1] + v[1:]) + sd * xi
+        times = np.empty(2 * len(t) - 1)
+        values = np.empty(2 * len(t) - 1)
+        times[0::2], times[1::2] = t, tm
+        values[0::2], values[1::2] = v, vm
+        self._times = times.tolist()
+        self._values = values.tolist()
+        self._cache = (times, values)
         return self
 
     def rescale(self, c: float) -> "BrownianPath":

@@ -12,15 +12,16 @@ affected suffix is recomputed, since accepted points to the left depend on
 nothing to the right.  The refinement draws are keyed by midpoint time, so
 tightening the tolerance reuses (not redraws) the coarser run's samples.
 
-Once the partition is frozen, every point is an independent composition;
-the final pass evaluates all of them, which costs sum_k k map applications,
-and that count is reported in the stats.
+Because an accepted point never depends on intervals to its right, the
+sweep's values are already the compositions over the final partition, and
+no second pass recomputes them.  The stats report the maps the sweep spent
+on accepted points (sum_k k = N(N+1)/2) and all maps it applied, rejected
+candidates included.
 """
 
 from __future__ import annotations
 
 import cmath
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 
@@ -111,12 +112,15 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
         apply_shift: translate all points by sqrt(kappa) B(T) (maps the
             picture to the coordinate frame anchored at the driver's
             endpoint).
-        threads: worker bound for the final evaluation pass; any value
-            produces identical results.
+        threads: accepted for compatibility and ignored; the sweep is
+            serial, and any value produces identical results.
 
     Returns:
         TraceResult; points[0] is (0, 0) and every consecutive gap is
-        below tolerance.
+        below tolerance.  stats holds ``refinement_depth_max``,
+        ``map_evaluations`` (N(N+1)/2 for N intervals: the maps behind
+        the accepted points) and ``chain_map_applications`` (every map
+        the sweep applied, rejected candidates included).
 
     Raises:
         TraceRefinementError: some interval cannot meet the gap bound
@@ -136,6 +140,7 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
         raise ValueError("path is frozen; build_trace refines its driver")
     if path.horizon < T:
         raise ValueError(f"path horizon {path.horizon} is shorter than {T}")
+    del threads  # one serial sweep; worker bounds cannot change it
 
     end = path.index_of(T)
     while end < n_init:
@@ -151,11 +156,13 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
 
     zz = [0j]
     depth_seen = 0
+    applications = 0
 
     def refine_interval(i: int, depth: int) -> None:
         # pre: points 0..i accepted (len(zz) == i + 1)
-        nonlocal depth_seen
+        nonlocal depth_seen, applications
         depth_seen = max(depth_seen, depth)
+        applications += i + 1
         z_r = _eval_chain(i + 1, tt, dd, cc)
         if abs(z_r - zz[i]) < tolerance:
             zz.append(z_r)
@@ -177,37 +184,19 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
     while len(zz) < len(tt):
         refine_interval(len(zz) - 1, 0)
 
-    # Final pass over the frozen partition: independent compositions.
     n_pts = len(tt) - 1
-    evaluations = n_pts * (n_pts + 1) // 2
-
-    def eval_range(lo: int, hi: int) -> list:
-        return [_eval_chain(j, tt, dd, cc) for j in range(lo, hi)]
-
-    if threads > 1 and n_pts > 1:
-        bounds = np.linspace(1, n_pts + 1, min(threads, n_pts) + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(eval_range, bounds[:-1], bounds[1:])
-        final = [0j]
-        for chunk in chunks:
-            final.extend(chunk)
-    else:
-        final = [0j] + eval_range(1, n_pts + 1)
-
     for k in range(1, n_pts + 1):
-        if final[k] != zz[k]:
-            raise RuntimeError("final evaluation disagrees with the sweep; "
-                               "this is a bug")
-        if abs(final[k] - final[k - 1]) >= tolerance:
+        if abs(zz[k] - zz[k - 1]) >= tolerance:
             raise RuntimeError("gap bound violated after freeze; this is a bug")
 
     shift = sqkap * bb[-1] if apply_shift else 0.0
-    points = [(t, z + shift) for t, z in zip(tt, final)]
+    points = [(t, z + shift) for t, z in zip(tt, zz)]
     return TraceResult(points=points, partition=np.array(tt),
                        tolerance=tolerance, kappa=kappa,
                        shift_applied=bool(apply_shift),
                        stats={"refinement_depth_max": depth_seen,
-                              "map_evaluations": evaluations})
+                              "map_evaluations": n_pts * (n_pts + 1) // 2,
+                              "chain_map_applications": applications})
 
 
 def render_svg(result: TraceResult, width: int = 800, height: int = 600) -> str:

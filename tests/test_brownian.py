@@ -1,12 +1,14 @@
 """Driver sampling, reproducible refinement, and serialization."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slesim.brownian import BrownianPath, philox_stream
+from slesim.brownian import BrownianPath, _normals, philox_stream
 
 
 def test_same_seed_same_path():
@@ -86,6 +88,97 @@ def test_full_refine_matches_manual_bisection():
     assert a.values.tolist() == b.values.tolist()
 
 
+def _random_path(seed: int, n: int) -> BrownianPath:
+    # uneven grid: positive gaps spread over six decades
+    rng = np.random.default_rng(seed)
+    times = np.concatenate(([0.0], np.cumsum(10.0 ** rng.uniform(-6, 0, n))))
+    values = np.concatenate(([0.0], rng.standard_normal(n)))
+    return BrownianPath.from_samples(times, values, seed=seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 300))
+def test_refine_equals_reversed_midpoint_loop(seed, n):
+    a = _random_path(seed, n)
+    b = a.copy()
+    a.refine()
+    for i in reversed(range(n)):
+        b.insert_midpoint(i)
+    assert a.times.tolist() == b.times.tolist()
+    assert a.values.tolist() == b.values.tolist()
+    assert [a.sample(i) for i in range(len(a))] == \
+        [b.sample(i) for i in range(len(b))]
+
+
+def test_refine_of_unbisectable_interval_leaves_path_unchanged():
+    # 0.5 * (0 + 5e-324) rounds to 0, and 0.5 * (1 + (1 + 2^-52)) to 1:
+    # neither interval has a float64 midpoint, but the ones to their
+    # right do, and those must not be bisected either
+    p = BrownianPath.from_samples([0.0, 5e-324, 0.5, 1.0],
+                                  [0.0, 0.3, 0.1, -0.2], seed=4)
+    q = BrownianPath.from_samples([0.0, 1.0, 1.0 + 2.0 ** -52, 2.0],
+                                  [0.0, 0.1, -0.2, 0.3], seed=4)
+    for path in (p, q):
+        times, values = path.times.tolist(), path.values.tolist()
+        with pytest.raises(ValueError, match="cannot be bisected"):
+            path.refine()
+        assert path.times.tolist() == times
+        assert path.values.tolist() == values
+        assert [path.sample(i) for i in range(len(path))] == \
+            list(zip(times, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, 2 ** 64 - 1), st.just(-1),
+                 st.integers(-2 ** 63, -1)),
+       st.one_of(st.integers(0, 2 ** 64 - 1), st.just(2 ** 64 - 1)),
+       st.integers(0, 9))
+def test_reset_generator_draws_equal_a_new_stream(seed, tag, n):
+    want = philox_stream(seed, tag).standard_normal()
+    got = _normals(seed, tag)
+    assert type(got) is float and got == want
+    want = philox_stream(seed, tag).standard_normal(n)
+    got = _normals(seed, tag, n)
+    assert got.dtype == np.float64 and got.tolist() == want.tolist()
+
+
+def test_concurrent_refinement_matches_serial():
+    # each thread resets its own generator; threads drawing at once, with
+    # a switch between almost every bytecode, must not see each other's
+    # generator state
+    seeds = (21, 22, 23, 24)
+
+    def grow(seed):
+        p = BrownianPath.sample_uniform(1.0, 32, seed=seed)
+        for _ in range(4):
+            p.refine()
+            p.insert_midpoint(7)
+        return p
+
+    serial = [grow(s) for s in seeds]
+    out = {}
+    start = threading.Barrier(len(seeds))
+
+    def work(seed):
+        start.wait()
+        out[seed] = grow(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for s, want in zip(seeds, serial):
+        assert out[s].times.tolist() == want.times.tolist()
+        assert out[s].values.tolist() == want.values.tolist()
+
+
 def test_bridge_midpoint_statistics():
     # E[B(m) | endpoints] is the endpoint mean with variance h/4
     draws = []
@@ -103,7 +196,12 @@ def test_zeros_path_stays_zero_under_refinement():
     p = BrownianPath.zeros(1.0, 4)
     p.refine()
     p.insert_midpoint(1)
-    assert all(v == 0.0 for v in p.values.tolist())
+    p.refine()
+    p.refine()
+    assert p.n_intervals == 36
+    # +0.0, not -0.0: the sign would show in the CSV bytes
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0
+               for v in p.values.tolist())
 
 
 def test_rescale():

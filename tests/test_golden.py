@@ -1,0 +1,45 @@
+"""Pinned random streams and CSV bytes.
+
+The values below were recorded before bridge draws switched from one
+Philox constructor per draw to a reset per-thread generator.  A change
+that alters any random stream, or the arithmetic on it, fails here; such
+a change must say so and update these values on purpose.
+"""
+
+import hashlib
+
+import pytest
+
+from slesim.brownian import BrownianPath, philox_stream
+from slesim.cli import main
+
+
+def test_pinned_stream_values():
+    assert philox_stream(0, 0).standard_normal(3).tolist() == [
+        0.15929546600623282, -1.7741885208017214, 1.3265118818830892]
+    assert philox_stream(2 ** 64 - 1, 2 ** 64 - 1).standard_normal() == \
+        0.6313842391058808
+    assert philox_stream(-1, 12345).standard_normal() == -1.0195761687083655
+
+
+def test_pinned_midpoint_draws():
+    p = BrownianPath.sample_uniform(1.0, 2, seed=3)
+    p.refine()
+    p.insert_midpoint(0)
+    assert p.times.tolist() == [0.0, 0.125, 0.25, 0.5, 0.75, 1.0]
+    assert p.values.tolist() == [
+        0.0, 0.19481280965086836, -0.16638781337564396, 0.7157997410591955,
+        1.5589987041401256, 1.2487438442739818]
+
+
+@pytest.mark.parametrize("argv,name,digest", [
+    (["scaling", "--replicas", "4", "--seed", "0"], "scaling.csv",
+     "e68c617b68c9403730e49dc1f1d24d5d560b896d2659917942ca6cb60f2c48a5"),
+    (["trace", "--kappa", "6", "--tolerance", "0.16", "--seed", "8"],
+     "trace.csv",
+     "ee85bbec5fcc3b3abb928e59bd61c378261468c3b1937c47220f160400376100"),
+])
+def test_pinned_csv_bytes(tmp_path, capsys, argv, name, digest):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    data = (tmp_path / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from slesim.brownian import BrownianPath
-from slesim.trace import (TraceRefinementError, TraceResult, build_trace,
-                          render_svg, slit_map, write_trace_csv)
+from slesim.trace import (TraceRefinementError, TraceResult, _eval_chain,
+                          build_trace, render_svg, slit_map, write_trace_csv)
 
 
 def test_zero_noise_trace_is_the_square_root_curve():
@@ -31,6 +31,41 @@ def _build(kappa=8.0 / 3.0, seed=7, tolerance=0.1, T=1.0, n_init=16,
     path = BrownianPath.sample_uniform(T, n_init, seed=seed)
     return build_trace(path, T, kappa=kappa, n_init=n_init,
                        tolerance=tolerance, **kw)
+
+
+def _assert_points_are_final_chains(result, path):
+    # every accepted point is the full backward chain over the final
+    # partition, bit for bit, so a second evaluation pass changes nothing
+    tt = result.partition.tolist()
+    bb = [path.value_at(t) for t in tt]
+    sqkap = math.sqrt(result.kappa)
+    cc = [2.0 * (b - a) for a, b in zip(tt, tt[1:])]
+    dd = [sqkap * (a - b) for a, b in zip(bb, bb[1:])]
+    assert [z for _, z in result.points] == \
+        [_eval_chain(k, tt, dd, cc) for k in range(len(tt))]
+
+
+@pytest.mark.parametrize("kappa,seed,tolerance,n_init", [
+    (8.0 / 3.0, 7, 0.1, 16), (6.0, 3, 0.05, 16), (6.0, 8, 0.16, 64),
+    (4.0, 11, 0.1, 5)])
+def test_points_equal_chains_over_final_partition(kappa, seed, tolerance,
+                                                  n_init):
+    path = BrownianPath.sample_uniform(1.0, 4, seed=seed)
+    result = build_trace(path, 1.0, kappa=kappa, n_init=n_init,
+                         tolerance=tolerance)
+    assert len(result) > n_init + 1  # some intervals were bisected
+    _assert_points_are_final_chains(result, path)
+
+
+def test_chain_map_applications_count_rejected_candidates():
+    # without bisection every candidate is accepted: the two counts agree
+    flat = build_trace(BrownianPath.zeros(1.0, 8), 1.0, kappa=2.0, n_init=8,
+                       tolerance=10.0)
+    assert flat.stats["chain_map_applications"] == \
+        flat.stats["map_evaluations"] == 8 * 9 // 2
+    result = _build(seed=11)
+    assert (result.stats["chain_map_applications"]
+            > result.stats["map_evaluations"])
 
 
 def test_gap_bound_holds_everywhere():
