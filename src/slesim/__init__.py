@@ -20,7 +20,7 @@ from .schemes import (BY_DEGREE, BY_LENGTH, REFERENCE_RTOL, SCALED_NOISE,
                       UNIT_NOISE, SchemeConfig, euler_step, flow_drift,
                       flow_noise, nv_step, reference_solve, taylor_step)
 from .trace import (TraceRefinementError, TraceResult, build_trace,
-                    render_svg, slit_map, write_trace_csv)
+                    render_svg, write_trace_csv)
 from .vfalgebra import (LEVEL_CAP, LaurentTerm, compose, deg, enumerate_level,
                         eval_term, format_word, parse_word)
 from .experiments import (ExperimentReport, ReferenceConvergenceError,
@@ -40,7 +40,7 @@ __all__ = [
     "SchemeConfig", "euler_step", "flow_drift", "flow_noise", "nv_step",
     "reference_solve", "taylor_step",
     "TraceRefinementError", "TraceResult", "build_trace", "render_svg",
-    "slit_map", "write_trace_csv",
+    "write_trace_csv",
     "LEVEL_CAP", "LaurentTerm", "compose", "deg", "enumerate_level",
     "eval_term", "format_word", "parse_word",
     "ExperimentReport", "ReferenceConvergenceError", "divergence_probe",

@@ -45,7 +45,9 @@ def _normals(seed: int, tag: int, size=None):
     """``philox_stream(seed, tag).standard_normal(size)``, bit for bit.
 
     Resets this thread's Philox to the state a new stream starts in: key
-    (seed, tag), zero counter, empty output buffer.
+    (seed, tag), zero counter, empty output buffer.  The state setter
+    reads the words one at a time, which is cheaper from Python int lists
+    than from numpy arrays.
     """
     try:
         bitgen, gen, state = _local.philox
@@ -53,9 +55,8 @@ def _normals(seed: int, tag: int, size=None):
         bitgen = np.random.Philox()
         gen = np.random.Generator(bitgen)
         state = {"bit_generator": "Philox",
-                 "state": {"counter": np.zeros(4, dtype=np.uint64),
-                           "key": np.zeros(2, dtype=np.uint64)},
-                 "buffer": np.zeros(4, dtype=np.uint64),
+                 "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                 "buffer": [0, 0, 0, 0],
                  "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         _local.philox = bitgen, gen, state
     key = state["state"]["key"]

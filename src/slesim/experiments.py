@@ -95,23 +95,27 @@ def _l2_and_stderr(samples: np.ndarray) -> tuple[float, float]:
 
 
 def _converged_reference(z0: complex, path: BrownianPath, t: float,
-                         substeps: int, cfg: SchemeConfig, probes) -> complex:
+                         substeps: int, cfg: SchemeConfig,
+                         probes) -> tuple[complex, tuple]:
     """Refine the driver until the reference stops moving.
 
-    ``probes`` maps the candidate reference to the smallest error the
-    caller is about to measure against it; the change under one more
-    refinement must stay below REF_ERROR_FRACTION of that error (or below
-    REFERENCE_RTOL relative, whichever is larger).
+    ``probes`` maps the candidate reference to the tuple of errors the
+    caller measures against it, on the driver as refined so far; the
+    change under one more refinement must stay below REF_ERROR_FRACTION
+    of the smallest of them (or below REFERENCE_RTOL relative, whichever
+    is larger).  Returns the accepted reference and its errors, which
+    are final: the driver is not refined after they are probed.
     """
     ref = reference_solve(z0, path, t, substeps, cfg)
     for _ in range(_MAX_DOUBLINGS):
         path.refine()
         finer = reference_solve(z0, path, t, substeps, cfg)
+        errors = probes(finer)
         moved = abs(finer - ref)
-        budget = max(REF_ERROR_FRACTION * probes(finer),
+        budget = max(REF_ERROR_FRACTION * min(errors),
                      REFERENCE_RTOL * abs(finer))
         if moved <= budget:
-            return finer
+            return finer, errors
         ref = finer
     raise ReferenceConvergenceError(
         f"reference still moving by {moved:.3g} after {_MAX_DOUBLINGS} "
@@ -150,13 +154,13 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
             path = BrownianPath.sample_uniform(
                 _t, substeps, derive_seed(seed, _j * replicas + i))
 
-            def probes(ref: complex) -> float:
+            def probes(ref: complex) -> tuple:
                 table = compute_table(path, _t, r)
-                return abs(ref - taylor_step(_z0, table, r, cfg))
+                return (abs(ref - taylor_step(_z0, table, r, cfg)),)
 
-            ref = _converged_reference(_z0, path, _t, substeps, cfg, probes)
-            table = compute_table(path, _t, r)
-            return abs(ref - taylor_step(_z0, table, r, cfg))
+            _, (error,) = _converged_reference(_z0, path, _t, substeps, cfg,
+                                               probes)
+            return error
 
         errors = np.array(_run_indexed(one, replicas, threads))
         l2, se = _l2_and_stderr(errors)
@@ -300,19 +304,17 @@ def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
             path = BrownianPath.sample_uniform(
                 _t, substeps, derive_seed(seed, _j * replicas + i))
 
-            def approximations():
+            def probes(ref: complex) -> tuple:
                 table = compute_table(path, _t, 3)
                 b = path.value_at(_t)
-                return (euler_step(z0, _t, b, cfg),
-                        taylor_step(z0, table, 2, cfg),
-                        taylor_step(z0, table, 3, cfg),
-                        nv_step(z0, _t, b, kappa, UNIT_NOISE))
+                return tuple(abs(ref - a) for a in (
+                    euler_step(z0, _t, b, cfg),
+                    taylor_step(z0, table, 2, cfg),
+                    taylor_step(z0, table, 3, cfg),
+                    nv_step(z0, _t, b, kappa, UNIT_NOISE)))
 
-            def probes(ref: complex) -> float:
-                return min(abs(ref - a) for a in approximations())
-
-            ref = _converged_reference(z0, path, _t, substeps, cfg, probes)
-            return tuple(abs(ref - a) for a in approximations())
+            return _converged_reference(z0, path, _t, substeps, cfg,
+                                        probes)[1]
 
         errs = np.array(_run_indexed(one, replicas, threads))
         labels = ("euler_l2", "taylor2_l2", "taylor3_l2", "nv_l2")

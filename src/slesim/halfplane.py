@@ -3,7 +3,9 @@
 Every map in this package that takes a square root needs the root lying in
 the closed upper half plane, not the principal root: the slit maps and drift
 flows must send H = {im z >= 0} into itself.  ``sqrt_h`` is that branch.  On
-the nonnegative real axis it agrees with the ordinary real square root.
+the nonnegative real axis it agrees with the ordinary real square root.  The
+scalar splitting kernel ``schemes._nv_steps`` inlines the same flip rule, so
+a change to the branch must change both.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from math import sqrt
 import numpy as np
 
 from .brownian import BrownianPath
+from .vfalgebra import LEVEL_CAP
 
 __all__ = [
     "STRATONOVICH",
@@ -36,9 +37,6 @@ STRATONOVICH = "stratonovich"
 ITO_LEVEL2 = "ito2"
 
 _CONVENTIONS = (STRATONOVICH, ITO_LEVEL2)
-
-# Table depth guard; memory and time are O(2^r * resolution).
-LEVEL_CAP = 12
 
 
 @dataclass
@@ -89,7 +87,8 @@ def compute_table(path: BrownianPath, t: float, r: int,
     Args:
         path: sampled driver; ``t`` must be one of its sample times.
         t: horizon, > 0.
-        r: maximum word length, 0 <= r <= LEVEL_CAP.
+        r: maximum word length, 0 <= r <= LEVEL_CAP (memory and time
+            are O(2^r * resolution)).
         convention: ``stratonovich`` (default) or ``ito2`` (subtracts t/2
             from the (1, 1) entry; all other entries agree at level <= 2).
         resolution: optional minimum number of quadrature sub-intervals.

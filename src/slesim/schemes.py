@@ -20,9 +20,12 @@ sum_I (V_I Id)(z) * X^I over words I, with the operator monomials from
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from math import sqrt
+
+import numpy as np
 
 from .brownian import BrownianPath
 from .halfplane import sqrt_h
@@ -125,6 +128,28 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
     return sqrt_h(y * y - c)
 
 
+def _nv_steps(z: complex, cs, ds) -> complex:
+    """``nv_step`` applied once per pair of ``cs`` and ``ds``, in order.
+
+    Each step is z -> sqrt_h((sqrt_h(z^2 - c) + d)^2 - c), with c the
+    drift time (2h, or 2h/kappa for unit_noise) and d the noise
+    displacement (sqrt(kappa) dB, or dB).  The same scalar operations as
+    ``nv_step`` with the ``sqrt_h`` flip inlined, so bit for bit equal to
+    a loop of ``nv_step`` calls, without a call per step.
+    """
+    _sqrt = cmath.sqrt
+    for c, d in zip(cs, ds):
+        s = _sqrt(z * z - c)
+        if s.imag < 0.0 or (s.imag == 0.0 and s.real < 0.0):
+            s = -s
+        y = s + d
+        s = _sqrt(y * y - c)
+        if s.imag < 0.0 or (s.imag == 0.0 and s.real < 0.0):
+            s = -s
+        z = s
+    return z
+
+
 def euler_step(z, h, dB, cfg: SchemeConfig):
     """One Euler-Maruyama step; with constant diffusion this is also the
     Milstein step.  Has a pole at z = 0."""
@@ -197,8 +222,9 @@ def reference_solve(z0, path: BrownianPath, t: float, substeps: int,
                     cfg: SchemeConfig) -> complex:
     """Fine-grid splitting solution used as ground truth.
 
-    Steps ``nv_step`` across every sample interval of ``path`` inside
-    [0, t]; the path must carry at least ``substeps`` intervals there.
+    Steps the splitting map of ``nv_step`` across every sample interval
+    of ``path`` inside [0, t]; the path must carry at least ``substeps``
+    intervals there.
     Convergence is the caller's check: refine the path (midpoint passes),
     solve again, and require the two answers to agree, by default to
     REFERENCE_RTOL relative.
@@ -207,10 +233,11 @@ def reference_solve(z0, path: BrownianPath, t: float, substeps: int,
     if stop < substeps:
         raise ValueError(
             f"path has {stop} intervals in [0, {t}], need >= {substeps}")
-    times = path.times.tolist()
-    values = path.values.tolist()
-    z = complex(z0)
-    for k in range(stop):
-        z = nv_step(z, times[k + 1] - times[k], values[k + 1] - values[k],
-                    cfg.kappa, cfg.convention)
-    return z
+    # one float64 ufunc per scalar operation of nv_step: the same roundings
+    h = np.diff(path.times[:stop + 1])
+    dB = np.diff(path.values[:stop + 1])
+    if cfg.convention == SCALED_NOISE:
+        cs, ds = 2.0 * h, sqrt(cfg.kappa) * dB
+    else:
+        cs, ds = 2.0 * h / cfg.kappa, dB
+    return _nv_steps(complex(z0), cs.tolist(), ds.tolist())

@@ -21,19 +21,17 @@ candidates included.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from .brownian import BrownianPath
-from .schemes import nv_step
+from .schemes import _nv_steps
 
 __all__ = [
     "TraceRefinementError",
     "TraceResult",
-    "slit_map",
     "build_trace",
     "render_svg",
     "write_trace_csv",
@@ -67,31 +65,10 @@ class TraceResult:
         return len(self.points)
 
 
-def slit_map(z, h, dB, kappa):
-    """One backward slit map; identical formula to the splitting step.
-
-    Composition runs backward in time, so callers feed the reversed
-    increment dB = B(t_i) - B(t_{i+1}) for the interval [t_i, t_{i+1}].
-    """
-    return nv_step(z, h, dB, kappa)
-
-
-def _eval_chain(j: int, tt: list, dd: list, cc: list) -> complex:
+def _eval_chain(j: int, dd: list, cc: list) -> complex:
     # f_0 ... f_{j-1} applied to 0; rightmost (innermost) map first.
     # cc[i] = 2 h_i, dd[i] = sqrt(kappa) (B_i - B_{i+1}).
-    z = 0j
-    _sqrt = cmath.sqrt
-    for i in range(j - 1, -1, -1):
-        c = cc[i]
-        s = _sqrt(z * z - c)
-        if s.imag < 0.0 or (s.imag == 0.0 and s.real < 0.0):
-            s = -s
-        y = s + dd[i]
-        s = _sqrt(y * y - c)
-        if s.imag < 0.0 or (s.imag == 0.0 and s.real < 0.0):
-            s = -s
-        z = s
-    return z
+    return _nv_steps(0j, reversed(cc[:j]), reversed(dd[:j]))
 
 
 def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
@@ -163,7 +140,7 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
         nonlocal depth_seen, applications
         depth_seen = max(depth_seen, depth)
         applications += i + 1
-        z_r = _eval_chain(i + 1, tt, dd, cc)
+        z_r = _eval_chain(i + 1, dd, cc)
         if abs(z_r - zz[i]) < tolerance:
             zz.append(z_r)
             return

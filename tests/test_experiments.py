@@ -2,10 +2,12 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from slesim import experiments
 from slesim.brownian import BrownianPath
 from slesim.experiments import (ReferenceConvergenceError,
                                 _converged_reference, divergence_probe,
@@ -150,13 +152,36 @@ def test_scheme_comparison_deterministic():
     assert a.rows == b.rows
 
 
+def test_epsilon_scaling_probes_taylor_once_per_refinement(monkeypatch):
+    # each reference doubling probes the Taylor error once; the accepted
+    # probe is the replica's error, so nothing is recomputed afterwards
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "compute_table",
+                        counted("compute_table", experiments.compute_table))
+    monkeypatch.setattr(experiments, "taylor_step",
+                        counted("taylor_step", experiments.taylor_step))
+    monkeypatch.setattr(BrownianPath, "refine",
+                        counted("refine", BrownianPath.refine))
+    epsilon_scaling(EPS3, 0.5, 2, 2.0, 7, seed=9, substeps=32)
+    assert calls["refine"] >= 3 * 7
+    assert calls["compute_table"] == calls["refine"]
+    assert calls["taylor_step"] == calls["refine"]
+
+
 def test_reference_convergence_error():
     # an impossible budget (zero measured error forces the flat relative
     # floor) cannot be met within the doubling limit on a rough driver
     path = BrownianPath.sample_uniform(1.0, 4, seed=13)
     cfg = SchemeConfig(6.0, convention=SCALED_NOISE)
     with pytest.raises(ReferenceConvergenceError):
-        _converged_reference(1j, path, 1.0, 4, cfg, lambda ref: 0.0)
+        _converged_reference(1j, path, 1.0, 4, cfg, lambda ref: (0.0,))
 
 
 def test_report_csv_roundtrip(tmp_path):

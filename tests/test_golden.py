@@ -1,9 +1,11 @@
 """Pinned random streams and CSV bytes.
 
 The values below were recorded before bridge draws switched from one
-Philox constructor per draw to a reset per-thread generator.  A change
-that alters any random stream, or the arithmetic on it, fails here; such
-a change must say so and update these values on purpose.
+Philox constructor per draw to a reset per-thread generator; the
+``compare`` and ``divergence`` digests before reference solves moved to
+one scalar splitting kernel.  A change that alters any random stream, or
+the arithmetic on it, fails here; such a change must say so and update
+these values on purpose.
 """
 
 import hashlib
@@ -38,6 +40,10 @@ def test_pinned_midpoint_draws():
     (["trace", "--kappa", "6", "--tolerance", "0.16", "--seed", "8"],
      "trace.csv",
      "ee85bbec5fcc3b3abb928e59bd61c378261468c3b1937c47220f160400376100"),
+    (["compare", "--replicas", "4", "--seed", "0"], "compare.csv",
+     "fac75ec4f2cc28fa8b682bf517e8d283930b47cbc36c417f22b859574d1818c6"),
+    (["divergence", "--replicas", "20", "--seed", "0"], "divergence.csv",
+     "c7fd8f2b956b087f78e2dd94319f6741159887aa8be7d573b3b12bf44028cfb3"),
 ])
 def test_pinned_csv_bytes(tmp_path, capsys, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0

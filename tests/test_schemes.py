@@ -1,6 +1,7 @@
 """One-step maps: splitting identity, moment transport, Taylor assembly."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -214,6 +215,51 @@ def test_reference_stabilizes_under_refinement():
     moves = [abs(b - a) for a, b in zip(solutions, solutions[1:])]
     assert moves[-1] < moves[0]
     assert moves[-1] <= 3e-5
+
+
+def _nv_step_loop(z0, path, t, cfg):
+    # the definition reference_solve must reproduce: one nv_step call
+    # per sample interval of [0, t]
+    times = path.times.tolist()
+    values = path.values.tolist()
+    z = complex(z0)
+    for k in range(path.index_of(t)):
+        z = nv_step(z, times[k + 1] - times[k], values[k + 1] - values[k],
+                    cfg.kappa, cfg.convention)
+    return z
+
+
+def _bits(z):
+    # == alone would let a -0.0 pass for +0.0
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.floats(1e-4, 2.0), st.integers(1, 40),
+       st.lists(st.integers(0, 10 ** 6), max_size=8), st.booleans(),
+       st.sampled_from([0.5, 2.0, 8.0 / 3.0, 4.0, 6.0, 9.5]),
+       st.sampled_from([UNIT_NOISE, SCALED_NOISE]),
+       st.floats(-3.0, 3.0),
+       st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12, 1e-3, 0.7]),
+       st.floats(0.0, 1.0))
+def test_reference_solve_equals_nv_step_loop(seed, T, n, bisect, refine,
+                                             kappa, convention, re, im,
+                                             where):
+    # uneven grids (single bisections, then maybe a full pass) and
+    # starting points on or just above the real axis, either sign of zero
+    path = BrownianPath.sample_uniform(T, n, seed=seed)
+    for i in bisect:
+        path.insert_midpoint(i % path.n_intervals)
+    if refine:
+        path.refine()
+    stop = max(1, round(where * path.n_intervals))
+    t = path.sample(stop)[0]
+    cfg = SchemeConfig(kappa, convention=convention)
+    z0 = complex(re, im)
+    got = reference_solve(z0, path, t, stop, cfg)
+    want = _nv_step_loop(z0, path, t, cfg)
+    assert got == want
+    assert _bits(got) == _bits(want)
 
 
 def test_splitting_converges_on_a_fixed_driver():

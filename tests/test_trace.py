@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from slesim.brownian import BrownianPath
+from slesim.schemes import nv_step
 from slesim.trace import (TraceRefinementError, TraceResult, _eval_chain,
-                          build_trace, render_svg, slit_map, write_trace_csv)
+                          build_trace, render_svg, write_trace_csv)
 
 
 def test_zero_noise_trace_is_the_square_root_curve():
@@ -42,7 +43,7 @@ def _assert_points_are_final_chains(result, path):
     cc = [2.0 * (b - a) for a, b in zip(tt, tt[1:])]
     dd = [sqkap * (a - b) for a, b in zip(bb, bb[1:])]
     assert [z for _, z in result.points] == \
-        [_eval_chain(k, tt, dd, cc) for k in range(len(tt))]
+        [_eval_chain(k, dd, cc) for k in range(len(tt))]
 
 
 @pytest.mark.parametrize("kappa,seed,tolerance,n_init", [
@@ -184,7 +185,7 @@ def test_slit_map_matches_manual_composition():
     for i in (1, 0):
         h = tt[i + 1] - tt[i]
         du = bb[i] - bb[i + 1]
-        z = slit_map(z, h, du, kappa)
+        z = nv_step(z, h, du, kappa)
     assert result.points[2][1] == z
 
 
