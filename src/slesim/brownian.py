@@ -1,13 +1,13 @@
 """Sampled Brownian driver with bridge refinement and exact bookkeeping.
 
-A path is a strictly increasing time grid with one sample per knot and
-B(0) = 0.  Intervals can be bisected after the fact: the midpoint sample is
-drawn from the Brownian bridge conditioned on the two endpoints, so earlier
-samples never move.  Every random draw is keyed by (seed, quantity drawn),
-not by call order: the initial increments use one Philox stream, and each
-midpoint uses a stream keyed by the bit pattern of its time.  Two runs that
-bisect the same intervals in different orders therefore produce bitwise
-identical samples.
+A path is a finite, strictly increasing time grid with one finite sample
+per knot and B(0) = 0.  Intervals can be bisected after the fact: the
+midpoint sample is drawn from the Brownian bridge conditioned on the two
+endpoints, so earlier samples never move.  Every random draw is keyed by
+(seed, quantity drawn), not by call order: the initial increments use one
+Philox stream, and each midpoint uses a stream keyed by the bit pattern
+of its time.  Two runs that bisect the same intervals in different orders
+therefore produce bitwise identical samples.
 
 :func:`philox_stream` defines each stream.  Draws do not build it: each
 thread keeps one Philox bit generator and resets it to the stream's
@@ -79,20 +79,24 @@ class BrownianPath:
 
     def __init__(self, times, values, seed: int, frozen: bool = False,
                  bridge_scale: float = 1.0):
-        times = [float(t) for t in times]
-        values = [float(v) for v in values]
-        if len(times) != len(values):
-            raise ValueError("times and values must have equal length")
-        if len(times) < 1 or times[0] != 0.0 or values[0] != 0.0:
+        # float64 copies: the caller's sequences are never aliased
+        t = np.array(times, dtype=np.float64)
+        v = np.array(values, dtype=np.float64)
+        if t.ndim != 1 or t.shape != v.shape:
+            raise ValueError("times and values must be flat and of equal "
+                             "length")
+        if len(t) < 1 or t[0] != 0.0 or v[0] != 0.0:
             raise ValueError("path must start at B(0) = 0")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ValueError("times and values must be finite")
+        if not (t[:-1] < t[1:]).all():
             raise ValueError("times must be strictly increasing")
-        self._times = times
-        self._values = values
+        self._times = t.tolist()
+        self._values = v.tolist()
         self.seed = int(seed)
         self._frozen = bool(frozen)
         self._bridge_scale = float(bridge_scale)
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._cache: tuple[np.ndarray, np.ndarray] | None = (t, v)
 
     # ------------------------------------------------------------------
     # constructors
@@ -279,11 +283,11 @@ class BrownianPath:
 
     def freeze(self) -> "BrownianPath":
         """Immutable snapshot; later mutation of self does not leak in."""
-        return BrownianPath(list(self._times), list(self._values),
+        return BrownianPath(self._times, self._values,
                             seed=self.seed, frozen=True,
                             bridge_scale=self._bridge_scale)
 
     def copy(self) -> "BrownianPath":
-        return BrownianPath(list(self._times), list(self._values),
+        return BrownianPath(self._times, self._values,
                             seed=self.seed, frozen=False,
                             bridge_scale=self._bridge_scale)

@@ -4,9 +4,10 @@ Subcommands map one-to-one onto the library: ``trace`` builds and renders
 an adaptive trace, ``scaling``/``divergence``/``moments``/``compare`` run
 the Monte Carlo experiments, ``taylor-terms`` and ``integrals`` dump the
 symbolic operator table and an iterated-integral table.  Every run writes
-CSV (deterministic bytes for fixed seed and config, any --threads) plus a
-JSON sidecar echoing the full config; the sidecar is the only file with
-wall-clock metadata.
+CSV (deterministic bytes for fixed seed and config) plus a JSON sidecar
+echoing the full config; the sidecar is the only file with wall-clock
+metadata.  Every run is serial: ``--threads`` is accepted on every
+subcommand and ignored.
 
 Exit codes: 0 success, 1 validation error (bad flags, existing outputs
 without --force), 2 numerical failure (refinement budget exhausted,
@@ -62,8 +63,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker bound; results are identical for any "
-                            "value (default 1)")
+                       help="accepted and ignored; every run is serial "
+                            "(default 1)")
 
     p = sub.add_parser("trace", help="adaptively refined trace plus SVG")
     p.add_argument("--kappa", type=float, required=True)
@@ -151,8 +152,7 @@ def _cmd_trace(args) -> int:
     path = BrownianPath.sample_uniform(args.horizon, args.n_init, args.seed)
     result = build_trace(path, args.horizon, args.kappa,
                          n_init=args.n_init, tolerance=args.tolerance,
-                         max_depth=args.max_depth, apply_shift=args.shift,
-                         threads=args.threads)
+                         max_depth=args.max_depth, apply_shift=args.shift)
     write_trace_csv(result, csv_path)
     svg_path.write_text(render_svg(result), encoding="ascii")
     payload = {
@@ -192,21 +192,20 @@ def _run_report(args, name: str, runner) -> int:
 def _cmd_scaling(args) -> int:
     return _run_report(args, "scaling", lambda: ex.epsilon_scaling(
         args.eps, args.delta, args.r, args.kappa, args.replicas, args.seed,
-        substeps=args.substeps, threads=args.threads))
+        substeps=args.substeps))
 
 
 def _cmd_divergence(args) -> int:
     words = [parse_word(w) for w in args.words]
     return _run_report(args, "divergence", lambda: ex.divergence_probe(
         args.eps, args.delta, words, args.replicas, args.seed,
-        kappa=args.kappa, resolution=args.resolution, threads=args.threads))
+        kappa=args.kappa, resolution=args.resolution))
 
 
 def _cmd_moments(args) -> int:
     z0 = complex(args.z0_re, args.z0_im)
     return _run_report(args, "moments", lambda: ex.moment_preservation(
-        args.kappa, z0, args.horizon, args.steps, args.replicas, args.seed,
-        threads=args.threads))
+        args.kappa, z0, args.horizon, args.steps, args.replicas, args.seed))
 
 
 def _cmd_compare(args) -> int:
@@ -215,7 +214,7 @@ def _cmd_compare(args) -> int:
         horizons = [args.eps ** p for p in (2.5, 2.25, 2.0, 1.75)]
     return _run_report(args, "compare", lambda: ex.scheme_comparison(
         args.kappa, args.eps, horizons, args.replicas, args.seed,
-        substeps=args.substeps, threads=args.threads))
+        substeps=args.substeps))
 
 
 def _cmd_taylor_terms(args) -> int:

@@ -2,10 +2,10 @@
 
 Each experiment returns an :class:`ExperimentReport` that is a bitwise
 deterministic function of (config, seed): every random draw is keyed by
-seed and replica index, per-replica results are collected in index order
-regardless of the worker count, and reductions use numpy's fixed-order
-pairwise summation.  Reports are written as CSV plus a JSON sidecar; only
-the sidecar carries wall-clock metadata.
+seed and replica index, replicas run serially in index order, and
+reductions use numpy's fixed-order pairwise summation.  Reports are
+written as CSV plus a JSON sidecar; only the sidecar carries wall-clock
+metadata.
 
 Ground truth for one-step error measurements is the fine-grid splitting
 solution, accepted only once one more dyadic refinement of the driver
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import log, sqrt
 
@@ -63,14 +62,6 @@ class ExperimentReport:
     fit: tuple | None
     config: dict
     seed: int
-
-
-def _run_indexed(fn, n: int, threads: int) -> list:
-    """[fn(0), ..., fn(n-1)], in index order for any worker count."""
-    if threads <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
 
 
 def _loglog_fit(xs, ys) -> tuple[float, float, float]:
@@ -127,8 +118,8 @@ def _converged_reference(z0: complex, path: BrownianPath, t: float,
 
 
 def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
-                    replicas: int, seed: int, substeps: int = 128,
-                    threads: int = 1) -> ExperimentReport:
+                    replicas: int, seed: int,
+                    substeps: int = 128) -> ExperimentReport:
     """L^2 one-step Taylor error at horizon eps^(2+delta) from z0 = i eps.
 
     For each eps the truncated Taylor sum (level ``r``) over the whole
@@ -150,20 +141,19 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
         t = eps ** (2.0 + delta)
         z0 = complex(0.0, eps)
 
-        def one(i: int, _t=t, _z0=z0, _j=j) -> float:
+        errors = []
+        for i in range(replicas):
             path = BrownianPath.sample_uniform(
-                _t, substeps, derive_seed(seed, _j * replicas + i))
+                t, substeps, derive_seed(seed, j * replicas + i))
 
             def probes(ref: complex) -> tuple:
-                table = compute_table(path, _t, r)
-                return (abs(ref - taylor_step(_z0, table, r, cfg)),)
+                table = compute_table(path, t, r)
+                return (abs(ref - taylor_step(z0, table, r, cfg)),)
 
-            _, (error,) = _converged_reference(_z0, path, _t, substeps, cfg,
+            _, (error,) = _converged_reference(z0, path, t, substeps, cfg,
                                                probes)
-            return error
-
-        errors = np.array(_run_indexed(one, replicas, threads))
-        l2, se = _l2_and_stderr(errors)
+            errors.append(error)
+        l2, se = _l2_and_stderr(np.array(errors))
         rows.append({"eps": eps, "horizon": t, "l2_error": l2,
                      "stderr": se, "replicas": replicas})
 
@@ -177,8 +167,8 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
 
 
 def divergence_probe(eps: float, delta: float, words, replicas: int,
-                     seed: int, kappa: float = 2.0, resolution: int = 256,
-                     threads: int = 1) -> ExperimentReport:
+                     seed: int, kappa: float = 2.0,
+                     resolution: int = 256) -> ExperimentReport:
     """Taylor-term magnitudes at the long horizon eps^(2-delta).
 
     Each word's contribution (V_I Id)(i eps) X^I is measured in L^2 at
@@ -200,19 +190,16 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
     levels = [eps, 0.5 * eps]
     horizons = [e ** (2.0 - delta) for e in levels]
 
-    def one(i: int) -> list:
-        # one driver per (replica, eps level); all words share it
-        out = []
-        for lvl, t in enumerate(horizons):
+    # integrals[lvl][:, k] is word k over the replicas, in replica order;
+    # one driver per (replica, eps level), shared by all words
+    integrals = []
+    for lvl, t in enumerate(horizons):
+        per_replica = []
+        for i in range(replicas):
             path = BrownianPath.sample_uniform(
                 t, resolution, derive_seed(seed, lvl * replicas + i))
-            out.append([iterated_integral(path, t, w) for w in live])
-        return out
-
-    raw = _run_indexed(one, replicas, threads)
-    # integrals[lvl][w_idx] is a replicas-long vector, in replica order
-    integrals = [np.array([raw[i][lvl] for i in range(replicas)])
-                 for lvl in range(2)]
+            per_replica.append([iterated_integral(path, t, w) for w in live])
+        integrals.append(np.array(per_replica))
 
     rows = []
     for k, w in enumerate(live):
@@ -243,8 +230,7 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
 
 
 def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
-                        replicas: int, seed: int,
-                        threads: int = 1) -> ExperimentReport:
+                        replicas: int, seed: int) -> ExperimentReport:
     """Sample mean of Z^2 under splitting steps against z0^2 + (kappa-4) t.
 
     The splitting step preserves this second-moment recursion exactly in
@@ -253,7 +239,6 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     """
     if T <= 0.0 or n_steps < 1 or replicas < 2:
         raise ValueError("need T > 0, n_steps >= 1, replicas >= 2")
-    del threads  # one fused vector pass; worker bounds cannot change it
     z0 = complex(z0)
     times = [T * (k / n_steps) for k in range(n_steps + 1)]
     incs = philox_stream(seed, _TAG_MATRIX).standard_normal(
@@ -283,8 +268,7 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
 
 
 def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
-                      seed: int, substeps: int = 128,
-                      threads: int = 1) -> ExperimentReport:
+                      seed: int, substeps: int = 128) -> ExperimentReport:
     """One-step L^2 errors of Euler, Taylor (levels 2 and 3), and the
     splitting step from z0 = i eps, per horizon."""
     if not 0.0 < eps < 1.0:
@@ -299,24 +283,23 @@ def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
 
     rows = []
     for j, t in enumerate(horizons):
-
-        def one(i: int, _t=t, _j=j) -> tuple:
+        errs = []
+        for i in range(replicas):
             path = BrownianPath.sample_uniform(
-                _t, substeps, derive_seed(seed, _j * replicas + i))
+                t, substeps, derive_seed(seed, j * replicas + i))
 
             def probes(ref: complex) -> tuple:
-                table = compute_table(path, _t, 3)
-                b = path.value_at(_t)
+                table = compute_table(path, t, 3)
+                b = path.value_at(t)
                 return tuple(abs(ref - a) for a in (
-                    euler_step(z0, _t, b, cfg),
+                    euler_step(z0, t, b, cfg),
                     taylor_step(z0, table, 2, cfg),
                     taylor_step(z0, table, 3, cfg),
-                    nv_step(z0, _t, b, kappa, UNIT_NOISE)))
+                    nv_step(z0, t, b, kappa, UNIT_NOISE)))
 
-            return _converged_reference(z0, path, _t, substeps, cfg,
-                                        probes)[1]
-
-        errs = np.array(_run_indexed(one, replicas, threads))
+            errs.append(_converged_reference(z0, path, t, substeps, cfg,
+                                             probes)[1])
+        errs = np.array(errs)
         labels = ("euler_l2", "taylor2_l2", "taylor3_l2", "nv_l2")
         row = {"horizon": t}
         for col, label in enumerate(labels):

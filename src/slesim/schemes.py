@@ -21,6 +21,7 @@ sum_I (V_I Id)(z) * X^I over words I, with the operator monomials from
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 from dataclasses import dataclass
 from math import sqrt
@@ -30,7 +31,7 @@ import numpy as np
 from .brownian import BrownianPath
 from .halfplane import sqrt_h
 from .integrals import ITO_LEVEL2, STRATONOVICH, IteratedIntegralTable
-from .vfalgebra import compose, deg, eval_term
+from .vfalgebra import LEVEL_CAP, compose, deg, eval_term
 
 __all__ = [
     "UNIT_NOISE",
@@ -160,18 +161,31 @@ def euler_step(z, h, dB, cfg: SchemeConfig):
     return z - 2.0 / z * h + sqrt(cfg.kappa) * dB
 
 
-def _truncation_words(r: int, rule: str):
-    """Deterministic (lexicographic within length) word list for a cutoff."""
+@functools.cache
+def _truncation_terms(r: int, rule: str) -> tuple:
+    """The nonzero (word, composed term) pairs of a cutoff, composed once.
+
+    Words are in deterministic (lexicographic within length) order.  No
+    table holds a word longer than LEVEL_CAP, so a cutoff that reaches
+    past it is refused before its words are enumerated.
+    """
     if rule == BY_LENGTH:
-        lengths = range(r + 1)
+        longest = r
         keep = lambda w: True  # noqa: E731
     else:
-        lengths = range(2 * r + 1)
+        longest = 2 * r
         keep = lambda w: deg(w) <= r  # noqa: E731
-    for n in lengths:
+    if longest > LEVEL_CAP:
+        raise ValueError(f"truncation level {r} ({rule}) needs words longer "
+                         f"than LEVEL_CAP = {LEVEL_CAP}")
+    pairs = []
+    for n in range(longest + 1):
         for w in itertools.product((0, 1), repeat=n):
             if keep(w):
-                yield w
+                term = compose(w)
+                if not term.is_zero():
+                    pairs.append((w, term))
+    return tuple(pairs)
 
 
 def taylor_step(z, table: IteratedIntegralTable, r: int,
@@ -204,10 +218,7 @@ def taylor_step(z, table: IteratedIntegralTable, r: int,
                                                cfg.integral_convention))
     z = complex(z)
     total = 0j
-    for word in _truncation_words(r, cfg.taylor_truncation):
-        term = compose(word)
-        if term.is_zero():
-            continue
+    for word, term in _truncation_terms(r, cfg.taylor_truncation):
         try:
             entry = table.entries[word]
         except KeyError:

@@ -73,7 +73,7 @@ def _eval_chain(j: int, dd: list, cc: list) -> complex:
 
 def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
                 tolerance: float = 0.02, max_depth: int = 40,
-                apply_shift: bool = False, threads: int = 1) -> TraceResult:
+                apply_shift: bool = False) -> TraceResult:
     """Adaptively refined trace of the driver on [0, T].
 
     Args:
@@ -89,8 +89,6 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
         apply_shift: translate all points by sqrt(kappa) B(T) (maps the
             picture to the coordinate frame anchored at the driver's
             endpoint).
-        threads: accepted for compatibility and ignored; the sweep is
-            serial, and any value produces identical results.
 
     Returns:
         TraceResult; points[0] is (0, 0) and every consecutive gap is
@@ -117,7 +115,6 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
         raise ValueError("path is frozen; build_trace refines its driver")
     if path.horizon < T:
         raise ValueError(f"path horizon {path.horizon} is shorter than {T}")
-    del threads  # one serial sweep; worker bounds cannot change it
 
     end = path.index_of(T)
     while end < n_init:

@@ -8,12 +8,15 @@ captured block of a failure).
 
 import itertools
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slesim
 from slesim.brownian import BrownianPath
 from slesim.experiments import (divergence_probe, epsilon_scaling,
                                 moment_preservation)
@@ -222,8 +225,12 @@ def test_criterion_7_trace_construction():
 
 
 def _cli(out_dir, *args):
+    # the child imports the same slesim as this process, installed or not
+    src = str(Path(slesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cmd = [sys.executable, "-m", "slesim.cli", *args, "--out", str(out_dir)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc
 

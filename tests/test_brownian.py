@@ -244,6 +244,31 @@ def test_csv_roundtrip_bitwise(tmp_path):
     assert q.values.tolist() == p.values.tolist()
 
 
+def test_non_finite_samples_are_rejected(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="finite"):
+        BrownianPath.from_samples([0.0, nan, 1.0], [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        BrownianPath.from_samples([0.0, 0.5, 1.0], [0.0, inf, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        BrownianPath.from_samples([0.0, 0.5, inf], [0.0, 0.5, 1.0])
+    target = tmp_path / "driver.csv"
+    target.write_text("t,B\n0.0,0.0\nnan,0.5\n1.0,1.0\n", encoding="ascii")
+    with pytest.raises(ValueError, match="finite"):
+        BrownianPath.from_csv(target)
+
+
+def test_constructor_copies_caller_arrays():
+    times = np.array([0.0, 0.5, 1.0])
+    values = np.array([0.0, -0.25, 0.75])
+    p = BrownianPath.from_samples(times, values)
+    times[1] = 0.75
+    values[1] = 9.0
+    assert p.times.tolist() == [0.0, 0.5, 1.0]
+    assert p.values.tolist() == [0.0, -0.25, 0.75]
+    assert p.sample(1) == (0.5, -0.25)
+
+
 def test_index_and_increment():
     p = BrownianPath.sample_uniform(2.0, 8, seed=4)
     assert p.index_of(0.5) == 2

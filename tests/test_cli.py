@@ -1,9 +1,14 @@
 """Command line behavior: exit codes, files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slesim
 from slesim.cli import main
 
 
@@ -31,7 +36,7 @@ def test_missing_required_flag_exits_one(capsys):
 
 def test_trace_writes_three_files(tmp_path, capsys):
     code = run("trace", "--kappa", "2.5", "--n-init", "8",
-               "--tolerance", "0.2", "--out", str(tmp_path))
+               "--tolerance", "0.2", "--threads", "3", "--out", str(tmp_path))
     assert code == 0
     csv = (tmp_path / "trace.csv").read_text()
     svg = (tmp_path / "trace.svg").read_text()
@@ -39,6 +44,7 @@ def test_trace_writes_three_files(tmp_path, capsys):
     assert csv.startswith("t,re,im\n0.0,0.0,0.0\n")
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert payload["config"]["kappa"] == 2.5
+    assert payload["config"]["threads"] == 3  # accepted, echoed, ignored
     assert payload["points"] == csv.count("\n") - 1
     assert payload["stats"]["map_evaluations"] > 0
     # wall-clock data stays out of the replayable outputs
@@ -112,6 +118,19 @@ def test_threads_flag_does_not_change_bytes(tmp_path):
                    "--out", str(tmp_path / sub)) == 0
     assert ((tmp_path / "t1" / "divergence.csv").read_bytes()
             == (tmp_path / "t8" / "divergence.csv").read_bytes())
+
+
+def test_import_leaves_out_the_executor():
+    # replicas run in one serial loop; importing the package must not
+    # pull in concurrent.futures
+    src = str(Path(slesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, slesim; print(sorted(m for m in sys.modules "
+            "if m.startswith('concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_scaling_sidecar_carries_fit(tmp_path):

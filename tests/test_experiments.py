@@ -21,8 +21,7 @@ EPS3 = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
 
 def test_epsilon_scaling_is_deterministic():
     a = epsilon_scaling(EPS3, 0.5, 2, 2.0, 25, seed=9, substeps=32)
-    b = epsilon_scaling(EPS3, 0.5, 2, 2.0, 25, seed=9, substeps=32,
-                        threads=4)
+    b = epsilon_scaling(EPS3, 0.5, 2, 2.0, 25, seed=9, substeps=32)
     assert a.rows == b.rows
     assert a.fit == b.fit
     c = epsilon_scaling(EPS3, 0.5, 2, 2.0, 25, seed=10, substeps=32)
@@ -108,12 +107,6 @@ def test_moment_targets_and_deviations():
     assert report.rows[-1]["target_re"] == -3.0
 
 
-def test_moment_threads_are_irrelevant():
-    a = moment_preservation(6.0, 2j, 0.5, 4, 500, seed=7, threads=1)
-    b = moment_preservation(6.0, 2j, 0.5, 4, 500, seed=7, threads=8)
-    assert a.rows == b.rows
-
-
 def test_moment_stderr_scales_like_inverse_root_replicas():
     small = moment_preservation(2.0, 1j, 1.0, 4, 2000, seed=8)
     large = moment_preservation(2.0, 1j, 1.0, 4, 8000, seed=8)
@@ -147,8 +140,7 @@ def test_scheme_comparison_crossover():
 def test_scheme_comparison_deterministic():
     eps = 2.0 ** -5
     a = scheme_comparison(2.0, eps, [eps ** 2.0], 30, seed=12, substeps=32)
-    b = scheme_comparison(2.0, eps, [eps ** 2.0], 30, seed=12, substeps=32,
-                          threads=4)
+    b = scheme_comparison(2.0, eps, [eps ** 2.0], 30, seed=12, substeps=32)
     assert a.rows == b.rows
 
 

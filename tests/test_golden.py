@@ -3,9 +3,14 @@
 The values below were recorded before bridge draws switched from one
 Philox constructor per draw to a reset per-thread generator; the
 ``compare`` and ``divergence`` digests before reference solves moved to
-one scalar splitting kernel.  A change that alters any random stream, or
-the arithmetic on it, fails here; such a change must say so and update
-these values on purpose.
+one scalar splitting kernel; the ``integrals`` and ``taylor-terms``
+digests before replicas moved to one serial loop.  A change that alters
+any random stream, or the arithmetic on it, fails here; such a change
+must say so and update these values on purpose.
+
+``moments`` is not pinned: it steps whole arrays of complex numbers, and
+numpy may round complex arithmetic differently per SIMD lane, so its
+digest may vary by CPU.
 """
 
 import hashlib
@@ -44,6 +49,10 @@ def test_pinned_midpoint_draws():
      "fac75ec4f2cc28fa8b682bf517e8d283930b47cbc36c417f22b859574d1818c6"),
     (["divergence", "--replicas", "20", "--seed", "0"], "divergence.csv",
      "c7fd8f2b956b087f78e2dd94319f6741159887aa8be7d573b3b12bf44028cfb3"),
+    (["integrals", "--n", "128", "--r", "3", "--seed", "0"], "integrals.csv",
+     "d2ab691b4464b738e47263b1c09fb81fc4d7f7f5a277c51eb4a63acd937962db"),
+    (["taylor-terms", "--r", "6"], "taylor_terms.csv",
+     "f8b442ee32ca5c514e7a68dde24cbfd1727ef8b68ee847b3134a5c438a9d4f0d"),
 ])
 def test_pinned_csv_bytes(tmp_path, capsys, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slesim import schemes
 from slesim.brownian import BrownianPath
 from slesim.integrals import ITO_LEVEL2, compute_table
 from slesim.schemes import (BY_DEGREE, BY_LENGTH, SCALED_NOISE, UNIT_NOISE,
@@ -157,6 +158,36 @@ def test_by_degree_adds_exactly_one_word_at_level_two():
                          _unit_cfg(taylor_truncation=BY_DEGREE))
     extra = eval_term(compose((1, 1, 0)), z, 2.0) * table.entries[(1, 1, 0)]
     assert graded == short + extra
+
+
+def test_taylor_step_composes_each_term_once(monkeypatch):
+    calls = []
+
+    def counted(word):
+        calls.append(tuple(word))
+        return compose(word)
+
+    monkeypatch.setattr(schemes, "compose", counted)
+    path = BrownianPath.sample_uniform(0.125, 64, seed=41)
+    table = compute_table(path, 0.125, 3)
+    cfg = _unit_cfg()
+    first = taylor_step(0.3 + 1.2j, table, 2, cfg)
+    composed = len(calls)
+    for _ in range(10):
+        assert taylor_step(0.3 + 1.2j, table, 2, cfg) == first
+    assert len(calls) == composed
+    assert composed <= 7  # the 7 words of length <= 2, at most once each
+
+
+def test_taylor_refuses_levels_past_the_cap():
+    # no table is deeper than LEVEL_CAP; such a cutoff must be refused
+    # without first enumerating its 2^41 - 1 words
+    path = BrownianPath.sample_uniform(1.0, 8, seed=2)
+    table = compute_table(path, 1.0, 2)
+    with pytest.raises(ValueError):
+        taylor_step(1j, table, 40, _unit_cfg())
+    with pytest.raises(ValueError):
+        taylor_step(1j, table, 20, _unit_cfg(taylor_truncation=BY_DEGREE))
 
 
 def test_taylor_scaled_noise_level_one():

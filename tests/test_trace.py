@@ -117,12 +117,6 @@ def test_same_seed_same_trace():
     assert list(a.partition) == list(b.partition)
 
 
-def test_threads_do_not_change_points():
-    a = _build(seed=17, threads=1)
-    b = _build(seed=17, threads=8)
-    assert a.points == b.points
-
-
 def test_rebuild_on_refined_path_is_stable():
     # the builder mutates its driver; a second pass over the settled
     # partition must accept every interval and reproduce the points
