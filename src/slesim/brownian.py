@@ -7,7 +7,9 @@ endpoints, so earlier samples never move.  Every random draw is keyed by
 (seed, quantity drawn), not by call order: the initial increments use one
 Philox stream, and each midpoint uses a stream keyed by the bit pattern
 of its time.  Two runs that bisect the same intervals in different orders
-therefore produce bitwise identical samples.
+therefore produce bitwise identical samples.  :func:`uniform_blocks` draws
+many uniform-grid drivers as rows of one array, each row bit for bit the
+path :meth:`BrownianPath.sample_uniform` draws from the same seed.
 
 :func:`philox_stream` defines each stream.  Draws do not build it: each
 thread keeps one Philox bit generator and resets it to the stream's
@@ -24,12 +26,16 @@ from math import sqrt
 
 import numpy as np
 
-__all__ = ["BrownianPath", "philox_stream"]
+__all__ = ["BrownianPath", "philox_stream", "uniform_blocks"]
 
 _MASK64 = (1 << 64) - 1
 # Tag for the initial-increment stream.  Midpoint streams are tagged with the
 # float64 bit pattern of the midpoint time, which is never 0 for t > 0.
 _TAG_INCREMENTS = 0
+# Rows per block of :func:`uniform_blocks`.  Callers keep a few arrays of
+# one block's shape alive (the iterated integrals keep one per word prefix),
+# so memory stays near 1 MB at 256 intervals whatever the replica count.
+_BLOCK_ROWS = 64
 
 
 def philox_stream(seed: int, tag: int) -> np.random.Generator:
@@ -70,6 +76,60 @@ def _time_tag(t: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", t))[0]
 
 
+def _check_samples(t: np.ndarray, v: np.ndarray) -> None:
+    """Raise ValueError unless each row of ``v`` is a driver on grid ``t``.
+
+    ``v`` is one path of samples or a block of them, one path per row.
+    """
+    if t.ndim != 1 or v.shape[-1:] != t.shape:
+        raise ValueError("times must be flat, with one value per time in "
+                         "every row")
+    if len(t) < 1 or t[0] != 0.0 or (v[..., 0] != 0.0).any():
+        raise ValueError("path must start at B(0) = 0")
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        raise ValueError("times and values must be finite")
+    if not (t[:-1] < t[1:]).all():
+        raise ValueError("times must be strictly increasing")
+
+
+def _uniform_grid(T: float, n: int) -> np.ndarray:
+    """Knots T * (k / n), k = 0..n; the last one is exactly T."""
+    return T * (np.arange(n + 1) / n)
+
+
+def _uniform_block(T: float, n: int, seeds) -> np.ndarray:
+    """One row of samples on the uniform grid per seed.
+
+    Every row is drawn from its own seed's increment stream, and scaling
+    and summing are elementwise and sequential along the row, so a row's
+    bits do not depend on the other rows or on its position.
+    """
+    if T <= 0.0:
+        raise ValueError("horizon must be positive")
+    if n < 1:
+        raise ValueError("need at least one interval")
+    values = np.empty((len(seeds), n + 1))
+    values[:, 0] = 0.0
+    for row, seed in zip(values, seeds):
+        row[1:] = _normals(seed, _TAG_INCREMENTS, n)
+    np.cumsum(values[:, 1:] * sqrt(T / n), axis=1, out=values[:, 1:])
+    return values
+
+
+def uniform_blocks(T: float, n: int, seeds):
+    """Uniform-grid drivers for many seeds, a bounded block at a time.
+
+    Yields ``(rows, times, values)``: ``rows`` is the slice of ``seeds``
+    the block covers, ``times`` the grid k*T/n that all drivers share,
+    and ``values[r]`` equals ``BrownianPath.sample_uniform(T, n,
+    seeds[rows][r]).values`` bit for bit.
+    """
+    times = _uniform_grid(T, n)
+    for start in range(0, len(seeds), _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, len(seeds)))
+        yield rows, times, _uniform_block(T, n, seeds[rows])
+
+
 class BrownianPath:
     """Piecewise-sampled Brownian motion on [0, T].
 
@@ -82,15 +142,10 @@ class BrownianPath:
         # float64 copies: the caller's sequences are never aliased
         t = np.array(times, dtype=np.float64)
         v = np.array(values, dtype=np.float64)
-        if t.ndim != 1 or t.shape != v.shape:
+        if t.shape != v.shape:
             raise ValueError("times and values must be flat and of equal "
                              "length")
-        if len(t) < 1 or t[0] != 0.0 or v[0] != 0.0:
-            raise ValueError("path must start at B(0) = 0")
-        if not (np.isfinite(t).all() and np.isfinite(v).all()):
-            raise ValueError("times and values must be finite")
-        if not (t[:-1] < t[1:]).all():
-            raise ValueError("times must be strictly increasing")
+        _check_samples(t, v)
         self._times = t.tolist()
         self._values = v.tolist()
         self.seed = int(seed)
@@ -110,23 +165,16 @@ class BrownianPath:
             n: number of intervals, >= 1.
             seed: stream key; equal seeds give bitwise-equal paths.
         """
-        if T <= 0.0:
-            raise ValueError("horizon must be positive")
-        if n < 1:
-            raise ValueError("need at least one interval")
-        # T * (k/n) puts the last knot at exactly T.
-        inc = _normals(seed, _TAG_INCREMENTS, n) * sqrt(T / n)
-        values = np.concatenate(([0.0], np.cumsum(inc)))
-        times = [T * (k / n) for k in range(n + 1)]
-        return cls(times, values, seed)
+        values = _uniform_block(T, n, [seed])[0]
+        return cls(_uniform_grid(T, n), values, seed)
 
     @classmethod
     def zeros(cls, T: float, n: int) -> "BrownianPath":
         """The identically-zero driver; stays zero under refinement."""
         if T <= 0.0 or n < 1:
             raise ValueError("horizon must be positive and n >= 1")
-        times = [T * (k / n) for k in range(n + 1)]
-        return cls(times, [0.0] * (n + 1), seed=0, bridge_scale=0.0)
+        return cls(_uniform_grid(T, n), np.zeros(n + 1), seed=0,
+                   bridge_scale=0.0)
 
     @classmethod
     def from_samples(cls, times, values, seed: int = 0) -> "BrownianPath":

@@ -23,8 +23,9 @@ from math import log, sqrt
 
 import numpy as np
 
-from .brownian import BrownianPath, philox_stream
-from .integrals import compute_table, derive_seed, iterated_integral
+from .brownian import (BrownianPath, _uniform_grid, philox_stream,
+                       uniform_blocks)
+from .integrals import compute_table, derive_seed, word_entries
 from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, SchemeConfig,
                       euler_step, nv_step, reference_solve, taylor_step)
 from .vfalgebra import compose, deg, eval_term, format_word
@@ -194,12 +195,12 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
     # one driver per (replica, eps level), shared by all words
     integrals = []
     for lvl, t in enumerate(horizons):
-        per_replica = []
-        for i in range(replicas):
-            path = BrownianPath.sample_uniform(
-                t, resolution, derive_seed(seed, lvl * replicas + i))
-            per_replica.append([iterated_integral(path, t, w) for w in live])
-        integrals.append(np.array(per_replica))
+        seeds = [derive_seed(seed, lvl * replicas + i)
+                 for i in range(replicas)]
+        entries = np.empty((replicas, len(live)))
+        for rows, times, values in uniform_blocks(t, resolution, seeds):
+            entries[rows] = word_entries(times, values, live)
+        integrals.append(entries)
 
     rows = []
     for k, w in enumerate(live):
@@ -240,7 +241,7 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     if T <= 0.0 or n_steps < 1 or replicas < 2:
         raise ValueError("need T > 0, n_steps >= 1, replicas >= 2")
     z0 = complex(z0)
-    times = [T * (k / n_steps) for k in range(n_steps + 1)]
+    times = _uniform_grid(T, n_steps).tolist()
     incs = philox_stream(seed, _TAG_MATRIX).standard_normal(
         (replicas, n_steps))
 

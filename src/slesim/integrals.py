@@ -10,6 +10,12 @@ endpoint values of the integrand on every sub-interval, which is exact
 whenever the integrand is linear there - in particular every entry up to
 length 2 is exact for the piecewise-linear path, e.g. the (1, 1) entry
 telescopes to B(t)^2 / 2.
+
+:func:`word_entries` evaluates words on a block of drivers that share one
+grid, one row per driver, integrating each distinct word prefix once for
+the whole block.  The quadrature is made of separate real float64 ufuncs
+and a sequential cumsum along each row, so every row rounds exactly as
+:func:`iterated_integral` on that driver alone.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from math import sqrt
 
 import numpy as np
 
-from .brownian import BrownianPath
+from .brownian import BrownianPath, _check_samples, uniform_blocks
 from .vfalgebra import LEVEL_CAP
 
 __all__ = [
@@ -28,6 +34,7 @@ __all__ = [
     "IteratedIntegralTable",
     "compute_table",
     "iterated_integral",
+    "word_entries",
     "l2_scaling_samples",
     "l2_scaling_estimate",
     "derive_seed",
@@ -60,6 +67,29 @@ def _check_convention(convention: str) -> None:
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; "
                          f"expected one of {_CONVENTIONS}")
+
+
+def _check_letters(word: tuple) -> None:
+    if any(letter not in (0, 1) for letter in word):
+        raise ValueError(f"word letters must be 0 or 1, got {word!r}")
+
+
+def _integrate(fw: np.ndarray, legs) -> list[np.ndarray]:
+    """Running integrals of ``fw`` against each leg, starting from 0.
+
+    The quadrature rule: on every sub-interval the mean of the integrand's
+    two endpoint values times the leg, summed in order along the last
+    axis.  Leading axes hold rows (drivers) and broadcast; each row is
+    rounded exactly as it would be on its own.
+    """
+    avg = 0.5 * (fw[..., :-1] + fw[..., 1:])
+    outs = []
+    for leg in legs:
+        step = avg * leg
+        out = np.zeros(step.shape[:-1] + (step.shape[-1] + 1,))
+        step.cumsum(axis=-1, out=out[..., 1:])
+        outs.append(out)
+    return outs
 
 
 def _grid(path: BrownianPath, t: float, resolution) -> tuple[np.ndarray, np.ndarray]:
@@ -109,14 +139,9 @@ def compute_table(path: BrownianPath, t: float, r: int,
     for _ in range(r):
         nxt: dict = {}
         for w, fw in running.items():
-            avg = 0.5 * (fw[:-1] + fw[1:])
-            for j in (0, 1):
-                out = np.empty(len(times))
-                out[0] = 0.0
-                np.cumsum(avg * legs[j], out=out[1:])
-                wj = w + (j,)
-                nxt[wj] = out
-                entries[wj] = float(out[-1])
+            for j, out in enumerate(_integrate(fw, legs)):
+                nxt[w + (j,)] = out
+                entries[w + (j,)] = float(out[-1])
         running = nxt  # only the newest level feeds the next one
 
     if convention == ITO_LEVEL2 and r >= 2:
@@ -131,21 +156,56 @@ def iterated_integral(path: BrownianPath, t: float, word,
                       resolution=None) -> float:
     """Single entry without building the whole table (prefix chain only)."""
     word = tuple(word)
-    if any(letter not in (0, 1) for letter in word):
-        raise ValueError(f"word letters must be 0 or 1, got {word!r}")
+    _check_letters(word)
     _check_convention(convention)
     times, values = _grid(path, t, resolution)
     legs = (np.diff(times), np.diff(values))
     fw = np.ones(len(times))
     for j in word:
-        out = np.empty(len(times))
-        out[0] = 0.0
-        np.cumsum(0.5 * (fw[:-1] + fw[1:]) * legs[j], out=out[1:])
-        fw = out
+        fw, = _integrate(fw, (legs[j],))
     value = float(fw[-1])
     if convention == ITO_LEVEL2 and word == (1, 1):
         value -= 0.5 * t
     return value
+
+
+def word_entries(times, values, words) -> np.ndarray:
+    """Stratonovich entries over [0, times[-1]] for a block of drivers.
+
+    Args:
+        times: grid shared by every driver: flat, finite, strictly
+            increasing, starting at 0.
+        values: one driver per row, sampled on ``times``; finite, each
+            row starting at 0.
+        words: words over {0, 1}; repeats and the empty word are allowed.
+
+    Returns:
+        Array of shape (rows, len(words)); row ``i`` equals
+        ``iterated_integral`` of each word on driver ``i`` bit for bit.
+        Each distinct word prefix is integrated once for the whole block;
+        prefixes made only of 0s depend on the grid alone and stay flat.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError("values must hold one driver per row")
+    _check_samples(times, values)
+    words = [tuple(w) for w in words]
+    for w in words:
+        _check_letters(w)
+    legs = (np.diff(times), np.diff(values, axis=-1))
+    prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
+    running = {(): np.ones(len(times))}
+    # parents by length, so each one is integrated before its children
+    for p in sorted({q[:-1] for q in prefixes}, key=len):
+        letters = [j for j in (0, 1) if p + (j,) in prefixes]
+        for j, out in zip(letters,
+                          _integrate(running[p], [legs[j] for j in letters])):
+            running[p + (j,)] = out
+    entries = np.empty((len(values), len(words)))
+    for k, w in enumerate(words):
+        entries[:, k] = running[w][..., -1]
+    return entries
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -166,13 +226,16 @@ def l2_scaling_samples(word, t: float, replicas: int, resolution: int,
         raise ValueError("horizon must be positive")
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
+    words = [tuple(word)]
+    # the arithmetic of BrownianPath.rescale(c), one ufunc per operation
+    c = 1.0 / t
+    rc = sqrt(c)
     at_t = np.empty(replicas)
     at_1 = np.empty(replicas)
-    for i in range(replicas):
-        path = BrownianPath.sample_uniform(1.0, resolution, derive_seed(seed, i))
-        at_1[i] = iterated_integral(path, 1.0, word)
-        scaled = path.rescale(1.0 / t)
-        at_t[i] = iterated_integral(scaled, scaled.horizon, word)
+    seeds = [derive_seed(seed, i) for i in range(replicas)]
+    for rows, times, values in uniform_blocks(1.0, resolution, seeds):
+        at_1[rows] = word_entries(times, values, words)[:, 0]
+        at_t[rows] = word_entries(times / c, values / rc, words)[:, 0]
     return at_t, at_1
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slesim.brownian import BrownianPath, _normals, philox_stream
+from slesim.brownian import (BrownianPath, _normals, _uniform_grid,
+                             philox_stream, uniform_blocks)
 
 
 def test_same_seed_same_path():
@@ -32,6 +33,26 @@ def test_grid_hits_horizon_exactly():
         assert p.times[-1] == T
         assert p.horizon == T
         assert p.value_at(T) == p.values[-1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(1e-300, 1e300), st.integers(1, 2000))
+def test_uniform_grid_rounds_like_scalar_loop(T, n):
+    assert _uniform_grid(T, n).tolist() == [T * (k / n) for k in range(n + 1)]
+
+
+def test_uniform_blocks_equal_sample_uniform():
+    # 130 seeds span three blocks; every row equals its own path
+    seeds = [3 * s + 1 for s in range(130)]
+    covered = []
+    for rows, times, values in uniform_blocks(0.7, 9, seeds):
+        covered.extend(range(130)[rows])
+        for seed, row in zip(seeds[rows], values):
+            p = BrownianPath.sample_uniform(0.7, 9, seed=seed)
+            assert times.tolist() == p.times.tolist()
+            assert row.tolist() == p.values.tolist()
+    assert covered == list(range(130))
+    assert BrownianPath.zeros(0.7, 9).times.tolist() == times.tolist()
 
 
 def test_starts_at_zero():

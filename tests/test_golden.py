@@ -4,9 +4,12 @@ The values below were recorded before bridge draws switched from one
 Philox constructor per draw to a reset per-thread generator; the
 ``compare`` and ``divergence`` digests before reference solves moved to
 one scalar splitting kernel; the ``integrals`` and ``taylor-terms``
-digests before replicas moved to one serial loop.  A change that alters
-any random stream, or the arithmetic on it, fails here; such a change
-must say so and update these values on purpose.
+digests before replicas moved to one serial loop; the two 300-replica
+``divergence`` digests, whose drivers span several blocks, one of them
+with a skipped word, before divergence integrals moved to one array pass
+per block.  A change that alters any random stream, or the arithmetic on
+it, fails here; such a change must say so and update these values on
+purpose.
 
 ``moments`` is not pinned: it steps whole arrays of complex numbers, and
 numpy may round complex arithmetic differently per SIMD lane, so its
@@ -53,6 +56,11 @@ def test_pinned_midpoint_draws():
      "d2ab691b4464b738e47263b1c09fb81fc4d7f7f5a277c51eb4a63acd937962db"),
     (["taylor-terms", "--r", "6"], "taylor_terms.csv",
      "f8b442ee32ca5c514e7a68dde24cbfd1727ef8b68ee847b3134a5c438a9d4f0d"),
+    (["divergence", "--replicas", "300", "--seed", "1"], "divergence.csv",
+     "f2e95a384925f58c6596c751a9e4b4b05c063b8f905fb3ec3fb212c01990aab7"),
+    (["divergence", "--replicas", "300", "--seed", "1",
+      "--words", "1", "0", "01", "10"], "divergence.csv",
+     "adf4136a659bad27eb3bb950af9db77cc5bd9f64d9e246e6e628042d1f5f3005"),
 ])
 def test_pinned_csv_bytes(tmp_path, capsys, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0

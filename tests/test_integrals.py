@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slesim.brownian import BrownianPath
 from slesim.integrals import (ITO_LEVEL2, STRATONOVICH, compute_table,
                               derive_seed, iterated_integral,
-                              l2_scaling_estimate, l2_scaling_samples)
+                              l2_scaling_estimate, l2_scaling_samples,
+                              word_entries)
 from slesim.vfalgebra import deg
 
 
@@ -90,6 +92,63 @@ def test_single_entry_matches_table():
         assert iterated_integral(p, 1.0, word) == tab.entry(word)
 
 
+_words = st.lists(
+    st.just(()) | st.lists(st.sampled_from([0, 1]), min_size=1,
+                           max_size=5).map(tuple),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(words=_words, zeros=st.integers(1, 4), rows=st.integers(1, 300),
+       n=st.integers(1, 24), T=st.floats(1e-6, 1e3), seed=st.integers(0, 99),
+       data=st.data())
+def test_word_entries_equal_iterated_integral_bitwise(words, zeros, rows, n,
+                                                      T, seed, data):
+    # shared and duplicate prefixes, plus a word made only of 0s
+    w0 = words[0]
+    words = words + [w0, w0[:-1], w0 + (1,), (0,) * zeros]
+    paths = [BrownianPath.sample_uniform(T, n, seed=derive_seed(seed, i))
+             for i in range(rows)]
+    times = paths[0].times
+    values = np.array([p.values for p in paths])
+    entries = word_entries(times, values, words)
+    assert entries.shape == (rows, len(words))
+    for path, row in zip(paths, entries):
+        loop = np.array([iterated_integral(path, T, w) for w in words])
+        assert row.tobytes() == loop.tobytes()
+    # a row's bits do not depend on its position or on the block split
+    cut = data.draw(st.integers(0, rows))
+    split = np.concatenate([word_entries(times, values[:cut], words),
+                            word_entries(times, values[cut:], words)])
+    assert split.tobytes() == entries.tobytes()
+    flipped = word_entries(times, values[::-1], words)
+    assert flipped[::-1].tobytes() == entries.tobytes()
+    i = data.draw(st.integers(0, rows - 1))
+    alone = word_entries(times, values[i:i + 1], words)
+    assert alone.tobytes() == entries[i:i + 1].tobytes()
+
+
+def test_word_entries_validation():
+    p = _path(n=8)
+    times, values = p.times, p.values[None, :]
+    assert word_entries(times, values, [(), (1,)]).tolist() == [
+        [1.0, p.values[-1]]]
+    assert word_entries(times, values, []).shape == (1, 0)
+    bad_times = times.copy()
+    bad_times[3] = bad_times[2]
+    shifted = values + 1.0
+    holed = values.copy()
+    holed[0, 4] = np.nan
+    for args in [(times, values, [(0, 2)]),          # letter
+                 (times, p.values, [(1,)]),          # not a block of rows
+                 (times[:-1], values, [(1,)]),       # grid length
+                 (bad_times, values, [(1,)]),        # not increasing
+                 (times, shifted, [(1,)]),           # B(0) != 0
+                 (times, holed, [(1,)])]:            # not finite
+        with pytest.raises(ValueError):
+            word_entries(*args)
+
+
 def test_resolution_refinement_converges():
     p = _path(n=16, seed=2)
     coarse = iterated_integral(p, 1.0, (1, 0), resolution=16)
@@ -137,6 +196,23 @@ def test_l2_coupling_makes_exponent_exact():
         expo = np.log(np.abs(at_t) + 1e-300) - np.log(np.abs(at_1) + 1e-300)
         expo /= math.log(t)
         assert np.max(np.abs(expo - float(deg(word)))) < 1e-10
+
+
+@pytest.mark.parametrize("word,t,replicas,resolution,seed", [
+    ((1,), 0.25, 100, 32, 1),
+    ((1, 1, 0), 0.3, 130, 16, 2),
+    ((0, 0), 3.0, 129, 8, 5),
+    ((), 0.5, 100, 4, 0),
+])
+def test_l2_samples_equal_rescaled_path_loop(word, t, replicas, resolution,
+                                             seed):
+    at_t, at_1 = l2_scaling_samples(word, t, replicas, resolution, seed)
+    for i in range(replicas):
+        path = BrownianPath.sample_uniform(1.0, resolution,
+                                           derive_seed(seed, i))
+        scaled = path.rescale(1.0 / t)
+        assert at_1[i] == iterated_integral(path, 1.0, word)
+        assert at_t[i] == iterated_integral(scaled, scaled.horizon, word)
 
 
 def test_l2_norm_of_noise_entry():
