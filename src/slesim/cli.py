@@ -10,8 +10,9 @@ metadata.  Every run is serial: ``--threads`` is accepted on every
 subcommand and ignored.
 
 Exit codes: 0 success, 1 validation error (bad flags, existing outputs
-without --force), 2 numerical failure (refinement budget exhausted,
-reference did not converge).
+without --force), 2 numerical failure (a trace interval still too coarse
+after its bisection budget or at the float64 limit of time, a reference
+that did not converge).
 """
 
 from __future__ import annotations

@@ -36,12 +36,12 @@ def sqrt_h(w):
     """
     if isinstance(w, np.ndarray):
         s = np.sqrt(w.astype(np.complex128, copy=False))
-        # Principal root has re >= 0; it needs flipping exactly when it
-        # landed strictly below the axis, or at -0.0 on the negative axis.
-        flip = (s.imag < 0.0) | ((s.imag == 0.0) & (s.real < 0.0))
-        return np.where(flip, -s, s)
+        # The principal root never has a negative real part (not even
+        # -0.0), so it needs flipping exactly when it lies strictly below
+        # the axis.
+        return np.where(s.imag < 0.0, -s, s)
     s = cmath.sqrt(w)
-    if s.imag < 0.0 or (s.imag == 0.0 and s.real < 0.0):
+    if s.imag < 0.0:
         s = -s
     return s
 

@@ -141,11 +141,11 @@ def _nv_steps(z: complex, cs, ds) -> complex:
     _sqrt = cmath.sqrt
     for c, d in zip(cs, ds):
         s = _sqrt(z * z - c)
-        if s.imag < 0.0 or (s.imag == 0.0 and s.real < 0.0):
+        if s.imag < 0.0:
             s = -s
         y = s + d
         s = _sqrt(y * y - c)
-        if s.imag < 0.0 or (s.imag == 0.0 and s.real < 0.0):
+        if s.imag < 0.0:
             s = -s
         z = s
     return z

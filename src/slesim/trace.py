@@ -39,7 +39,12 @@ __all__ = [
 
 
 class TraceRefinementError(RuntimeError):
-    """Gap condition unreachable within max_depth on some interval."""
+    """Gap condition unreachable on some interval.
+
+    Raised when the interval has spent its max_depth bisections, or when
+    its endpoints are adjacent float64 times, so that it has no midpoint
+    to bisect at (the driver's ValueError is then the ``__cause__``).
+    """
 
     def __init__(self, interval: tuple[float, float], depth: int, gap: float):
         self.interval = interval
@@ -80,7 +85,7 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
         path: driver, mutated in place by bridge bisections; must carry T
             as a sample time and must not be frozen.  If its grid on
             [0, T] is coarser than n_init intervals it is pre-refined by
-            midpoint passes.
+            whole-path midpoint passes (``path.refine()``).
         T: horizon, > 0.
         kappa: noise strength, >= 0 (0 gives the deterministic slit).
         n_init: minimum initial partition size, >= 1.
@@ -99,7 +104,8 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
 
     Raises:
         TraceRefinementError: some interval cannot meet the gap bound
-            within max_depth bisections.
+            within max_depth bisections, or reaches adjacent float64
+            times (no midpoint left to bisect at) before it does.
     """
     if T <= 0.0:
         raise ValueError("horizon must be positive")
@@ -118,58 +124,52 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
 
     end = path.index_of(T)
     while end < n_init:
-        for i in reversed(range(end)):
-            path.insert_midpoint(i)
-        end = path.index_of(T)
+        end = path.refine().index_of(T)
 
+    # cc[i] = 2 h_i and dd[i] = sqrt(kappa) (B_i - B_{i+1}) for interval i
+    # of the partition, which is the path's grid on [0, T]; depth[i] counts
+    # the bisections behind interval i.
     sqkap = sqrt(kappa)
-    tt = [path.sample(i)[0] for i in range(end + 1)]
-    bb = [path.sample(i)[1] for i in range(end + 1)]
-    cc = [2.0 * (b - a) for a, b in zip(tt, tt[1:])]
-    dd = [sqkap * (a - b) for a, b in zip(bb, bb[1:])]
-
+    times, values = path.times[:end + 1], path.values[:end + 1]
+    cc = (2.0 * (times[1:] - times[:-1])).tolist()
+    dd = (sqkap * (values[:-1] - values[1:])).tolist()
+    depth = [0] * end
     zz = [0j]
-    depth_seen = 0
     applications = 0
-
-    def refine_interval(i: int, depth: int) -> None:
-        # pre: points 0..i accepted (len(zz) == i + 1)
-        nonlocal depth_seen, applications
-        depth_seen = max(depth_seen, depth)
+    while len(zz) <= end:
+        # points 0..i accepted; interval i is the first undecided one
+        i = len(zz) - 1
         applications += i + 1
         z_r = _eval_chain(i + 1, dd, cc)
-        if abs(z_r - zz[i]) < tolerance:
+        gap = abs(z_r - zz[i])
+        if gap < tolerance:
             zz.append(z_r)
-            return
-        if depth >= max_depth:
-            raise TraceRefinementError((tt[i], tt[i + 1]), depth,
-                                       abs(z_r - zz[i]))
-        path.insert_midpoint(i)
+            continue
+        (t0, b0), (t1, b1) = path.sample(i), path.sample(i + 1)
+        if depth[i] >= max_depth:
+            raise TraceRefinementError((t0, t1), depth[i], gap)
+        try:
+            path.insert_midpoint(i)
+        except ValueError as exc:
+            raise TraceRefinementError((t0, t1), depth[i], gap) from exc
         tm, bm = path.sample(i + 1)
-        tt.insert(i + 1, tm)
-        bb.insert(i + 1, bm)
-        cc[i] = 2.0 * (tm - tt[i])
-        cc.insert(i + 1, 2.0 * (tt[i + 2] - tm))
-        dd[i] = sqkap * (bb[i] - bm)
-        dd.insert(i + 1, sqkap * (bm - bb[i + 2]))
-        refine_interval(i, depth + 1)
-        refine_interval(len(zz) - 1, depth + 1)
+        cc[i:i + 1] = [2.0 * (tm - t0), 2.0 * (t1 - tm)]
+        dd[i:i + 1] = [sqkap * (b0 - bm), sqkap * (bm - b1)]
+        depth[i:i + 1] = [depth[i] + 1] * 2
+        end += 1
 
-    while len(zz) < len(tt):
-        refine_interval(len(zz) - 1, 0)
-
-    n_pts = len(tt) - 1
-    for k in range(1, n_pts + 1):
+    for k in range(1, end + 1):
         if abs(zz[k] - zz[k - 1]) >= tolerance:
             raise RuntimeError("gap bound violated after freeze; this is a bug")
 
-    shift = sqkap * bb[-1] if apply_shift else 0.0
-    points = [(t, z + shift) for t, z in zip(tt, zz)]
-    return TraceResult(points=points, partition=np.array(tt),
+    partition = path.times[:end + 1].copy()
+    shift = sqkap * path.value_at(T) if apply_shift else 0.0
+    points = [(t, z + shift) for t, z in zip(partition.tolist(), zz)]
+    return TraceResult(points=points, partition=partition,
                        tolerance=tolerance, kappa=kappa,
                        shift_applied=bool(apply_shift),
-                       stats={"refinement_depth_max": depth_seen,
-                              "map_evaluations": n_pts * (n_pts + 1) // 2,
+                       stats={"refinement_depth_max": max(depth),
+                              "map_evaluations": end * (end + 1) // 2,
                               "chain_map_applications": applications})
 
 

@@ -7,9 +7,11 @@ one scalar splitting kernel; the ``integrals`` and ``taylor-terms``
 digests before replicas moved to one serial loop; the two 300-replica
 ``divergence`` digests, whose drivers span several blocks, one of them
 with a skipped word, before divergence integrals moved to one array pass
-per block.  A change that alters any random stream, or the arithmetic on
-it, fails here; such a change must say so and update these values on
-purpose.
+per block.  The trace point counts and ``stats`` were recorded before
+``build_trace`` moved from a recursive closure to one flat loop; the CSV
+digest pins the points but not these counters.  A change that alters any
+random stream, or the arithmetic on it, fails here; such a change must
+say so and update these values on purpose.
 
 ``moments`` is not pinned: it steps whole arrays of complex numbers, and
 numpy may round complex arithmetic differently per SIMD lane, so its
@@ -22,6 +24,7 @@ import pytest
 
 from slesim.brownian import BrownianPath, philox_stream
 from slesim.cli import main
+from slesim.trace import build_trace
 
 
 def test_pinned_stream_values():
@@ -66,3 +69,21 @@ def test_pinned_csv_bytes(tmp_path, capsys, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     data = (tmp_path / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,seed,kappa,tolerance,n_init,points,stats", [
+    (64, 8, 6.0, 0.16, 64, 145,
+     {"refinement_depth_max": 8, "map_evaluations": 10440,
+      "chain_map_applications": 14679}),
+    # a 4-interval driver: pre-refined to 8 intervals before the sweep
+    (4, 11, 4.0, 0.1, 5, 61,
+     {"refinement_depth_max": 7, "map_evaluations": 1830,
+      "chain_map_applications": 3255}),
+])
+def test_pinned_trace_stats(n, seed, kappa, tolerance, n_init, points,
+                            stats):
+    path = BrownianPath.sample_uniform(1.0, n, seed)
+    result = build_trace(path, 1.0, kappa, n_init=n_init,
+                         tolerance=tolerance)
+    assert len(result.points) == points
+    assert result.stats == stats

@@ -75,6 +75,20 @@ def test_drift_flow_pushes_up(x, y, t):
     assert lifted.imag >= z.imag - 1e-9 * (1.0 + abs(z))
 
 
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=16))
+def test_principal_root_never_has_a_negative_real_part(parts):
+    # sqrt_h and the inlined flip in schemes._nv_steps flip on im < 0
+    # only; that is enough because the principal root's real part never
+    # carries a sign bit, for finite values, signed zeros, infinities
+    # and NaN alike
+    w = [complex(x, y) for x, y in parts]
+    for s in [cmath.sqrt(v) for v in w] + np.sqrt(np.array(w)).tolist():
+        assert not np.signbit(s.real)
+
+
 def test_modulus():
     assert modulus(3 + 4j) == 5.0
     assert modulus(complex(-3, -4)) == 5.0

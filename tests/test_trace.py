@@ -154,6 +154,19 @@ def test_refinement_budget_error():
     assert err.interval[0] < err.interval[1]
 
 
+def test_float64_limit_is_a_refinement_error():
+    # the first interval is (0, 5e-324): adjacent float64 times, so it has
+    # no midpoint to bisect at although the depth budget is not spent
+    path = BrownianPath.from_samples([0.0, 5e-324, 1.0], [0.0, 10.0, 10.0])
+    with pytest.raises(TraceRefinementError) as info:
+        build_trace(path, 1.0, kappa=6.0, n_init=2, tolerance=0.1)
+    err = info.value
+    assert err.interval == (0.0, 5e-324)
+    assert err.depth == 0 and err.gap >= 0.1
+    assert isinstance(err.__cause__, ValueError)
+    assert path.times.tolist() == [0.0, 5e-324, 1.0]  # nothing inserted
+
+
 def test_build_validation():
     path = BrownianPath.sample_uniform(1.0, 8, seed=1)
     with pytest.raises(ValueError):
