@@ -12,11 +12,10 @@ command line exposes.
 """
 
 from .brownian import BrownianPath, philox_stream, uniform_blocks
-from .halfplane import modulus, sqrt_h
-from .integrals import (ITO_LEVEL2, STRATONOVICH, IteratedIntegralTable,
-                        compute_table, derive_seed, iterated_integral,
-                        l2_scaling_estimate, l2_scaling_samples,
-                        word_entries)
+from .halfplane import sqrt_h
+from .integrals import (IteratedIntegralTable, compute_table, derive_seed,
+                        iterated_integral, l2_scaling_estimate,
+                        l2_scaling_samples, word_entries)
 from .schemes import (BY_DEGREE, BY_LENGTH, REFERENCE_RTOL, SCALED_NOISE,
                       UNIT_NOISE, SchemeConfig, euler_step, flow_drift,
                       flow_noise, nv_step, reference_solve, taylor_step)
@@ -33,8 +32,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BrownianPath", "philox_stream", "uniform_blocks",
-    "modulus", "sqrt_h",
-    "ITO_LEVEL2", "STRATONOVICH", "IteratedIntegralTable", "compute_table",
+    "sqrt_h",
+    "IteratedIntegralTable", "compute_table",
     "derive_seed", "iterated_integral", "l2_scaling_estimate",
     "l2_scaling_samples", "word_entries",
     "BY_DEGREE", "BY_LENGTH", "REFERENCE_RTOL", "SCALED_NOISE", "UNIT_NOISE",

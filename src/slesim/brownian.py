@@ -137,8 +137,7 @@ class BrownianPath:
     :meth:`from_samples`, or :meth:`from_csv`.
     """
 
-    def __init__(self, times, values, seed: int, frozen: bool = False,
-                 bridge_scale: float = 1.0):
+    def __init__(self, times, values, seed: int, bridge_scale: float = 1.0):
         # float64 copies: the caller's sequences are never aliased
         t = np.array(times, dtype=np.float64)
         v = np.array(values, dtype=np.float64)
@@ -149,7 +148,6 @@ class BrownianPath:
         self._times = t.tolist()
         self._values = v.tolist()
         self.seed = int(seed)
-        self._frozen = bool(frozen)
         self._bridge_scale = float(bridge_scale)
         self._cache: tuple[np.ndarray, np.ndarray] | None = (t, v)
 
@@ -210,10 +208,6 @@ class BrownianPath:
     # accessors
 
     @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    @property
     def horizon(self) -> float:
         return self._times[-1]
 
@@ -252,10 +246,6 @@ class BrownianPath:
     def value_at(self, t: float) -> float:
         return self._values[self.index_of(t)]
 
-    def increment(self, s: float, t: float) -> float:
-        """B(t) - B(s) for two sampled times."""
-        return self.value_at(t) - self.value_at(s)
-
     # ------------------------------------------------------------------
     # mutation and derived paths
 
@@ -266,8 +256,6 @@ class BrownianPath:
         how many other intervals were bisected first.  Existing samples
         are untouched.
         """
-        if self._frozen:
-            raise ValueError("path is frozen")
         if not 0 <= i < self.n_intervals:
             raise IndexError(f"interval index {i} out of range")
         t0, t1 = self._times[i], self._times[i + 1]
@@ -290,8 +278,6 @@ class BrownianPath:
         done in one array pass.  If some interval cannot be bisected in
         float64, raises ValueError and leaves the path unchanged.
         """
-        if self._frozen:
-            raise ValueError("path is frozen")
         t, v = self.times, self.values
         t0, t1 = t[:-1], t[1:]
         # one float64 ufunc per scalar operation: the same roundings
@@ -329,13 +315,6 @@ class BrownianPath:
                             [v / rc for v in self._values],
                             seed=self.seed, bridge_scale=self._bridge_scale)
 
-    def freeze(self) -> "BrownianPath":
-        """Immutable snapshot; later mutation of self does not leak in."""
-        return BrownianPath(self._times, self._values,
-                            seed=self.seed, frozen=True,
-                            bridge_scale=self._bridge_scale)
-
     def copy(self) -> "BrownianPath":
         return BrownianPath(self._times, self._values,
-                            seed=self.seed, frozen=False,
-                            bridge_scale=self._bridge_scale)
+                            seed=self.seed, bridge_scale=self._bridge_scale)

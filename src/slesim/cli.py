@@ -4,10 +4,11 @@ Subcommands map one-to-one onto the library: ``trace`` builds and renders
 an adaptive trace, ``scaling``/``divergence``/``moments``/``compare`` run
 the Monte Carlo experiments, ``taylor-terms`` and ``integrals`` dump the
 symbolic operator table and an iterated-integral table.  Every run writes
-CSV (deterministic bytes for fixed seed and config) plus a JSON sidecar
-echoing the full config; the sidecar is the only file with wall-clock
-metadata.  Every run is serial: ``--threads`` is accepted on every
-subcommand and ignored.
+CSV with deterministic bytes for fixed seed and config.  ``trace`` and the
+four experiments also write a JSON sidecar echoing the full config; the
+sidecar is the only file with wall-clock metadata.  ``taylor-terms`` and
+``integrals`` write the CSV alone.  Every run is serial: ``--threads`` is
+accepted on every subcommand and ignored.
 
 Exit codes: 0 success, 1 validation error (bad flags, existing outputs
 without --force), 2 numerical failure (a trace interval still too coarse
@@ -219,16 +220,16 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_taylor_terms(args) -> int:
-    if args.r < 0:
-        raise ValueError("--r must be nonnegative")
+    # validate the level before any file is opened
+    terms = enumerate_level(args.r)
     (csv_path,) = _targets(args, "taylor_terms.csv")
     with open(csv_path, "w", encoding="ascii") as fh:
         fh.write("word,coeff_num,coeff_den,a_power,z_power\n")
-        for word, term in enumerate_level(args.r):
+        for word, term in terms:
             fh.write(f"{format_word(word)},{term.coeff.numerator},"
                      f"{term.coeff.denominator},{term.a_power},"
                      f"{term.z_power}\n")
-    print(f"taylor-terms: {2 ** args.r} rows, wrote {csv_path}")
+    print(f"taylor-terms: {len(terms)} rows, wrote {csv_path}")
     return 0
 
 

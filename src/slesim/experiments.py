@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from math import log, sqrt
 
 import numpy as np
@@ -114,6 +115,26 @@ def _converged_reference(z0: complex, path: BrownianPath, t: float,
         f"refinements (budget {budget:.3g})")
 
 
+def _reference_errors(z0: complex, t: float, substeps: int,
+                      cfg: SchemeConfig, probes, seed: int, first: int,
+                      replicas: int) -> np.ndarray:
+    """Probe errors of every replica against its converged reference.
+
+    Replica i draws its driver on ``substeps`` uniform intervals of [0, t]
+    from ``derive_seed(seed, first + i)``; ``probes(z0, path, t, ref)``
+    returns the errors measured against the candidate reference ``ref``
+    (see :func:`_converged_reference`).  Returns an array of shape
+    (replicas, number of errors), in replica order.
+    """
+    errors = []
+    for i in range(replicas):
+        path = BrownianPath.sample_uniform(t, substeps,
+                                           derive_seed(seed, first + i))
+        errors.append(_converged_reference(z0, path, t, substeps, cfg,
+                                           partial(probes, z0, path, t))[1])
+    return np.array(errors)
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -137,24 +158,16 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
         raise ValueError("eps values must lie in (0, 1)")
     cfg = SchemeConfig(kappa, UNIT_NOISE)
 
+    def probes(z0, path, t, ref) -> tuple:
+        table = compute_table(path, t, r)
+        return (abs(ref - taylor_step(z0, table, r, cfg)),)
+
     rows = []
     for j, eps in enumerate(eps_list):
         t = eps ** (2.0 + delta)
-        z0 = complex(0.0, eps)
-
-        errors = []
-        for i in range(replicas):
-            path = BrownianPath.sample_uniform(
-                t, substeps, derive_seed(seed, j * replicas + i))
-
-            def probes(ref: complex) -> tuple:
-                table = compute_table(path, t, r)
-                return (abs(ref - taylor_step(z0, table, r, cfg)),)
-
-            _, (error,) = _converged_reference(z0, path, t, substeps, cfg,
-                                               probes)
-            errors.append(error)
-        l2, se = _l2_and_stderr(np.array(errors))
+        errors = _reference_errors(complex(0.0, eps), t, substeps, cfg,
+                                   probes, seed, j * replicas, replicas)
+        l2, se = _l2_and_stderr(errors[:, 0])
         rows.append({"eps": eps, "horizon": t, "l2_error": l2,
                      "stderr": se, "replicas": replicas})
 
@@ -246,19 +259,16 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
         (replicas, n_steps))
 
     z = np.full(replicas, z0, dtype=np.complex128)
-    squares = np.empty((n_steps, replicas), dtype=np.complex128)
-    for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        z = nv_step(z, h, sqrt(h) * incs[:, k], kappa, SCALED_NOISE)
-        squares[k] = z * z
-
     rows = []
     for k in range(n_steps):
         t = times[k + 1]
-        mean = complex(np.mean(squares[k]))
+        h = t - times[k]
+        z = nv_step(z, h, sqrt(h) * incs[:, k], kappa, SCALED_NOISE)
+        square = z * z
+        mean = complex(np.mean(square))
         target = z0 * z0 + (kappa - 4.0) * t
-        se = sqrt((float(np.var(squares[k].real))
-                   + float(np.var(squares[k].imag))) / replicas)
+        se = sqrt((float(np.var(square.real))
+                   + float(np.var(square.imag))) / replicas)
         dev = abs(mean - target) / se if se > 0.0 else 0.0
         rows.append({"t": t, "mean_re": mean.real, "mean_im": mean.imag,
                      "target_re": target.real, "target_im": target.imag,
@@ -280,27 +290,20 @@ def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
     if any(t <= 0.0 for t in horizons):
         raise ValueError("horizons must be positive")
     cfg = SchemeConfig(kappa, UNIT_NOISE)
-    z0 = complex(0.0, eps)
+
+    def probes(z0, path, t, ref) -> tuple:
+        table = compute_table(path, t, 3)
+        b = path.value_at(t)
+        return tuple(abs(ref - a) for a in (
+            euler_step(z0, t, b, cfg),
+            taylor_step(z0, table, 2, cfg),
+            taylor_step(z0, table, 3, cfg),
+            nv_step(z0, t, b, kappa, UNIT_NOISE)))
 
     rows = []
     for j, t in enumerate(horizons):
-        errs = []
-        for i in range(replicas):
-            path = BrownianPath.sample_uniform(
-                t, substeps, derive_seed(seed, j * replicas + i))
-
-            def probes(ref: complex) -> tuple:
-                table = compute_table(path, t, 3)
-                b = path.value_at(t)
-                return tuple(abs(ref - a) for a in (
-                    euler_step(z0, t, b, cfg),
-                    taylor_step(z0, table, 2, cfg),
-                    taylor_step(z0, table, 3, cfg),
-                    nv_step(z0, t, b, kappa, UNIT_NOISE)))
-
-            errs.append(_converged_reference(z0, path, t, substeps, cfg,
-                                             probes)[1])
-        errs = np.array(errs)
+        errs = _reference_errors(complex(0.0, eps), t, substeps, cfg, probes,
+                                 seed, j * replicas, replicas)
         labels = ("euler_l2", "taylor2_l2", "taylor3_l2", "nv_l2")
         row = {"horizon": t}
         for col, label in enumerate(labels):

@@ -1,4 +1,4 @@
-"""Square-root branch and point utilities for the closed upper half plane.
+"""Square-root branch for the closed upper half plane.
 
 Every map in this package that takes a square root needs the root lying in
 the closed upper half plane, not the principal root: the slit maps and drift
@@ -14,7 +14,7 @@ import cmath
 
 import numpy as np
 
-__all__ = ["sqrt_h", "modulus"]
+__all__ = ["sqrt_h"]
 
 
 def sqrt_h(w):
@@ -44,11 +44,3 @@ def sqrt_h(w):
     if s.imag < 0.0:
         s = -s
     return s
-
-
-def modulus(z) -> float:
-    """Euclidean modulus |z|, stable against overflow (hypot)."""
-    if isinstance(z, np.ndarray):
-        return np.hypot(z.real, z.imag)
-    z = complex(z)
-    return float(np.hypot(z.real, z.imag))

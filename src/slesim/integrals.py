@@ -3,13 +3,13 @@
 Entries are indexed by words over {0, 1}: letter 0 integrates against dt,
 letter 1 against dB, innermost letter first, so the entry for word w + (j,)
 is the running integral of the entry for w against coordinate j.  Integrals
-are taken over the piecewise-linear interpolation of the samples, i.e. in
-the Stratonovich (geometric) sense; the level-2 Ito correction is exposed
-as the ``ito2`` convention.  Each dt or dB leg uses the mean of the two
-endpoint values of the integrand on every sub-interval, which is exact
-whenever the integrand is linear there - in particular every entry up to
-length 2 is exact for the piecewise-linear path, e.g. the (1, 1) entry
-telescopes to B(t)^2 / 2.
+are taken over the piecewise-linear interpolation of the samples on the
+driver's own grid, i.e. in the Stratonovich (geometric) sense, which is
+the only sense the Taylor steps need.  Each dt or dB leg uses the mean of
+the two endpoint values of the integrand on every sub-interval, which is
+exact whenever the integrand is linear there - in particular every entry
+up to length 2 is exact for the piecewise-linear path, e.g. the (1, 1)
+entry telescopes to B(t)^2 / 2.
 
 :func:`word_entries` evaluates words on a block of drivers that share one
 grid, one row per driver, integrating each distinct word prefix once for
@@ -29,8 +29,6 @@ from .brownian import BrownianPath, _check_samples, uniform_blocks
 from .vfalgebra import LEVEL_CAP
 
 __all__ = [
-    "STRATONOVICH",
-    "ITO_LEVEL2",
     "IteratedIntegralTable",
     "compute_table",
     "iterated_integral",
@@ -40,20 +38,17 @@ __all__ = [
     "derive_seed",
 ]
 
-STRATONOVICH = "stratonovich"
-ITO_LEVEL2 = "ito2"
-
-_CONVENTIONS = (STRATONOVICH, ITO_LEVEL2)
-
-
 @dataclass
 class IteratedIntegralTable:
-    """All iterated integrals over [0, horizon] up to a word length."""
+    """All iterated integrals over [0, horizon] up to a word length.
+
+    ``resolution`` is the number of driver intervals in [0, horizon] the
+    quadrature ran over.
+    """
 
     horizon: float
     entries: dict = field(repr=False)
     resolution: int
-    convention: str = STRATONOVICH
 
     def entry(self, word) -> float:
         return self.entries[tuple(word)]
@@ -61,12 +56,6 @@ class IteratedIntegralTable:
     @property
     def depth(self) -> int:
         return max(len(w) for w in self.entries)
-
-
-def _check_convention(convention: str) -> None:
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; "
-                         f"expected one of {_CONVENTIONS}")
 
 
 def _check_letters(word: tuple) -> None:
@@ -92,36 +81,21 @@ def _integrate(fw: np.ndarray, legs) -> list[np.ndarray]:
     return outs
 
 
-def _grid(path: BrownianPath, t: float, resolution) -> tuple[np.ndarray, np.ndarray]:
-    """Sample grid of the path restricted to [0, t], optionally refined.
-
-    Refinement resamples the piecewise-linear interpolation on the union of
-    the knots and a uniform grid, which leaves the path itself unchanged
-    and only sharpens the quadrature.
-    """
+def _grid(path: BrownianPath, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample grid of the path restricted to [0, t]."""
     stop = path.index_of(t)
-    times = path.times[: stop + 1]
-    values = path.values[: stop + 1]
-    if resolution is not None and resolution > stop:
-        extra = np.linspace(0.0, t, int(resolution) + 1)
-        grid = np.union1d(times, extra)
-        return grid, np.interp(grid, times, values)
-    return times, values
+    return path.times[: stop + 1], path.values[: stop + 1]
 
 
-def compute_table(path: BrownianPath, t: float, r: int,
-                  convention: str = STRATONOVICH,
-                  resolution=None) -> IteratedIntegralTable:
+def compute_table(path: BrownianPath, t: float,
+                  r: int) -> IteratedIntegralTable:
     """All entries for words of length <= r over [0, t].
 
     Args:
         path: sampled driver; ``t`` must be one of its sample times.
         t: horizon, > 0.
         r: maximum word length, 0 <= r <= LEVEL_CAP (memory and time
-            are O(2^r * resolution)).
-        convention: ``stratonovich`` (default) or ``ito2`` (subtracts t/2
-            from the (1, 1) entry; all other entries agree at level <= 2).
-        resolution: optional minimum number of quadrature sub-intervals.
+            are O(2^r * intervals in [0, t])).
 
     Returns:
         IteratedIntegralTable with 2^(r+1) - 1 entries.
@@ -130,8 +104,7 @@ def compute_table(path: BrownianPath, t: float, r: int,
         raise ValueError(f"word length bound {r} outside [0, {LEVEL_CAP}]")
     if t <= 0.0:
         raise ValueError("horizon must be positive")
-    _check_convention(convention)
-    times, values = _grid(path, t, resolution)
+    times, values = _grid(path, t)
     legs = (np.diff(times), np.diff(values))
 
     entries: dict = {(): 1.0}
@@ -144,29 +117,20 @@ def compute_table(path: BrownianPath, t: float, r: int,
                 entries[w + (j,)] = float(out[-1])
         running = nxt  # only the newest level feeds the next one
 
-    if convention == ITO_LEVEL2 and r >= 2:
-        entries[(1, 1)] -= 0.5 * t
     return IteratedIntegralTable(horizon=t, entries=entries,
-                                 resolution=len(times) - 1,
-                                 convention=convention)
+                                 resolution=len(times) - 1)
 
 
-def iterated_integral(path: BrownianPath, t: float, word,
-                      convention: str = STRATONOVICH,
-                      resolution=None) -> float:
+def iterated_integral(path: BrownianPath, t: float, word) -> float:
     """Single entry without building the whole table (prefix chain only)."""
     word = tuple(word)
     _check_letters(word)
-    _check_convention(convention)
-    times, values = _grid(path, t, resolution)
+    times, values = _grid(path, t)
     legs = (np.diff(times), np.diff(values))
     fw = np.ones(len(times))
     for j in word:
         fw, = _integrate(fw, (legs[j],))
-    value = float(fw[-1])
-    if convention == ITO_LEVEL2 and word == (1, 1):
-        value -= 0.5 * t
-    return value
+    return float(fw[-1])
 
 
 def word_entries(times, values, words) -> np.ndarray:

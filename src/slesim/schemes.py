@@ -15,7 +15,8 @@ that E[Z^2] moves exactly by (kappa - 4) h per step.
 
 ``taylor_step`` instead assembles the truncated stochastic Taylor sum
 sum_I (V_I Id)(z) * X^I over words I, with the operator monomials from
-:mod:`slesim.vfalgebra` and the integrals from :mod:`slesim.integrals`.
+:mod:`slesim.vfalgebra` and the Stratonovich integrals X^I from
+:mod:`slesim.integrals`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .brownian import BrownianPath
 from .halfplane import sqrt_h
-from .integrals import ITO_LEVEL2, STRATONOVICH, IteratedIntegralTable
+from .integrals import IteratedIntegralTable
 from .vfalgebra import LEVEL_CAP, compose, deg, eval_term
 
 __all__ = [
@@ -61,12 +62,11 @@ REFERENCE_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Which equation, truncation rule, and integral convention to use."""
+    """Which equation and truncation rule to use."""
 
     kappa: float
     convention: str = UNIT_NOISE
     taylor_truncation: str = BY_LENGTH
-    integral_convention: str = STRATONOVICH
 
     def __post_init__(self):
         if self.kappa <= 0.0:
@@ -75,9 +75,6 @@ class SchemeConfig:
             raise ValueError(f"unknown convention {self.convention!r}")
         if self.taylor_truncation not in (BY_LENGTH, BY_DEGREE):
             raise ValueError(f"unknown truncation {self.taylor_truncation!r}")
-        if self.integral_convention not in (STRATONOVICH, ITO_LEVEL2):
-            raise ValueError(
-                f"unknown integral convention {self.integral_convention!r}")
 
 
 def flow_drift(z, t):
@@ -201,21 +198,15 @@ def taylor_step(z, table: IteratedIntegralTable, r: int,
         table: integrals over the step interval, deep enough for the
             truncation (length r, or 2r for by_degree).
         r: truncation level, >= 0.
-        cfg: supplies kappa, convention, truncation rule, and the integral
-            convention, which must match the table's.
+        cfg: supplies kappa, convention and truncation rule.
     """
     if r < 0:
         raise ValueError("truncation level must be nonnegative")
-    if table.convention != cfg.integral_convention:
-        raise ValueError(
-            f"table was built as {table.convention!r} but the config "
-            f"expects {cfg.integral_convention!r}")
     if cfg.convention == SCALED_NOISE:
         root = sqrt(cfg.kappa)
         return root * taylor_step(complex(z) / root, table, r,
                                   SchemeConfig(cfg.kappa, UNIT_NOISE,
-                                               cfg.taylor_truncation,
-                                               cfg.integral_convention))
+                                               cfg.taylor_truncation))
     z = complex(z)
     total = 0j
     for word, term in _truncation_terms(r, cfg.taylor_truncation):

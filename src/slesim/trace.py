@@ -22,7 +22,7 @@ candidates included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import nextafter, sqrt
 
 import numpy as np
 
@@ -43,16 +43,20 @@ class TraceRefinementError(RuntimeError):
 
     Raised when the interval has spent its max_depth bisections, or when
     its endpoints are adjacent float64 times, so that it has no midpoint
-    to bisect at (the driver's ValueError is then the ``__cause__``).
+    to bisect at (the driver's ValueError is then the ``__cause__``, and
+    the message says so).
     """
 
     def __init__(self, interval: tuple[float, float], depth: int, gap: float):
         self.interval = interval
         self.depth = depth
         self.gap = gap
-        super().__init__(
-            f"interval ({interval[0]!r}, {interval[1]!r}) still has gap "
-            f"{gap:.6g} after {depth} bisections")
+        a, b = interval
+        message = (f"interval ({a!r}, {b!r}) still has gap {gap:.6g} after "
+                   f"{depth} bisections")
+        if nextafter(a, b) == b:
+            message += "; its endpoints are adjacent float64 times"
+        super().__init__(message)
 
 
 @dataclass
@@ -83,7 +87,7 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
 
     Args:
         path: driver, mutated in place by bridge bisections; must carry T
-            as a sample time and must not be frozen.  If its grid on
+            as a sample time.  If its grid on
             [0, T] is coarser than n_init intervals it is pre-refined by
             whole-path midpoint passes (``path.refine()``).
         T: horizon, > 0.
@@ -117,8 +121,6 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
         raise ValueError("tolerance must be positive")
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
-    if path.frozen:
-        raise ValueError("path is frozen; build_trace refines its driver")
     if path.horizon < T:
         raise ValueError(f"path horizon {path.horizon} is shorter than {T}")
 
@@ -160,7 +162,8 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
 
     for k in range(1, end + 1):
         if abs(zz[k] - zz[k - 1]) >= tolerance:
-            raise RuntimeError("gap bound violated after freeze; this is a bug")
+            raise RuntimeError("gap bound violated after the sweep; this is a "
+                               "bug")
 
     partition = path.times[:end + 1].copy()
     shift = sqkap * path.value_at(T) if apply_shift else 0.0

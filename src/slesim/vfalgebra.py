@@ -102,17 +102,17 @@ def compose(word) -> LaurentTerm:
     return term
 
 
-def enumerate_level(r: int, cap: int = LEVEL_CAP) -> list[tuple[Word, LaurentTerm]]:
+def enumerate_level(r: int) -> list[tuple[Word, LaurentTerm]]:
     """All 2^r words of length r with their composed terms, lexicographic.
 
     Args:
-        r: word length, 0 <= r <= cap.
-        cap: guard against accidental exponential blowups.
+        r: word length, 0 <= r <= LEVEL_CAP (the cap guards against
+            accidental exponential blowups).
     """
     if r < 0:
         raise ValueError("level must be nonnegative")
-    if r > cap:
-        raise ValueError(f"level {r} above cap {cap}")
+    if r > LEVEL_CAP:
+        raise ValueError(f"level {r} above cap {LEVEL_CAP}")
     return [(word, compose(word))
             for word in itertools.product((0, 1), repeat=r)]
 

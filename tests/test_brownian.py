@@ -243,18 +243,6 @@ def test_rescaled_refinement_consistent():
     assert p.times[1] == 0.0625
 
 
-def test_freeze_blocks_mutation():
-    p = BrownianPath.sample_uniform(1.0, 4, seed=1)
-    f = p.freeze()
-    assert f.frozen
-    with pytest.raises(ValueError):
-        f.insert_midpoint(0)
-    with pytest.raises(ValueError):
-        f.refine()
-    p.insert_midpoint(0)  # original is still live
-    assert p.n_intervals == 5 and f.n_intervals == 4
-
-
 def test_csv_roundtrip_bitwise(tmp_path):
     p = BrownianPath.sample_uniform(1.0, 32, seed=12)
     p.insert_midpoint(5)
@@ -295,8 +283,6 @@ def test_index_and_increment():
     assert p.index_of(0.5) == 2
     with pytest.raises(ValueError):
         p.index_of(0.51)
-    inc = p.increment(0.5, 1.0)
-    assert inc == p.value_at(1.0) - p.value_at(0.5)
 
 
 def test_constructor_validation():

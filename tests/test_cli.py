@@ -77,6 +77,14 @@ def test_taylor_terms_rejects_negative_level(tmp_path, capsys):
     assert run("taylor-terms", "--r", "-2", "--out", str(tmp_path)) == 1
 
 
+def test_taylor_terms_above_cap_writes_nothing(tmp_path, capsys):
+    assert run("taylor-terms", "--r", "13", "--out", str(tmp_path)) == 1
+    assert "above cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # no partial file is left behind to block the next run
+    assert run("taylor-terms", "--r", "3", "--out", str(tmp_path)) == 0
+
+
 def test_integrals_table_satisfies_shuffle(tmp_path):
     assert run("integrals", "--r", "2", "--n", "64", "--seed", "5",
                "--out", str(tmp_path)) == 0

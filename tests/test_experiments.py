@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from slesim import experiments
-from slesim.brownian import BrownianPath
+from slesim.brownian import BrownianPath, philox_stream
 from slesim.experiments import (ReferenceConvergenceError,
                                 _converged_reference, divergence_probe,
                                 epsilon_scaling, moment_preservation,
                                 scheme_comparison, write_report_csv,
                                 write_report_sidecar)
-from slesim.schemes import SCALED_NOISE, SchemeConfig
+from slesim.schemes import SCALED_NOISE, SchemeConfig, nv_step
 
 EPS3 = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
 
@@ -113,6 +113,32 @@ def test_moment_stderr_scales_like_inverse_root_replicas():
     for s, l in zip(small.rows, large.rows):
         ratio = s["stderr"] / l["stderr"]
         assert 1.7 <= ratio <= 2.3
+
+
+def test_moment_rows_equal_stored_matrix_recomputation():
+    # reference: keep every step's Z^2 in one (steps, replicas) matrix,
+    # then reduce each row
+    kappa, z0, T, n_steps, replicas, seed = 2.0, 0.5 + 1j, 1.0, 8, 2000, 3
+    report = moment_preservation(kappa, z0, T, n_steps, replicas, seed)
+    incs = philox_stream(seed, experiments._TAG_MATRIX).standard_normal(
+        (replicas, n_steps))
+    times = (T * (np.arange(n_steps + 1) / n_steps)).tolist()
+    z = np.full(replicas, z0, dtype=np.complex128)
+    squares = np.empty((n_steps, replicas), dtype=np.complex128)
+    for k in range(n_steps):
+        h = times[k + 1] - times[k]
+        z = nv_step(z, h, math.sqrt(h) * incs[:, k], kappa, SCALED_NOISE)
+        squares[k] = z * z
+    assert len(report.rows) == n_steps
+    for k, row in enumerate(report.rows):
+        mean = complex(np.mean(squares[k]))
+        target = z0 * z0 + (kappa - 4.0) * times[k + 1]
+        se = math.sqrt((float(np.var(squares[k].real))
+                        + float(np.var(squares[k].imag))) / replicas)
+        assert row == {"t": times[k + 1], "mean_re": mean.real,
+                       "mean_im": mean.imag, "target_re": target.real,
+                       "target_im": target.imag, "stderr": se,
+                       "deviation_se": abs(mean - target) / se}
 
 
 def test_moment_validation():

@@ -1,13 +1,12 @@
 """Branch behavior of the upper-half-plane square root."""
 
 import cmath
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slesim.halfplane import modulus, sqrt_h
+from slesim.halfplane import sqrt_h
 
 
 def test_principal_branch_untouched():
@@ -87,15 +86,6 @@ def test_principal_root_never_has_a_negative_real_part(parts):
     w = [complex(x, y) for x, y in parts]
     for s in [cmath.sqrt(v) for v in w] + np.sqrt(np.array(w)).tolist():
         assert not np.signbit(s.real)
-
-
-def test_modulus():
-    assert modulus(3 + 4j) == 5.0
-    assert modulus(complex(-3, -4)) == 5.0
-    big = complex(1e200, 1e200)
-    assert math.isfinite(modulus(big))  # hypot avoids overflow
-    arr = modulus(np.array([3 + 4j, 1j]))
-    assert arr.tolist() == [5.0, 1.0]
 
 
 def test_rejects_strings():

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slesim.brownian import BrownianPath
-from slesim.integrals import (ITO_LEVEL2, STRATONOVICH, compute_table,
-                              derive_seed, iterated_integral,
+from slesim.integrals import (compute_table, derive_seed, iterated_integral,
                               l2_scaling_estimate, l2_scaling_samples,
                               word_entries)
 from slesim.vfalgebra import deg
@@ -57,16 +56,6 @@ def test_second_shuffle_square():
     tab = compute_table(p, 1.0, 2)
     assert abs(tab.entry((0,)) ** 2 - 2 * tab.entry((0, 0))) <= 1e-12
     assert abs(tab.entry((1,)) ** 2 - 2 * tab.entry((1, 1))) <= 1e-12
-
-
-def test_ito_level2_shift():
-    p = _path(seed=7)
-    strat = compute_table(p, 1.0, 3, convention=STRATONOVICH)
-    ito = compute_table(p, 1.0, 3, convention=ITO_LEVEL2)
-    assert ito.entry((1, 1)) == strat.entry((1, 1)) - 0.5
-    # only the (1,1) entry moves
-    for word in [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1, 1)]:
-        assert ito.entry(word) == strat.entry(word)
 
 
 def test_third_level_deterministic_entry():
@@ -149,17 +138,6 @@ def test_word_entries_validation():
             word_entries(*args)
 
 
-def test_resolution_refinement_converges():
-    p = _path(n=16, seed=2)
-    coarse = iterated_integral(p, 1.0, (1, 0), resolution=16)
-    fine = iterated_integral(p, 1.0, (1, 0), resolution=256)
-    finer = iterated_integral(p, 1.0, (1, 0), resolution=1024)
-    assert abs(finer - fine) < abs(fine - coarse) + 1e-12
-    # dyadic refinement reuses the stored samples, so the resolution=16
-    # call on the already-16-interval path must be the plain prefix sum
-    assert coarse == iterated_integral(p, 1.0, (1, 0))
-
-
 def test_depth_and_entry_access():
     p = _path()
     tab = compute_table(p, 1.0, 2)
@@ -170,8 +148,6 @@ def test_depth_and_entry_access():
 
 def test_validation():
     p = _path()
-    with pytest.raises(ValueError):
-        compute_table(p, 1.0, 2, convention="midpoint")
     with pytest.raises(ValueError):
         compute_table(p, 2.0, 1)  # beyond the horizon
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from slesim import schemes
 from slesim.brownian import BrownianPath
-from slesim.integrals import ITO_LEVEL2, compute_table
+from slesim.integrals import compute_table
 from slesim.schemes import (BY_DEGREE, BY_LENGTH, SCALED_NOISE, UNIT_NOISE,
                             SchemeConfig, euler_step, flow_drift, flow_noise,
                             nv_step, reference_solve, taylor_step)
@@ -210,9 +210,6 @@ def test_taylor_zero_level_is_identity():
 def test_taylor_requires_matching_convention_and_depth():
     path = BrownianPath.sample_uniform(1.0, 8, seed=2)
     table = compute_table(path, 1.0, 1)
-    with pytest.raises(ValueError, match="built as"):
-        taylor_step(1j, table, 1,
-                    _unit_cfg(integral_convention=ITO_LEVEL2))
     with pytest.raises(ValueError, match="shallow"):
         taylor_step(1j, table, 2, _unit_cfg())
     with pytest.raises(ValueError):
