@@ -16,9 +16,9 @@ from .halfplane import sqrt_h
 from .integrals import (IteratedIntegralTable, compute_table, derive_seed,
                         iterated_integral, l2_scaling_estimate,
                         l2_scaling_samples, word_entries)
-from .schemes import (BY_DEGREE, BY_LENGTH, REFERENCE_RTOL, SCALED_NOISE,
-                      UNIT_NOISE, SchemeConfig, euler_step, flow_drift,
-                      flow_noise, nv_step, reference_solve, taylor_step)
+from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, euler_step,
+                      flow_drift, flow_noise, nv_step, reference_solve,
+                      taylor_step)
 from .trace import (TraceRefinementError, TraceResult, build_trace,
                     render_svg, write_trace_csv)
 from .vfalgebra import (LEVEL_CAP, LaurentTerm, compose, deg, enumerate_level,
@@ -36,9 +36,8 @@ __all__ = [
     "IteratedIntegralTable", "compute_table",
     "derive_seed", "iterated_integral", "l2_scaling_estimate",
     "l2_scaling_samples", "word_entries",
-    "BY_DEGREE", "BY_LENGTH", "REFERENCE_RTOL", "SCALED_NOISE", "UNIT_NOISE",
-    "SchemeConfig", "euler_step", "flow_drift", "flow_noise", "nv_step",
-    "reference_solve", "taylor_step",
+    "REFERENCE_RTOL", "SCALED_NOISE", "UNIT_NOISE", "euler_step",
+    "flow_drift", "flow_noise", "nv_step", "reference_solve", "taylor_step",
     "TraceRefinementError", "TraceResult", "build_trace", "render_svg",
     "write_trace_csv",
     "LEVEL_CAP", "LaurentTerm", "compose", "deg", "enumerate_level",

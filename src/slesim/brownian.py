@@ -93,7 +93,15 @@ def _check_samples(t: np.ndarray, v: np.ndarray) -> None:
 
 
 def _uniform_grid(T: float, n: int) -> np.ndarray:
-    """Knots T * (k / n), k = 0..n; the last one is exactly T."""
+    """Knots T * (k / n), k = 0..n; the last one is exactly T.
+
+    Every uniform driver is built on this grid, so its arguments are
+    checked here, before anything divides by ``n``.
+    """
+    if T <= 0.0:
+        raise ValueError("horizon must be positive")
+    if n < 1:
+        raise ValueError("need at least one interval")
     return T * (np.arange(n + 1) / n)
 
 
@@ -102,12 +110,9 @@ def _uniform_block(T: float, n: int, seeds) -> np.ndarray:
 
     Every row is drawn from its own seed's increment stream, and scaling
     and summing are elementwise and sequential along the row, so a row's
-    bits do not depend on the other rows or on its position.
+    bits do not depend on the other rows or on its position.  ``T`` and
+    ``n`` are those of a grid :func:`_uniform_grid` has accepted.
     """
-    if T <= 0.0:
-        raise ValueError("horizon must be positive")
-    if n < 1:
-        raise ValueError("need at least one interval")
     values = np.empty((len(seeds), n + 1))
     values[:, 0] = 0.0
     for row, seed in zip(values, seeds):
@@ -133,8 +138,10 @@ def uniform_blocks(T: float, n: int, seeds):
 class BrownianPath:
     """Piecewise-sampled Brownian motion on [0, T].
 
-    Construct with :meth:`sample_uniform`, :meth:`zeros`,
-    :meth:`from_samples`, or :meth:`from_csv`.
+    Construct from existing samples with ``BrownianPath(times, values,
+    seed)``, or with :meth:`sample_uniform`, :meth:`zeros` or
+    :meth:`from_csv`.  ``seed`` keys the bridge draws of later
+    refinements.
     """
 
     def __init__(self, times, values, seed: int, bridge_scale: float = 1.0):
@@ -163,21 +170,14 @@ class BrownianPath:
             n: number of intervals, >= 1.
             seed: stream key; equal seeds give bitwise-equal paths.
         """
-        values = _uniform_block(T, n, [seed])[0]
-        return cls(_uniform_grid(T, n), values, seed)
+        times = _uniform_grid(T, n)
+        return cls(times, _uniform_block(T, n, [seed])[0], seed)
 
     @classmethod
     def zeros(cls, T: float, n: int) -> "BrownianPath":
         """The identically-zero driver; stays zero under refinement."""
-        if T <= 0.0 or n < 1:
-            raise ValueError("horizon must be positive and n >= 1")
         return cls(_uniform_grid(T, n), np.zeros(n + 1), seed=0,
                    bridge_scale=0.0)
-
-    @classmethod
-    def from_samples(cls, times, values, seed: int = 0) -> "BrownianPath":
-        """Wrap existing samples (validated) into a path."""
-        return cls(times, values, seed)
 
     @classmethod
     def from_csv(cls, filename, seed: int = 0) -> "BrownianPath":
@@ -313,8 +313,4 @@ class BrownianPath:
         rc = sqrt(c)
         return BrownianPath([t / c for t in self._times],
                             [v / rc for v in self._values],
-                            seed=self.seed, bridge_scale=self._bridge_scale)
-
-    def copy(self) -> "BrownianPath":
-        return BrownianPath(self._times, self._values,
                             seed=self.seed, bridge_scale=self._bridge_scale)

@@ -27,8 +27,8 @@ import numpy as np
 from .brownian import (BrownianPath, _uniform_grid, philox_stream,
                        uniform_blocks)
 from .integrals import compute_table, derive_seed, word_entries
-from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, SchemeConfig,
-                      euler_step, nv_step, reference_solve, taylor_step)
+from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, euler_step,
+                      nv_step, reference_solve, taylor_step)
 from .vfalgebra import compose, deg, eval_term, format_word
 
 __all__ = [
@@ -88,7 +88,7 @@ def _l2_and_stderr(samples: np.ndarray) -> tuple[float, float]:
 
 
 def _converged_reference(z0: complex, path: BrownianPath, t: float,
-                         substeps: int, cfg: SchemeConfig,
+                         substeps: int, kappa: float,
                          probes) -> tuple[complex, tuple]:
     """Refine the driver until the reference stops moving.
 
@@ -99,10 +99,10 @@ def _converged_reference(z0: complex, path: BrownianPath, t: float,
     is larger).  Returns the accepted reference and its errors, which
     are final: the driver is not refined after they are probed.
     """
-    ref = reference_solve(z0, path, t, substeps, cfg)
+    ref = reference_solve(z0, path, t, substeps, kappa)
     for _ in range(_MAX_DOUBLINGS):
         path.refine()
-        finer = reference_solve(z0, path, t, substeps, cfg)
+        finer = reference_solve(z0, path, t, substeps, kappa)
         errors = probes(finer)
         moved = abs(finer - ref)
         budget = max(REF_ERROR_FRACTION * min(errors),
@@ -116,7 +116,7 @@ def _converged_reference(z0: complex, path: BrownianPath, t: float,
 
 
 def _reference_errors(z0: complex, t: float, substeps: int,
-                      cfg: SchemeConfig, probes, seed: int, first: int,
+                      kappa: float, probes, seed: int, first: int,
                       replicas: int) -> np.ndarray:
     """Probe errors of every replica against its converged reference.
 
@@ -130,7 +130,7 @@ def _reference_errors(z0: complex, t: float, substeps: int,
     for i in range(replicas):
         path = BrownianPath.sample_uniform(t, substeps,
                                            derive_seed(seed, first + i))
-        errors.append(_converged_reference(z0, path, t, substeps, cfg,
+        errors.append(_converged_reference(z0, path, t, substeps, kappa,
                                            partial(probes, z0, path, t))[1])
     return np.array(errors)
 
@@ -156,16 +156,17 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0.0 or e >= 1.0 for e in eps_list):
         raise ValueError("eps values must lie in (0, 1)")
-    cfg = SchemeConfig(kappa, UNIT_NOISE)
+    if kappa <= 0.0:
+        raise ValueError("kappa must be positive")
 
     def probes(z0, path, t, ref) -> tuple:
         table = compute_table(path, t, r)
-        return (abs(ref - taylor_step(z0, table, r, cfg)),)
+        return (abs(ref - taylor_step(z0, table, r, kappa)),)
 
     rows = []
     for j, eps in enumerate(eps_list):
         t = eps ** (2.0 + delta)
-        errors = _reference_errors(complex(0.0, eps), t, substeps, cfg,
+        errors = _reference_errors(complex(0.0, eps), t, substeps, kappa,
                                    probes, seed, j * replicas, replicas)
         l2, se = _l2_and_stderr(errors[:, 0])
         rows.append({"eps": eps, "horizon": t, "l2_error": l2,
@@ -289,21 +290,22 @@ def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
     horizons = [float(t) for t in horizons]
     if any(t <= 0.0 for t in horizons):
         raise ValueError("horizons must be positive")
-    cfg = SchemeConfig(kappa, UNIT_NOISE)
+    if kappa <= 0.0:
+        raise ValueError("kappa must be positive")
 
     def probes(z0, path, t, ref) -> tuple:
         table = compute_table(path, t, 3)
         b = path.value_at(t)
         return tuple(abs(ref - a) for a in (
-            euler_step(z0, t, b, cfg),
-            taylor_step(z0, table, 2, cfg),
-            taylor_step(z0, table, 3, cfg),
+            euler_step(z0, t, b, kappa),
+            taylor_step(z0, table, 2, kappa),
+            taylor_step(z0, table, 3, kappa),
             nv_step(z0, t, b, kappa, UNIT_NOISE)))
 
     rows = []
     for j, t in enumerate(horizons):
-        errs = _reference_errors(complex(0.0, eps), t, substeps, cfg, probes,
-                                 seed, j * replicas, replicas)
+        errs = _reference_errors(complex(0.0, eps), t, substeps, kappa,
+                                 probes, seed, j * replicas, replicas)
         labels = ("euler_l2", "taylor2_l2", "taylor3_l2", "nv_l2")
         row = {"horizon": t}
         for col, label in enumerate(labels):

@@ -26,7 +26,7 @@ from math import sqrt
 import numpy as np
 
 from .brownian import BrownianPath, _check_samples, uniform_blocks
-from .vfalgebra import LEVEL_CAP
+from .vfalgebra import LEVEL_CAP, _check_word
 
 __all__ = [
     "IteratedIntegralTable",
@@ -56,11 +56,6 @@ class IteratedIntegralTable:
     @property
     def depth(self) -> int:
         return max(len(w) for w in self.entries)
-
-
-def _check_letters(word: tuple) -> None:
-    if any(letter not in (0, 1) for letter in word):
-        raise ValueError(f"word letters must be 0 or 1, got {word!r}")
 
 
 def _integrate(fw: np.ndarray, legs) -> list[np.ndarray]:
@@ -123,8 +118,7 @@ def compute_table(path: BrownianPath, t: float,
 
 def iterated_integral(path: BrownianPath, t: float, word) -> float:
     """Single entry without building the whole table (prefix chain only)."""
-    word = tuple(word)
-    _check_letters(word)
+    word = _check_word(word)
     times, values = _grid(path, t)
     legs = (np.diff(times), np.diff(values))
     fw = np.ones(len(times))
@@ -154,9 +148,7 @@ def word_entries(times, values, words) -> np.ndarray:
     if values.ndim != 2:
         raise ValueError("values must hold one driver per row")
     _check_samples(times, values)
-    words = [tuple(w) for w in words]
-    for w in words:
-        _check_letters(w)
+    words = [_check_word(w) for w in words]
     legs = (np.diff(times), np.diff(values, axis=-1))
     prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
     running = {(): np.ones(len(times))}

@@ -1,6 +1,6 @@
 """One-step integrators for the backward radial SDE on the half plane.
 
-Two equivalent parameterizations are supported:
+The equation has two equivalent forms:
 
     unit_noise    dZ = -(2/kappa) / Z dt + dB
     scaled_noise  dZ = -2 / Z dt + sqrt(kappa) dB
@@ -10,37 +10,35 @@ dividing by sqrt(kappa) equals stepping unit_noise from z / sqrt(kappa)
 with the same increments.  Both split into two exactly solvable flows: the
 drift flow z -> sqrt_h(z^2 - 4t) (for drift -2/z) and the noise flow
 z -> z + sqrt(kappa) u.  The Strang composition of those flows collapses
-to one closed form, ``nv_step``, which is measure preserving in the sense
-that E[Z^2] moves exactly by (kappa - 4) h per step.
+to one closed form, ``nv_step``, which takes either form and is measure
+preserving in the sense that E[Z^2] moves exactly by (kappa - 4) h per
+step in the scaled_noise form.
 
-``taylor_step`` instead assembles the truncated stochastic Taylor sum
-sum_I (V_I Id)(z) * X^I over words I, with the operator monomials from
-:mod:`slesim.vfalgebra` and the Stratonovich integrals X^I from
-:mod:`slesim.integrals`.
+``euler_step``, ``taylor_step`` and ``reference_solve`` step the
+unit_noise form, the one in which :mod:`slesim.vfalgebra` writes the
+vector fields (drift strength a = 2/kappa).  ``taylor_step`` assembles the
+truncated stochastic Taylor sum sum_I (V_I Id)(z) * X^I over words I,
+with the operator monomials from :mod:`slesim.vfalgebra` and the
+Stratonovich integrals X^I from :mod:`slesim.integrals`.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
-from dataclasses import dataclass
-from math import sqrt
+from math import copysign, sqrt
 
 import numpy as np
 
 from .brownian import BrownianPath
 from .halfplane import sqrt_h
 from .integrals import IteratedIntegralTable
-from .vfalgebra import LEVEL_CAP, compose, deg, eval_term
+from .vfalgebra import LEVEL_CAP, enumerate_level, eval_term
 
 __all__ = [
     "UNIT_NOISE",
     "SCALED_NOISE",
-    "BY_LENGTH",
-    "BY_DEGREE",
     "REFERENCE_RTOL",
-    "SchemeConfig",
     "flow_drift",
     "flow_noise",
     "nv_step",
@@ -51,30 +49,11 @@ __all__ = [
 
 UNIT_NOISE = "unit_noise"
 SCALED_NOISE = "scaled_noise"
-BY_LENGTH = "by_length"
-BY_DEGREE = "by_degree"
 
 # Default relative tolerance for "doubling the substeps no longer moves the
 # reference"; callers measuring a small error should tighten or rescale it
 # to the size of the quantity they resolve.
 REFERENCE_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Which equation and truncation rule to use."""
-
-    kappa: float
-    convention: str = UNIT_NOISE
-    taylor_truncation: str = BY_LENGTH
-
-    def __post_init__(self):
-        if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
-        if self.convention not in (UNIT_NOISE, SCALED_NOISE):
-            raise ValueError(f"unknown convention {self.convention!r}")
-        if self.taylor_truncation not in (BY_LENGTH, BY_DEGREE):
-            raise ValueError(f"unknown truncation {self.taylor_truncation!r}")
 
 
 def flow_drift(z, t):
@@ -132,105 +111,93 @@ def _nv_steps(z: complex, cs, ds) -> complex:
     Each step is z -> sqrt_h((sqrt_h(z^2 - c) + d)^2 - c), with c the
     drift time (2h, or 2h/kappa for unit_noise) and d the noise
     displacement (sqrt(kappa) dB, or dB).  The same scalar operations as
-    ``nv_step`` with the ``sqrt_h`` flip inlined, so bit for bit equal to
-    a loop of ``nv_step`` calls, without a call per step.
+    ``nv_step`` with the ``sqrt_h`` flip inlined (the root is negated
+    exactly when the sign bit of its imaginary part is set), so bit for
+    bit equal to a loop of ``nv_step`` calls, without a call per step.
     """
-    _sqrt = cmath.sqrt
+    _sqrt, _copysign = cmath.sqrt, copysign
     for c, d in zip(cs, ds):
+        # copysign is called only for a zero imaginary part, so the
+        # common cases pay one or two comparisons and no call
         s = _sqrt(z * z - c)
-        if s.imag < 0.0:
+        if s.imag <= 0.0 and (s.imag < 0.0 or _copysign(1.0, s.imag) < 0.0):
             s = -s
         y = s + d
         s = _sqrt(y * y - c)
-        if s.imag < 0.0:
+        if s.imag <= 0.0 and (s.imag < 0.0 or _copysign(1.0, s.imag) < 0.0):
             s = -s
         z = s
     return z
 
 
-def euler_step(z, h, dB, cfg: SchemeConfig):
-    """One Euler-Maruyama step; with constant diffusion this is also the
-    Milstein step.  Has a pole at z = 0."""
+def euler_step(z, h, dB, kappa: float):
+    """One Euler-Maruyama step of the unit_noise equation; with constant
+    diffusion this is also the Milstein step.  Has a pole at z = 0."""
     if h < 0.0:
         raise ValueError("step size must be nonnegative")
-    if cfg.convention == UNIT_NOISE:
-        return z - (2.0 / cfg.kappa) / z * h + dB
-    return z - 2.0 / z * h + sqrt(cfg.kappa) * dB
+    if kappa <= 0.0:
+        raise ValueError("kappa must be positive")
+    return z - (2.0 / kappa) / z * h + dB
 
 
 @functools.cache
-def _truncation_terms(r: int, rule: str) -> tuple:
-    """The nonzero (word, composed term) pairs of a cutoff, composed once.
+def _truncation_terms(r: int) -> tuple:
+    """The nonzero (word, composed term) pairs of length <= r, composed once.
 
     Words are in deterministic (lexicographic within length) order.  No
-    table holds a word longer than LEVEL_CAP, so a cutoff that reaches
-    past it is refused before its words are enumerated.
+    table holds a word longer than LEVEL_CAP, so a cutoff past it is
+    refused before any word is composed.
     """
-    if rule == BY_LENGTH:
-        longest = r
-        keep = lambda w: True  # noqa: E731
-    else:
-        longest = 2 * r
-        keep = lambda w: deg(w) <= r  # noqa: E731
-    if longest > LEVEL_CAP:
-        raise ValueError(f"truncation level {r} ({rule}) needs words longer "
-                         f"than LEVEL_CAP = {LEVEL_CAP}")
-    pairs = []
-    for n in range(longest + 1):
-        for w in itertools.product((0, 1), repeat=n):
-            if keep(w):
-                term = compose(w)
-                if not term.is_zero():
-                    pairs.append((w, term))
-    return tuple(pairs)
+    if r > LEVEL_CAP:
+        raise ValueError(f"truncation level {r} needs words longer than "
+                         f"LEVEL_CAP = {LEVEL_CAP}")
+    return tuple((word, term) for n in range(r + 1)
+                 for word, term in enumerate_level(n) if not term.is_zero())
 
 
 def taylor_step(z, table: IteratedIntegralTable, r: int,
-                cfg: SchemeConfig) -> complex:
-    """Truncated stochastic Taylor approximation over one interval.
+                kappa: float) -> complex:
+    """Truncated stochastic Taylor approximation of the unit_noise equation
+    over one interval.
 
-    Sums (V_I Id)(z) X^I_{0,t} over words I with length <= r (truncation
-    ``by_length``, default) or deg(I) <= r (``by_degree``).  At r = 1 the
-    by_length sum is exactly the Euler step on the interval's increment.
+    Sums (V_I Id)(z) X^I_{0,t} over words I with length <= r.  At r = 1
+    this is exactly the Euler step on the interval's increment.
 
     Args:
         z: expansion point, im(z) >= 0 away from the pole at 0.
-        table: integrals over the step interval, deep enough for the
-            truncation (length r, or 2r for by_degree).
-        r: truncation level, >= 0.
-        cfg: supplies kappa, convention and truncation rule.
+        table: integrals over the step interval, of depth >= r.
+        r: truncation level, 0 <= r <= LEVEL_CAP.
+        kappa: SLE parameter, > 0.
     """
     if r < 0:
         raise ValueError("truncation level must be nonnegative")
-    if cfg.convention == SCALED_NOISE:
-        root = sqrt(cfg.kappa)
-        return root * taylor_step(complex(z) / root, table, r,
-                                  SchemeConfig(cfg.kappa, UNIT_NOISE,
-                                               cfg.taylor_truncation))
     z = complex(z)
     total = 0j
-    for word, term in _truncation_terms(r, cfg.taylor_truncation):
+    for word, term in _truncation_terms(r):
         try:
             entry = table.entries[word]
         except KeyError:
             raise ValueError(
                 f"table depth {table.depth} too shallow for word {word}"
             ) from None
-        total += eval_term(term, z, cfg.kappa) * entry
+        total += eval_term(term, z, kappa) * entry
     return total
 
 
 def reference_solve(z0, path: BrownianPath, t: float, substeps: int,
-                    cfg: SchemeConfig) -> complex:
-    """Fine-grid splitting solution used as ground truth.
+                    kappa: float) -> complex:
+    """Fine-grid splitting solution of the unit_noise equation, used as
+    ground truth.
 
-    Steps the splitting map of ``nv_step`` across every sample interval
-    of ``path`` inside [0, t]; the path must carry at least ``substeps``
-    intervals there.
+    Steps the unit_noise splitting map of ``nv_step`` across every sample
+    interval of ``path`` inside [0, t]; the path must carry at least
+    ``substeps`` intervals there.
     Convergence is the caller's check: refine the path (midpoint passes),
     solve again, and require the two answers to agree, by default to
     REFERENCE_RTOL relative.
     """
+    if kappa <= 0.0:
+        raise ValueError("kappa must be positive")
     stop = path.index_of(t)
     if stop < substeps:
         raise ValueError(
@@ -238,8 +205,4 @@ def reference_solve(z0, path: BrownianPath, t: float, substeps: int,
     # one float64 ufunc per scalar operation of nv_step: the same roundings
     h = np.diff(path.times[:stop + 1])
     dB = np.diff(path.values[:stop + 1])
-    if cfg.convention == SCALED_NOISE:
-        cs, ds = 2.0 * h, sqrt(cfg.kappa) * dB
-    else:
-        cs, ds = 2.0 * h / cfg.kappa, dB
-    return _nv_steps(complex(z0), cs.tolist(), ds.tolist())
+    return _nv_steps(complex(z0), (2.0 * h / kappa).tolist(), dB.tolist())

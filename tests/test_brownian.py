@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_refinement_order_does_not_matter():
 
 def test_full_refine_matches_manual_bisection():
     a = BrownianPath.sample_uniform(1.0, 4, seed=8)
-    b = a.copy()
+    b = BrownianPath.sample_uniform(1.0, 4, seed=8)
     a.refine()
     for i in reversed(range(4)):
         b.insert_midpoint(i)
@@ -114,14 +115,14 @@ def _random_path(seed: int, n: int) -> BrownianPath:
     rng = np.random.default_rng(seed)
     times = np.concatenate(([0.0], np.cumsum(10.0 ** rng.uniform(-6, 0, n))))
     values = np.concatenate(([0.0], rng.standard_normal(n)))
-    return BrownianPath.from_samples(times, values, seed=seed)
+    return BrownianPath(times, values, seed=seed)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 300))
 def test_refine_equals_reversed_midpoint_loop(seed, n):
     a = _random_path(seed, n)
-    b = a.copy()
+    b = _random_path(seed, n)
     a.refine()
     for i in reversed(range(n)):
         b.insert_midpoint(i)
@@ -135,10 +136,10 @@ def test_refine_of_unbisectable_interval_leaves_path_unchanged():
     # 0.5 * (0 + 5e-324) rounds to 0, and 0.5 * (1 + (1 + 2^-52)) to 1:
     # neither interval has a float64 midpoint, but the ones to their
     # right do, and those must not be bisected either
-    p = BrownianPath.from_samples([0.0, 5e-324, 0.5, 1.0],
-                                  [0.0, 0.3, 0.1, -0.2], seed=4)
-    q = BrownianPath.from_samples([0.0, 1.0, 1.0 + 2.0 ** -52, 2.0],
-                                  [0.0, 0.1, -0.2, 0.3], seed=4)
+    p = BrownianPath([0.0, 5e-324, 0.5, 1.0], [0.0, 0.3, 0.1, -0.2],
+                     seed=4)
+    q = BrownianPath([0.0, 1.0, 1.0 + 2.0 ** -52, 2.0], [0.0, 0.1, -0.2, 0.3],
+                     seed=4)
     for path in (p, q):
         times, values = path.times.tolist(), path.values.tolist()
         with pytest.raises(ValueError, match="cannot be bisected"):
@@ -256,11 +257,11 @@ def test_csv_roundtrip_bitwise(tmp_path):
 def test_non_finite_samples_are_rejected(tmp_path):
     nan, inf = float("nan"), float("inf")
     with pytest.raises(ValueError, match="finite"):
-        BrownianPath.from_samples([0.0, nan, 1.0], [0.0, 0.5, 1.0])
+        BrownianPath([0.0, nan, 1.0], [0.0, 0.5, 1.0], seed=0)
     with pytest.raises(ValueError, match="finite"):
-        BrownianPath.from_samples([0.0, 0.5, 1.0], [0.0, inf, 1.0])
+        BrownianPath([0.0, 0.5, 1.0], [0.0, inf, 1.0], seed=0)
     with pytest.raises(ValueError, match="finite"):
-        BrownianPath.from_samples([0.0, 0.5, inf], [0.0, 0.5, 1.0])
+        BrownianPath([0.0, 0.5, inf], [0.0, 0.5, 1.0], seed=0)
     target = tmp_path / "driver.csv"
     target.write_text("t,B\n0.0,0.0\nnan,0.5\n1.0,1.0\n", encoding="ascii")
     with pytest.raises(ValueError, match="finite"):
@@ -270,7 +271,7 @@ def test_non_finite_samples_are_rejected(tmp_path):
 def test_constructor_copies_caller_arrays():
     times = np.array([0.0, 0.5, 1.0])
     values = np.array([0.0, -0.25, 0.75])
-    p = BrownianPath.from_samples(times, values)
+    p = BrownianPath(times, values, seed=0)
     times[1] = 0.75
     values[1] = 9.0
     assert p.times.tolist() == [0.0, 0.5, 1.0]
@@ -283,6 +284,18 @@ def test_index_and_increment():
     assert p.index_of(0.5) == 2
     with pytest.raises(ValueError):
         p.index_of(0.51)
+
+
+def test_empty_uniform_grid_is_refused_before_dividing():
+    # the check comes before k / n is formed, so no divide warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="interval"):
+            list(uniform_blocks(1.0, 0, [1]))
+        with pytest.raises(ValueError, match="interval"):
+            BrownianPath.sample_uniform(1.0, 0, seed=1)
+        with pytest.raises(ValueError, match="horizon"):
+            BrownianPath.zeros(0.0, 4)
 
 
 def test_constructor_validation():

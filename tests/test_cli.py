@@ -158,3 +158,11 @@ def test_compare_uses_default_horizon_ladder(tmp_path):
     horizons = [float(line.split(",")[0]) for line in lines[1:]]
     assert horizons == sorted(horizons)
     assert horizons[0] == 0.03125 ** 2.5
+
+
+@pytest.mark.parametrize("command", ["scaling", "compare"])
+def test_nonpositive_kappa_exits_one(command, tmp_path, capsys):
+    assert run(command, "--kappa", "0", "--replicas", "2",
+               "--out", str(tmp_path)) == 1
+    assert "kappa" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -14,7 +14,7 @@ from slesim.experiments import (ReferenceConvergenceError,
                                 epsilon_scaling, moment_preservation,
                                 scheme_comparison, write_report_csv,
                                 write_report_sidecar)
-from slesim.schemes import SCALED_NOISE, SchemeConfig, nv_step
+from slesim.schemes import SCALED_NOISE, nv_step
 
 EPS3 = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
 
@@ -197,9 +197,8 @@ def test_reference_convergence_error():
     # an impossible budget (zero measured error forces the flat relative
     # floor) cannot be met within the doubling limit on a rough driver
     path = BrownianPath.sample_uniform(1.0, 4, seed=13)
-    cfg = SchemeConfig(6.0, convention=SCALED_NOISE)
     with pytest.raises(ReferenceConvergenceError):
-        _converged_reference(1j, path, 1.0, 4, cfg, lambda ref: (0.0,))
+        _converged_reference(1j, path, 1.0, 4, 6.0, lambda ref: (0.0,))
 
 
 def test_report_csv_roundtrip(tmp_path):

@@ -25,6 +25,11 @@ def test_negative_zero_imag_part():
     # and the flip must bring it back up
     w = complex(-4.0, -0.0)
     assert sqrt_h(w) == 2j
+    # 4 - 0j is read as a limit from below the positive axis, where the
+    # root in the upper half plane tends to -2, as (-2 + 0j) ** 2 = 4 - 0j
+    # requires
+    assert sqrt_h(complex(4.0, -0.0)) == -2.0
+    assert sqrt_h(np.array([complex(4.0, -0.0)]))[0] == -2.0
 
 
 def test_lower_half_argument():
@@ -57,10 +62,11 @@ def test_is_a_square_root(x, y):
 def test_lands_in_closed_upper_half_plane(x, y):
     s = sqrt_h(complex(x, y))
     assert s.imag >= 0.0
-    # on the real axis only the nonnegative ray or the positive imaginary
-    # axis are reachable
+    # a root on the real axis lies on the nonnegative ray, unless the sign
+    # bit of im(w) reads w as a limit from below the axis: then it lies on
+    # the nonpositive ray
     if s.imag == 0.0:
-        assert s.real >= 0.0
+        assert np.signbit(s.real) == np.signbit(y)
 
 
 @given(st.floats(min_value=-50, max_value=50),
@@ -79,10 +85,11 @@ _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 @given(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=16))
 def test_principal_root_never_has_a_negative_real_part(parts):
-    # sqrt_h and the inlined flip in schemes._nv_steps flip on im < 0
-    # only; that is enough because the principal root's real part never
-    # carries a sign bit, for finite values, signed zeros, infinities
-    # and NaN alike
+    # sqrt_h and the inlined flip in schemes._nv_steps negate the root
+    # exactly when the sign bit of its imaginary part is set; a root left
+    # alone never lands on the negative ray because the principal root's
+    # real part never carries a sign bit, for finite values, signed zeros,
+    # infinities and NaN alike
     w = [complex(x, y) for x, y in parts]
     for s in [cmath.sqrt(v) for v in w] + np.sqrt(np.array(w)).tolist():
         assert not np.signbit(s.real)

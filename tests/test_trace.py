@@ -158,7 +158,7 @@ def test_refinement_budget_error():
 def test_float64_limit_is_a_refinement_error():
     # the first interval is (0, 5e-324): adjacent float64 times, so it has
     # no midpoint to bisect at although the depth budget is not spent
-    path = BrownianPath.from_samples([0.0, 5e-324, 1.0], [0.0, 10.0, 10.0])
+    path = BrownianPath([0.0, 5e-324, 1.0], [0.0, 10.0, 10.0], seed=0)
     with pytest.raises(TraceRefinementError) as info:
         build_trace(path, 1.0, kappa=6.0, n_init=2, tolerance=0.1)
     err = info.value
