@@ -19,8 +19,7 @@ from .integrals import (IteratedIntegralTable, compute_table, derive_seed,
 from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, euler_step,
                       flow_drift, flow_noise, nv_step, reference_solve,
                       taylor_step)
-from .trace import (TraceRefinementError, TraceResult, build_trace,
-                    render_svg, write_trace_csv)
+from .trace import TraceRefinementError, TraceResult, build_trace, render_svg
 from .vfalgebra import (LEVEL_CAP, LaurentTerm, compose, deg, enumerate_level,
                         eval_term, format_word, parse_word)
 from .experiments import (ExperimentReport, ReferenceConvergenceError,
@@ -39,7 +38,6 @@ __all__ = [
     "REFERENCE_RTOL", "SCALED_NOISE", "UNIT_NOISE", "euler_step",
     "flow_drift", "flow_noise", "nv_step", "reference_solve", "taylor_step",
     "TraceRefinementError", "TraceResult", "build_trace", "render_svg",
-    "write_trace_csv",
     "LEVEL_CAP", "LaurentTerm", "compose", "deg", "enumerate_level",
     "eval_term", "format_word", "parse_word",
     "ExperimentReport", "ReferenceConvergenceError", "divergence_probe",

@@ -139,9 +139,8 @@ class BrownianPath:
     """Piecewise-sampled Brownian motion on [0, T].
 
     Construct from existing samples with ``BrownianPath(times, values,
-    seed)``, or with :meth:`sample_uniform`, :meth:`zeros` or
-    :meth:`from_csv`.  ``seed`` keys the bridge draws of later
-    refinements.
+    seed)``, or with :meth:`sample_uniform` or :meth:`zeros`.  ``seed``
+    keys the bridge draws of later refinements.
     """
 
     def __init__(self, times, values, seed: int, bridge_scale: float = 1.0):
@@ -178,31 +177,6 @@ class BrownianPath:
         """The identically-zero driver; stays zero under refinement."""
         return cls(_uniform_grid(T, n), np.zeros(n + 1), seed=0,
                    bridge_scale=0.0)
-
-    @classmethod
-    def from_csv(cls, filename, seed: int = 0) -> "BrownianPath":
-        """Load a path written by :meth:`to_csv` (header ``t,B``)."""
-        times: list[float] = []
-        values: list[float] = []
-        with open(filename, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            if header != "t,B":
-                raise ValueError(f"expected header 't,B', got {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                a, b = line.split(",")
-                times.append(float(a))
-                values.append(float(b))
-        return cls(times, values, seed)
-
-    def to_csv(self, filename) -> None:
-        """Write ``t,B`` rows at full (round-trip) precision."""
-        with open(filename, "w", encoding="ascii") as fh:
-            fh.write("t,B\n")
-            for t, b in zip(self._times, self._values):
-                fh.write(f"{t!r},{b!r}\n")
 
     # ------------------------------------------------------------------
     # accessors

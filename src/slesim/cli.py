@@ -3,11 +3,11 @@
 Subcommands map one-to-one onto the library: ``trace`` builds and renders
 an adaptive trace, ``scaling``/``divergence``/``moments``/``compare`` run
 the Monte Carlo experiments, ``taylor-terms`` and ``integrals`` dump the
-symbolic operator table and an iterated-integral table.  Every run writes
-CSV with deterministic bytes for fixed seed and config.  ``trace`` and the
-four experiments also write a JSON sidecar echoing the full config; the
-sidecar is the only file with wall-clock metadata.  ``taylor-terms`` and
-``integrals`` write the CSV alone.  Every run is serial: ``--threads`` is
+symbolic operator table and an iterated-integral table.  Every subcommand
+writes ``<name>.csv``, with deterministic bytes for fixed seed and config,
+plus a ``<name>.json`` sidecar with the full config, run diagnostics and
+the only wall-clock metadata; ``trace`` also writes ``trace.svg``.  Every
+float flag must be finite.  Every run is serial: ``--threads`` is
 accepted on every subcommand and ignored.
 
 Exit codes: 0 success, 1 validation error (bad flags, existing outputs
@@ -19,7 +19,7 @@ that did not converge).
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 import time
@@ -28,8 +28,7 @@ from pathlib import Path
 from . import experiments as ex
 from .brownian import BrownianPath
 from .integrals import compute_table
-from .trace import (TraceRefinementError, build_trace, render_svg,
-                    write_trace_csv)
+from .trace import TraceRefinementError, build_trace, render_svg
 from .vfalgebra import enumerate_level, format_word, parse_word
 
 __all__ = ["main"]
@@ -47,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -69,48 +79,48 @@ def _build_parser() -> _Parser:
                             "(default 1)")
 
     p = sub.add_parser("trace", help="adaptively refined trace plus SVG")
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--T", type=float, default=1.0, dest="horizon")
+    p.add_argument("--kappa", type=_finite, required=True)
+    p.add_argument("--T", type=_finite, default=1.0, dest="horizon")
     p.add_argument("--n-init", type=int, default=64)
-    p.add_argument("--tolerance", type=float, default=0.02)
+    p.add_argument("--tolerance", type=_finite, default=0.02)
     p.add_argument("--max-depth", type=int, default=40)
     p.add_argument("--shift", action="store_true",
                    help="translate by sqrt(kappa) B(T)")
     common(p)
 
     p = sub.add_parser("scaling", help="Taylor error vs eps at short horizon")
-    p.add_argument("--eps", type=float, nargs="+", default=DEFAULT_EPS)
-    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--eps", type=_finite, nargs="+", default=DEFAULT_EPS)
+    p.add_argument("--delta", type=_finite, default=0.5)
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--kappa", type=float, default=2.0)
+    p.add_argument("--kappa", type=_finite, default=2.0)
     p.add_argument("--replicas", type=int, default=1000)
     p.add_argument("--substeps", type=int, default=128)
     common(p)
 
     p = sub.add_parser("divergence",
                        help="Taylor-term magnitudes at long horizon")
-    p.add_argument("--eps", type=float, default=2.0 ** -6)
-    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--eps", type=_finite, default=2.0 ** -6)
+    p.add_argument("--delta", type=_finite, default=0.5)
     p.add_argument("--words", nargs="+", default=DEFAULT_WORDS,
                    help="digit strings like 0 1 10 00")
-    p.add_argument("--kappa", type=float, default=2.0)
+    p.add_argument("--kappa", type=_finite, default=2.0)
     p.add_argument("--replicas", type=int, default=10000)
     p.add_argument("--resolution", type=int, default=256)
     common(p)
 
     p = sub.add_parser("moments", help="second moment under splitting steps")
-    p.add_argument("--kappa", type=float, default=2.0)
-    p.add_argument("--z0-re", type=float, default=0.0)
-    p.add_argument("--z0-im", type=float, default=1.0)
-    p.add_argument("--T", type=float, default=1.0, dest="horizon")
+    p.add_argument("--kappa", type=_finite, default=2.0)
+    p.add_argument("--z0-re", type=_finite, default=0.0)
+    p.add_argument("--z0-im", type=_finite, default=1.0)
+    p.add_argument("--T", type=_finite, default=1.0, dest="horizon")
     p.add_argument("--steps", type=int, default=16)
     p.add_argument("--replicas", type=int, default=100000)
     common(p)
 
     p = sub.add_parser("compare", help="one-step errors of all schemes")
-    p.add_argument("--kappa", type=float, default=2.0)
-    p.add_argument("--eps", type=float, default=2.0 ** -6)
-    p.add_argument("--horizons", type=float, nargs="+", default=None,
+    p.add_argument("--kappa", type=_finite, default=2.0)
+    p.add_argument("--eps", type=_finite, default=2.0 ** -6)
+    p.add_argument("--horizons", type=_finite, nargs="+", default=None,
                    help="default: eps^2.5 eps^2.25 eps^2 eps^1.75")
     p.add_argument("--replicas", type=int, default=1000)
     p.add_argument("--substeps", type=int, default=128)
@@ -121,7 +131,7 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("integrals", help="iterated-integral table dump")
-    p.add_argument("--T", type=float, default=1.0, dest="horizon")
+    p.add_argument("--T", type=_finite, default=1.0, dest="horizon")
     p.add_argument("--n", type=int, default=256, help="driver resolution")
     p.add_argument("--r", type=int, default=3, help="maximum word length")
     common(p)
@@ -147,40 +157,13 @@ def _targets(args, *names) -> list[Path]:
     return paths
 
 
-def _cmd_trace(args) -> int:
-    csv_path, svg_path, json_path = _targets(
-        args, "trace.csv", "trace.svg", "trace.json")
+def _run_report(args, name: str, runner, *extras: str) -> int:
+    # every output name is checked before any work; ``runner`` gets the
+    # paths of the ``extras`` and returns the report
+    csv_path, json_path, *extra_paths = _targets(
+        args, f"{name}.csv", f"{name}.json", *extras)
     started = time.perf_counter()
-    path = BrownianPath.sample_uniform(args.horizon, args.n_init, args.seed)
-    result = build_trace(path, args.horizon, args.kappa,
-                         n_init=args.n_init, tolerance=args.tolerance,
-                         max_depth=args.max_depth, apply_shift=args.shift)
-    write_trace_csv(result, csv_path)
-    svg_path.write_text(render_svg(result), encoding="ascii")
-    payload = {
-        "command": "trace",
-        "config": {"kappa": args.kappa, "T": args.horizon,
-                   "n_init": args.n_init, "tolerance": args.tolerance,
-                   "max_depth": args.max_depth, "shift": args.shift,
-                   "threads": args.threads},
-        "seed": args.seed,
-        "points": len(result.points),
-        "stats": result.stats,
-        "runtime_seconds": time.perf_counter() - started,
-        "created_unix": time.time(),
-    }
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                         encoding="ascii")
-    print(f"trace: {len(result.points)} points, "
-          f"depth {result.stats['refinement_depth_max']}, "
-          f"wrote {csv_path}")
-    return 0
-
-
-def _run_report(args, name: str, runner) -> int:
-    csv_path, json_path = _targets(args, f"{name}.csv", f"{name}.json")
-    started = time.perf_counter()
-    report = runner()
+    report = runner(*extra_paths)
     ex.write_report_csv(report, csv_path)
     ex.write_report_sidecar(report, json_path,
                             time.perf_counter() - started)
@@ -189,6 +172,26 @@ def _run_report(args, name: str, runner) -> int:
         line += f" (slope {report.fit[0]:.3f}, r2 {report.fit[2]:.4f})"
     print(line)
     return 0
+
+
+def _cmd_trace(args) -> int:
+    def runner(svg_path):
+        path = BrownianPath.sample_uniform(args.horizon, args.n_init,
+                                           args.seed)
+        result = build_trace(path, args.horizon, args.kappa,
+                             n_init=args.n_init, tolerance=args.tolerance,
+                             max_depth=args.max_depth,
+                             apply_shift=args.shift)
+        svg_path.write_text(render_svg(result), encoding="ascii")
+        rows = [{"t": t, "re": z.real, "im": z.imag}
+                for t, z in result.points]
+        config = {"kappa": args.kappa, "T": args.horizon,
+                  "n_init": args.n_init, "tolerance": args.tolerance,
+                  "max_depth": args.max_depth, "shift": args.shift,
+                  "threads": args.threads}
+        return ex.ExperimentReport("trace", rows, None, config, args.seed,
+                                   {"points": len(rows), **result.stats})
+    return _run_report(args, "trace", runner, "trace.svg")
 
 
 def _cmd_scaling(args) -> int:
@@ -220,29 +223,27 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_taylor_terms(args) -> int:
-    # validate the level before any file is opened
-    terms = enumerate_level(args.r)
-    (csv_path,) = _targets(args, "taylor_terms.csv")
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write("word,coeff_num,coeff_den,a_power,z_power\n")
-        for word, term in terms:
-            fh.write(f"{format_word(word)},{term.coeff.numerator},"
-                     f"{term.coeff.denominator},{term.a_power},"
-                     f"{term.z_power}\n")
-    print(f"taylor-terms: {len(terms)} rows, wrote {csv_path}")
-    return 0
+    def runner():
+        rows = [{"word": format_word(word),
+                 "coeff_num": term.coeff.numerator,
+                 "coeff_den": term.coeff.denominator,
+                 "a_power": term.a_power, "z_power": term.z_power}
+                for word, term in enumerate_level(args.r)]
+        return ex.ExperimentReport("taylor_terms", rows, None,
+                                   {"r": args.r}, args.seed)
+    return _run_report(args, "taylor_terms", runner)
 
 
 def _cmd_integrals(args) -> int:
-    (csv_path,) = _targets(args, "integrals.csv")
-    path = BrownianPath.sample_uniform(args.horizon, args.n, args.seed)
-    table = compute_table(path, args.horizon, args.r)
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write("word,value\n")
-        for word, value in table.entries.items():
-            fh.write(f"{format_word(word)},{value!r}\n")
-    print(f"integrals: {len(table.entries)} rows, wrote {csv_path}")
-    return 0
+    def runner():
+        path = BrownianPath.sample_uniform(args.horizon, args.n, args.seed)
+        table = compute_table(path, args.horizon, args.r)
+        rows = [{"word": format_word(word), "value": value}
+                for word, value in table.entries.items()]
+        config = {"T": args.horizon, "n": args.n, "r": args.r}
+        return ex.ExperimentReport("integrals", rows, None, config,
+                                   args.seed)
+    return _run_report(args, "integrals", runner)
 
 
 _COMMANDS = {

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from math import log, sqrt
 
@@ -57,13 +57,18 @@ class ReferenceConvergenceError(RuntimeError):
 
 @dataclass
 class ExperimentReport:
-    """Rows plus the provenance needed to reproduce them exactly."""
+    """Rows plus the provenance needed to reproduce them exactly.
+
+    ``stats`` holds run diagnostics (a trace's point count and work
+    counters) for the sidecar; it never reaches the CSV.
+    """
 
     name: str
     rows: list
     fit: tuple | None
     config: dict
     seed: int
+    stats: dict = field(default_factory=dict)
 
 
 def _loglog_fit(xs, ys) -> tuple[float, float, float]:
@@ -88,8 +93,7 @@ def _l2_and_stderr(samples: np.ndarray) -> tuple[float, float]:
 
 
 def _converged_reference(z0: complex, path: BrownianPath, t: float,
-                         substeps: int, kappa: float,
-                         probes) -> tuple[complex, tuple]:
+                         kappa: float, probes) -> tuple[complex, tuple]:
     """Refine the driver until the reference stops moving.
 
     ``probes`` maps the candidate reference to the tuple of errors the
@@ -99,10 +103,10 @@ def _converged_reference(z0: complex, path: BrownianPath, t: float,
     is larger).  Returns the accepted reference and its errors, which
     are final: the driver is not refined after they are probed.
     """
-    ref = reference_solve(z0, path, t, substeps, kappa)
+    ref = reference_solve(z0, path, t, kappa)
     for _ in range(_MAX_DOUBLINGS):
         path.refine()
-        finer = reference_solve(z0, path, t, substeps, kappa)
+        finer = reference_solve(z0, path, t, kappa)
         errors = probes(finer)
         moved = abs(finer - ref)
         budget = max(REF_ERROR_FRACTION * min(errors),
@@ -130,7 +134,7 @@ def _reference_errors(z0: complex, t: float, substeps: int,
     for i in range(replicas):
         path = BrownianPath.sample_uniform(t, substeps,
                                            derive_seed(seed, first + i))
-        errors.append(_converged_reference(z0, path, t, substeps, kappa,
+        errors.append(_converged_reference(z0, path, t, kappa,
                                            partial(probes, z0, path, t))[1])
     return np.array(errors)
 
@@ -156,7 +160,7 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0.0 or e >= 1.0 for e in eps_list):
         raise ValueError("eps values must lie in (0, 1)")
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
 
     def probes(z0, path, t, ref) -> tuple:
@@ -252,8 +256,10 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     expectation, so deviations are pure Monte Carlo noise; each row
     reports the deviation in standard errors.
     """
-    if T <= 0.0 or n_steps < 1 or replicas < 2:
+    if not T > 0.0 or n_steps < 1 or replicas < 2:
         raise ValueError("need T > 0, n_steps >= 1, replicas >= 2")
+    if not kappa >= 0.0:
+        raise ValueError("kappa must be nonnegative")
     z0 = complex(z0)
     times = _uniform_grid(T, n_steps).tolist()
     incs = philox_stream(seed, _TAG_MATRIX).standard_normal(
@@ -290,7 +296,7 @@ def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
     horizons = [float(t) for t in horizons]
     if any(t <= 0.0 for t in horizons):
         raise ValueError("horizons must be positive")
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
 
     def probes(z0, path, t, ref) -> tuple:
@@ -321,21 +327,17 @@ def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
 # report output
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_report_csv(report: ExperimentReport, filename) -> None:
-    """Rows as CSV; floats at full round-trip precision."""
+    """Rows as CSV; each cell is ``str`` of its value, which for a
+    Python float is the round-trip ``repr``."""
     if not report.rows:
         raise ValueError("report has no rows")
     keys = list(report.rows[0].keys())
+    line = ",".join(["{}"] * len(keys)) + "\n"
     with open(filename, "w", encoding="ascii") as fh:
         fh.write(",".join(keys) + "\n")
         for row in report.rows:
-            fh.write(",".join(_format_cell(row[k]) for k in keys) + "\n")
+            fh.write(line.format(*map(row.__getitem__, keys)))
 
 
 def write_report_sidecar(report: ExperimentReport, filename,
@@ -349,6 +351,7 @@ def write_report_sidecar(report: ExperimentReport, filename,
         "fit": (None if report.fit is None else
                 {"slope": report.fit[0], "intercept": report.fit[1],
                  "r2": report.fit[2]}),
+        "stats": report.stats,
         "runtime_seconds": runtime_seconds,
         "created_unix": time.time(),
     }

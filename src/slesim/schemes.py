@@ -184,24 +184,18 @@ def taylor_step(z, table: IteratedIntegralTable, r: int,
     return total
 
 
-def reference_solve(z0, path: BrownianPath, t: float, substeps: int,
-                    kappa: float) -> complex:
+def reference_solve(z0, path: BrownianPath, t: float, kappa: float) -> complex:
     """Fine-grid splitting solution of the unit_noise equation, used as
     ground truth.
 
     Steps the unit_noise splitting map of ``nv_step`` across every sample
-    interval of ``path`` inside [0, t]; the path must carry at least
-    ``substeps`` intervals there.
-    Convergence is the caller's check: refine the path (midpoint passes),
-    solve again, and require the two answers to agree, by default to
-    REFERENCE_RTOL relative.
+    interval of ``path`` inside [0, t].  Convergence is the caller's
+    check: refine the path (midpoint passes), solve again, and require
+    the two answers to agree, by default to REFERENCE_RTOL relative.
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     stop = path.index_of(t)
-    if stop < substeps:
-        raise ValueError(
-            f"path has {stop} intervals in [0, {t}], need >= {substeps}")
     # one float64 ufunc per scalar operation of nv_step: the same roundings
     h = np.diff(path.times[:stop + 1])
     dB = np.diff(path.values[:stop + 1])

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import nextafter, sqrt
 
-import numpy as np
-
 from .brownian import BrownianPath
 from .schemes import _nv_steps
 
@@ -34,7 +32,6 @@ __all__ = [
     "TraceResult",
     "build_trace",
     "render_svg",
-    "write_trace_csv",
 ]
 
 
@@ -61,10 +58,10 @@ class TraceRefinementError(RuntimeError):
 
 @dataclass
 class TraceResult:
-    """Accepted trace points with the partition and build diagnostics."""
+    """Accepted ``(t, z)`` trace points with build diagnostics; the
+    times are the final partition."""
 
     points: list
-    partition: np.ndarray
     tolerance: float
     kappa: float
     shift_applied: bool
@@ -111,13 +108,13 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
             within max_depth bisections, or reaches adjacent float64
             times (no midpoint left to bisect at) before it does.
     """
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError("horizon must be positive")
-    if kappa < 0.0:
+    if not kappa >= 0.0:
         raise ValueError("kappa must be nonnegative")
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
@@ -165,11 +162,10 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
             raise RuntimeError("gap bound violated after the sweep; this is a "
                                "bug")
 
-    partition = path.times[:end + 1].copy()
     shift = sqkap * path.value_at(T) if apply_shift else 0.0
-    points = [(t, z + shift) for t, z in zip(partition.tolist(), zz)]
-    return TraceResult(points=points, partition=partition,
-                       tolerance=tolerance, kappa=kappa,
+    points = [(t, z + shift)
+              for t, z in zip(path.times[:end + 1].tolist(), zz)]
+    return TraceResult(points=points, tolerance=tolerance, kappa=kappa,
                        shift_applied=bool(apply_shift),
                        stats={"refinement_depth_max": max(depth),
                               "map_evaluations": end * (end + 1) // 2,
@@ -212,10 +208,3 @@ def render_svg(result: TraceResult, width: int = 800, height: int = 600) -> str:
         f"</svg>\n"
     )
 
-
-def write_trace_csv(result: TraceResult, filename) -> None:
-    """Write ``t,re,im`` rows at full (round-trip) precision."""
-    with open(filename, "w", encoding="ascii") as fh:
-        fh.write("t,re,im\n")
-        for t, z in result.points:
-            fh.write(f"{t!r},{z.real!r},{z.imag!r}\n")

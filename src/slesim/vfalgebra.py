@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Word",
     "LaurentTerm",
     "deg",
     "compose",

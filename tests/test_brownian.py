@@ -244,17 +244,7 @@ def test_rescaled_refinement_consistent():
     assert p.times[1] == 0.0625
 
 
-def test_csv_roundtrip_bitwise(tmp_path):
-    p = BrownianPath.sample_uniform(1.0, 32, seed=12)
-    p.insert_midpoint(5)
-    target = tmp_path / "driver.csv"
-    p.to_csv(target)
-    q = BrownianPath.from_csv(target, seed=12)
-    assert q.times.tolist() == p.times.tolist()
-    assert q.values.tolist() == p.values.tolist()
-
-
-def test_non_finite_samples_are_rejected(tmp_path):
+def test_non_finite_samples_are_rejected():
     nan, inf = float("nan"), float("inf")
     with pytest.raises(ValueError, match="finite"):
         BrownianPath([0.0, nan, 1.0], [0.0, 0.5, 1.0], seed=0)
@@ -262,10 +252,6 @@ def test_non_finite_samples_are_rejected(tmp_path):
         BrownianPath([0.0, 0.5, 1.0], [0.0, inf, 1.0], seed=0)
     with pytest.raises(ValueError, match="finite"):
         BrownianPath([0.0, 0.5, inf], [0.0, 0.5, 1.0], seed=0)
-    target = tmp_path / "driver.csv"
-    target.write_text("t,B\n0.0,0.0\nnan,0.5\n1.0,1.0\n", encoding="ascii")
-    with pytest.raises(ValueError, match="finite"):
-        BrownianPath.from_csv(target)
 
 
 def test_constructor_copies_caller_arrays():

@@ -1,7 +1,9 @@
 """Command line behavior: exit codes, files, determinism."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import slesim
+from slesim.brownian import BrownianPath
 from slesim.cli import main
+from slesim.trace import build_trace
 
 
 def run(*argv):
@@ -41,15 +45,70 @@ def test_trace_writes_three_files(tmp_path, capsys):
     csv = (tmp_path / "trace.csv").read_text()
     svg = (tmp_path / "trace.svg").read_text()
     payload = json.loads((tmp_path / "trace.json").read_text())
-    assert csv.startswith("t,re,im\n0.0,0.0,0.0\n")
+    lines = csv.splitlines()
+    assert lines[0] == "t,re,im" and lines[1] == "0.0,0.0,0.0"
+    # repr round-trip: parsing the rows reproduces every point exactly
+    result = build_trace(BrownianPath.sample_uniform(1.0, 8, 0), 1.0, 2.5,
+                         n_init=8, tolerance=0.2)
+    assert [(float(t), complex(float(re), float(im)))
+            for t, re, im in (line.split(",") for line in lines[1:])] \
+        == result.points
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert payload["config"]["kappa"] == 2.5
     assert payload["config"]["threads"] == 3  # accepted, echoed, ignored
-    assert payload["points"] == csv.count("\n") - 1
+    assert payload["stats"]["points"] == len(lines) - 1
     assert payload["stats"]["map_evaluations"] > 0
     # wall-clock data stays out of the replayable outputs
     assert "created" not in csv and "created" not in svg
     assert "created_unix" in payload
+
+
+def test_every_sidecar_has_the_same_keys(tmp_path, capsys):
+    tiny = {
+        "trace": ["--kappa", "2", "--n-init", "4", "--tolerance", "0.5"],
+        "scaling": ["--replicas", "4", "--substeps", "8",
+                    "--eps", "0.25", "0.125", "0.0625"],
+        "divergence": ["--replicas", "4", "--resolution", "8",
+                       "--words", "0"],
+        "moments": ["--replicas", "4", "--steps", "2"],
+        "compare": ["--replicas", "2", "--substeps", "8"],
+        "taylor-terms": ["--r", "1"],
+        "integrals": ["--n", "4", "--r", "1"],
+    }
+    keys = {"name", "seed", "config", "fit", "stats", "runtime_seconds",
+            "created_unix"}
+    for command, argv in tiny.items():
+        name = command.replace("-", "_")
+        assert run(command, *argv, "--out", str(tmp_path)) == 0
+        payload = json.loads((tmp_path / f"{name}.json").read_text())
+        assert set(payload) == keys, command
+        assert (payload["fit"] is not None) == (command == "scaling")
+    rows = (tmp_path / "trace.csv").read_text().count("\n") - 1
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["stats"]["points"] == rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--kappa", "nan", "--replicas", "100", "--steps", "2"],
+    ["moments", "--z0-im", "nan", "--replicas", "100", "--steps", "2"],
+    ["trace", "--kappa", "2", "--tolerance", "nan"],
+    ["trace", "--kappa", "nan"],
+    ["scaling", "--eps", "0.25", "inf", "--replicas", "2"],
+], ids=["moments-kappa", "moments-z0", "trace-tolerance", "trace-kappa",
+        "scaling-eps"])
+def test_non_finite_float_flag_exits_one(argv, tmp_path, capsys):
+    assert run(*argv, "--out", str(tmp_path)) == 1
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_package_exports_every_module_export():
+    names = ["__version__"]
+    for info in pkgutil.iter_modules(slesim.__path__):
+        if info.name != "cli":  # the front end; only ``main``
+            module = importlib.import_module(f"slesim.{info.name}")
+            names += module.__all__
+    assert sorted(slesim.__all__) == sorted(names)
 
 
 def test_overwrite_needs_force(tmp_path, capsys):

@@ -148,6 +148,8 @@ def test_moment_validation():
         moment_preservation(2.0, 1j, 1.0, 0, 100, seed=0)
     with pytest.raises(ValueError):
         moment_preservation(2.0, 1j, 1.0, 4, 1, seed=0)
+    with pytest.raises(ValueError, match="kappa"):
+        moment_preservation(math.nan, 1j, 1.0, 4, 100, seed=0)
 
 
 def test_scheme_comparison_crossover():
@@ -198,7 +200,7 @@ def test_reference_convergence_error():
     # floor) cannot be met within the doubling limit on a rough driver
     path = BrownianPath.sample_uniform(1.0, 4, seed=13)
     with pytest.raises(ReferenceConvergenceError):
-        _converged_reference(1j, path, 1.0, 4, 6.0, lambda ref: (0.0,))
+        _converged_reference(1j, path, 1.0, 6.0, lambda ref: (0.0,))
 
 
 def test_report_csv_roundtrip(tmp_path):
@@ -222,5 +224,6 @@ def test_report_sidecar(tmp_path):
     assert payload["seed"] == 15
     assert payload["config"]["delta"] == 0.5
     assert payload["runtime_seconds"] == 1.25
+    assert payload["stats"] == {}
     assert "created_unix" in payload
     assert payload["fit"]["slope"] == report.fit[0]

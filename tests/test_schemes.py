@@ -225,15 +225,9 @@ def test_taylor_requires_matching_convention_and_depth():
 def test_reference_zero_noise_is_exact_drift():
     # the unit_noise drift -(2/kappa)/z for time 1 is flow_drift for 1/kappa
     path = BrownianPath.zeros(1.0, 512)
-    got = reference_solve(2j, path, 1.0, 512, 2.0)
+    got = reference_solve(2j, path, 1.0, 2.0)
     want = flow_drift(2j, 1.0 / 2.0)
     assert abs(got - want) <= 1e-12
-
-
-def test_reference_needs_enough_substeps():
-    path = BrownianPath.sample_uniform(1.0, 16, seed=1)
-    with pytest.raises(ValueError, match="need"):
-        reference_solve(1j, path, 1.0, 64, 2.0)
 
 
 def test_reference_stabilizes_under_refinement():
@@ -241,10 +235,10 @@ def test_reference_stabilizes_under_refinement():
     # fresh bridge noise), so only the trend and the final size are
     # asserted, not per-level monotonicity
     path = BrownianPath.sample_uniform(0.25, 128, seed=51)
-    solutions = [reference_solve(1j, path, 0.25, 128, 2.0)]
+    solutions = [reference_solve(1j, path, 0.25, 2.0)]
     for _ in range(5):
         path.refine()
-        solutions.append(reference_solve(1j, path, 0.25, 128, 2.0))
+        solutions.append(reference_solve(1j, path, 0.25, 2.0))
     moves = [abs(b - a) for a, b in zip(solutions, solutions[1:])]
     assert moves[-1] < moves[0]
     assert moves[-1] <= 3e-5
@@ -286,7 +280,7 @@ def test_reference_solve_equals_nv_step_loop(seed, T, n, bisect, refine,
     stop = max(1, round(where * path.n_intervals))
     t = path.sample(stop)[0]
     z0 = complex(re, im)
-    got = reference_solve(z0, path, t, stop, kappa)
+    got = reference_solve(z0, path, t, kappa)
     want = _nv_step_loop(z0, path, t, kappa)
     assert got == want
     assert _bits(got) == _bits(want)
@@ -308,7 +302,7 @@ def test_splitting_converges_on_a_fixed_driver():
         path = BrownianPath.sample_uniform(T, 8, seed=61)
         while path.n_intervals < n:
             path.refine()
-        return root * reference_solve(z0, path, T, n, kappa)
+        return root * reference_solve(z0, path, T, kappa)
 
     ref = solve(8192)
     errs = [abs(solve(n) - ref) for n in (8, 32, 128)]
@@ -340,4 +334,4 @@ def test_step_validation():
     with pytest.raises(ValueError, match="kappa"):
         euler_step(1j, 0.1, 0.0, 0.0)
     with pytest.raises(ValueError, match="kappa"):
-        reference_solve(1j, BrownianPath.zeros(1.0, 4), 1.0, 4, -2.0)
+        reference_solve(1j, BrownianPath.zeros(1.0, 4), 1.0, -2.0)

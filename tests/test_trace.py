@@ -2,13 +2,13 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from slesim.brownian import BrownianPath
+from slesim.cli import main
 from slesim.schemes import nv_step
 from slesim.trace import (TraceRefinementError, TraceResult, _eval_chain,
-                          build_trace, render_svg, write_trace_csv)
+                          build_trace, render_svg)
 
 
 def test_zero_noise_trace_is_the_square_root_curve():
@@ -37,7 +37,7 @@ def _build(kappa=8.0 / 3.0, seed=7, tolerance=0.1, T=1.0, n_init=16,
 def _assert_points_are_final_chains(result, path):
     # every accepted point is the full backward chain over the final
     # partition, bit for bit, so a second evaluation pass changes nothing
-    tt = result.partition.tolist()
+    tt = [t for t, _ in result.points]
     bb = [path.value_at(t) for t in tt]
     sqkap = math.sqrt(result.kappa)
     cc = [2.0 * (b - a) for a, b in zip(tt, tt[1:])]
@@ -84,10 +84,13 @@ def test_points_stay_in_closed_half_plane():
 
 
 def test_partition_is_sorted_and_matches_points():
-    result = _build()
-    assert list(result.partition) == [t for t, _ in result.points]
-    assert all(a < b for a, b in zip(result.partition, result.partition[1:]))
-    assert result.partition[0] == 0.0 and result.partition[-1] == 1.0
+    path = BrownianPath.sample_uniform(1.0, 16, seed=7)
+    result = build_trace(path, 1.0, kappa=8.0 / 3.0, n_init=16,
+                         tolerance=0.1)
+    times = [t for t, _ in result.points]
+    assert times == path.times.tolist()  # the driver's final grid
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert times[0] == 0.0 and times[-1] == 1.0
 
 
 def test_point_count_grows_as_tolerance_halves():
@@ -114,7 +117,6 @@ def test_same_seed_same_trace():
     a = _build(seed=13)
     b = _build(seed=13)
     assert a.points == b.points
-    assert list(a.partition) == list(b.partition)
 
 
 def test_rebuild_on_refined_path_is_stable():
@@ -180,6 +182,10 @@ def test_build_validation():
         build_trace(path, 0.3, kappa=2.0)  # 0.3 is not a sample time
     with pytest.raises(ValueError):
         build_trace(path, 1.0, kappa=-1.0)
+    # NaN fails every check written as "not (valid)"
+    for kw in ({"kappa": math.nan}, {"kappa": 2.0, "tolerance": math.nan}):
+        with pytest.raises(ValueError):
+            build_trace(path, 1.0, **kw)
 
 
 def test_slit_map_matches_manual_composition():
@@ -209,17 +215,19 @@ def test_svg_rendering_is_deterministic():
 
 
 def test_svg_rejects_empty_result():
-    empty = TraceResult(points=[], partition=np.array([]), tolerance=0.1,
-                        kappa=2.0, shift_applied=False, stats={})
+    empty = TraceResult(points=[], tolerance=0.1, kappa=2.0,
+                        shift_applied=False, stats={})
     with pytest.raises(ValueError):
         render_svg(empty)
 
 
-def test_csv_output(tmp_path):
+def test_csv_output(tmp_path, capsys):
+    # the trace CSV is the CLI's trace.csv, written by the report writer
     result = _build(seed=41, tolerance=0.2)
-    target = tmp_path / "trace.csv"
-    write_trace_csv(result, target)
-    lines = target.read_text().splitlines()
+    assert main(["trace", "--kappa", repr(8.0 / 3.0), "--n-init", "16",
+                 "--tolerance", "0.2", "--seed", "41",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "t,re,im"
     assert len(lines) == len(result) + 1
     t, re, im = lines[1].split(",")
