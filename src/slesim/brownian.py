@@ -275,16 +275,3 @@ class BrownianPath:
         self._values = values.tolist()
         self._cache = (times, values)
         return self
-
-    def rescale(self, c: float) -> "BrownianPath":
-        """Brownian-scaled copy: times t/c, values B(t)/sqrt(c).
-
-        For c > 0 the result is again a standard Brownian sample; horizon
-        T becomes T/c.
-        """
-        if c <= 0.0:
-            raise ValueError("scale must be positive")
-        rc = sqrt(c)
-        return BrownianPath([t / c for t in self._times],
-                            [v / rc for v in self._values],
-                            seed=self.seed, bridge_scale=self._bridge_scale)

@@ -139,16 +139,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _out_dir(args) -> Path:
-    out = args.out if args.out is not None else os.environ.get(ENV_OUT, ".")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _targets(args, *names) -> list[Path]:
-    directory = _out_dir(args)
-    paths = [directory / name for name in names]
+    out = Path(args.out if args.out is not None
+               else os.environ.get(ENV_OUT, "."))
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"output path {out} is not a directory")
+    paths = [out / name for name in names]
     if not args.force:
         clashes = [str(p) for p in paths if p.exists()]
         if clashes:
@@ -158,12 +154,16 @@ def _targets(args, *names) -> list[Path]:
 
 
 def _run_report(args, name: str, runner, *extras: str) -> int:
-    # every output name is checked before any work; ``runner`` gets the
-    # paths of the ``extras`` and returns the report
+    # every output name is checked before any work, and the directory is
+    # made only once ``runner`` has returned, so a rejected run leaves
+    # nothing; ``runner`` returns the report, then one text per extra
     csv_path, json_path, *extra_paths = _targets(
         args, f"{name}.csv", f"{name}.json", *extras)
     started = time.perf_counter()
-    report = runner(*extra_paths)
+    report, *texts = runner()
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    for path, text in zip(extra_paths, texts):
+        path.write_text(text, encoding="ascii")
     ex.write_report_csv(report, csv_path)
     ex.write_report_sidecar(report, json_path,
                             time.perf_counter() - started)
@@ -175,51 +175,52 @@ def _run_report(args, name: str, runner, *extras: str) -> int:
 
 
 def _cmd_trace(args) -> int:
-    def runner(svg_path):
+    def runner():
         path = BrownianPath.sample_uniform(args.horizon, args.n_init,
                                            args.seed)
         result = build_trace(path, args.horizon, args.kappa,
                              n_init=args.n_init, tolerance=args.tolerance,
                              max_depth=args.max_depth,
                              apply_shift=args.shift)
-        svg_path.write_text(render_svg(result), encoding="ascii")
         rows = [{"t": t, "re": z.real, "im": z.imag}
                 for t, z in result.points]
         config = {"kappa": args.kappa, "T": args.horizon,
                   "n_init": args.n_init, "tolerance": args.tolerance,
                   "max_depth": args.max_depth, "shift": args.shift,
                   "threads": args.threads}
-        return ex.ExperimentReport("trace", rows, None, config, args.seed,
-                                   {"points": len(rows), **result.stats})
+        report = ex.ExperimentReport("trace", rows, None, config, args.seed,
+                                     {"points": len(rows), **result.stats})
+        return report, render_svg(result)
     return _run_report(args, "trace", runner, "trace.svg")
 
 
 def _cmd_scaling(args) -> int:
-    return _run_report(args, "scaling", lambda: ex.epsilon_scaling(
+    return _run_report(args, "scaling", lambda: (ex.epsilon_scaling(
         args.eps, args.delta, args.r, args.kappa, args.replicas, args.seed,
-        substeps=args.substeps))
+        substeps=args.substeps),))
 
 
 def _cmd_divergence(args) -> int:
     words = [parse_word(w) for w in args.words]
-    return _run_report(args, "divergence", lambda: ex.divergence_probe(
+    return _run_report(args, "divergence", lambda: (ex.divergence_probe(
         args.eps, args.delta, words, args.replicas, args.seed,
-        kappa=args.kappa, resolution=args.resolution))
+        kappa=args.kappa, resolution=args.resolution),))
 
 
 def _cmd_moments(args) -> int:
     z0 = complex(args.z0_re, args.z0_im)
-    return _run_report(args, "moments", lambda: ex.moment_preservation(
-        args.kappa, z0, args.horizon, args.steps, args.replicas, args.seed))
+    return _run_report(args, "moments", lambda: (ex.moment_preservation(
+        args.kappa, z0, args.horizon, args.steps, args.replicas,
+        args.seed),))
 
 
 def _cmd_compare(args) -> int:
     horizons = args.horizons
     if horizons is None:
         horizons = [args.eps ** p for p in (2.5, 2.25, 2.0, 1.75)]
-    return _run_report(args, "compare", lambda: ex.scheme_comparison(
+    return _run_report(args, "compare", lambda: (ex.scheme_comparison(
         args.kappa, args.eps, horizons, args.replicas, args.seed,
-        substeps=args.substeps))
+        substeps=args.substeps),))
 
 
 def _cmd_taylor_terms(args) -> int:
@@ -230,7 +231,7 @@ def _cmd_taylor_terms(args) -> int:
                  "a_power": term.a_power, "z_power": term.z_power}
                 for word, term in enumerate_level(args.r)]
         return ex.ExperimentReport("taylor_terms", rows, None,
-                                   {"r": args.r}, args.seed)
+                                   {"r": args.r}, args.seed),
     return _run_report(args, "taylor_terms", runner)
 
 
@@ -242,7 +243,7 @@ def _cmd_integrals(args) -> int:
                 for word, value in table.entries.items()]
         config = {"T": args.horizon, "n": args.n, "r": args.r}
         return ex.ExperimentReport("integrals", rows, None, config,
-                                   args.seed)
+                                   args.seed),
     return _run_report(args, "integrals", runner)
 
 

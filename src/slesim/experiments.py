@@ -16,6 +16,7 @@ error).
 
 from __future__ import annotations
 
+import cmath
 import json
 import time
 from dataclasses import dataclass, field
@@ -261,6 +262,8 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     if not kappa >= 0.0:
         raise ValueError("kappa must be nonnegative")
     z0 = complex(z0)
+    if not cmath.isfinite(z0):
+        raise ValueError("z0 must be finite")
     times = _uniform_grid(T, n_steps).tolist()
     incs = philox_stream(seed, _TAG_MATRIX).standard_normal(
         (replicas, n_steps))
@@ -276,7 +279,8 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
         target = z0 * z0 + (kappa - 4.0) * t
         se = sqrt((float(np.var(square.real))
                    + float(np.var(square.imag))) / replicas)
-        dev = abs(mean - target) / se if se > 0.0 else 0.0
+        # a NaN se stays NaN; only an exact 0 (no spread at all) gives 0
+        dev = abs(mean - target) / se if se != 0.0 else 0.0
         rows.append({"t": t, "mean_re": mean.real, "mean_im": mean.imag,
                      "target_re": target.real, "target_im": target.imag,
                      "stderr": se, "deviation_se": dev})

@@ -11,21 +11,25 @@ exact whenever the integrand is linear there - in particular every entry
 up to length 2 is exact for the piecewise-linear path, e.g. the (1, 1)
 entry telescopes to B(t)^2 / 2.
 
-:func:`word_entries` evaluates words on a block of drivers that share one
-grid, one row per driver, integrating each distinct word prefix once for
-the whole block.  The quadrature is made of separate real float64 ufuncs
-and a sequential cumsum along each row, so every row rounds exactly as
-:func:`iterated_integral` on that driver alone.
+One prefix walk serves both :func:`compute_table` (every word up to a
+length, on one driver) and :func:`word_entries` (chosen words on a block
+of drivers that share one grid, one row per driver): it integrates each
+distinct word prefix once, parents before children.  The quadrature is
+made of separate real float64 ufuncs and a sequential cumsum along each
+row, so every row rounds exactly as :func:`iterated_integral`, the
+prefix chain of one word on one driver, which stays apart as the
+independent reference.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
-from math import sqrt
 
 import numpy as np
 
-from .brownian import BrownianPath, _check_samples, uniform_blocks
+from .brownian import BrownianPath, _check_samples
 from .vfalgebra import LEVEL_CAP, _check_word
 
 __all__ = [
@@ -33,20 +37,18 @@ __all__ = [
     "compute_table",
     "iterated_integral",
     "word_entries",
-    "l2_scaling_samples",
-    "l2_scaling_estimate",
     "derive_seed",
 ]
 
 @dataclass
 class IteratedIntegralTable:
-    """All iterated integrals over [0, horizon] up to a word length.
+    """All iterated integrals over [0, t] up to a word length.
 
-    ``resolution`` is the number of driver intervals in [0, horizon] the
-    quadrature ran over.
+    ``entries`` runs through the words by length, lexicographically
+    within a length; ``resolution`` is the number of driver intervals in
+    [0, t] the quadrature ran over.
     """
 
-    horizon: float
     entries: dict = field(repr=False)
     resolution: int
 
@@ -76,6 +78,38 @@ def _integrate(fw: np.ndarray, legs) -> list[np.ndarray]:
     return outs
 
 
+def _plan(words) -> tuple[tuple[tuple, tuple], ...]:
+    """(parent, letters) for the prefix walk over every prefix of ``words``.
+
+    Parents come by length, lexicographically within a length, each with
+    the letters that extend it to a prefix of some word.
+    """
+    prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
+    parents = sorted({q[:-1] for q in prefixes}, key=lambda q: (len(q), q))
+    return tuple((p, tuple(j for j in (0, 1) if p + (j,) in prefixes))
+                 for p in parents)
+
+
+@functools.cache
+def _full_plan(r: int) -> tuple[tuple[tuple, tuple], ...]:
+    # the prefixes of the words of length r are all words of length <= r
+    return _plan(itertools.product((0, 1), repeat=r))
+
+
+def _walk(legs, plan) -> dict:
+    """Running integral of the empty word and of every prefix in ``plan``.
+
+    Keys come in the order the walk makes them: by length, and
+    lexicographically within a length.
+    """
+    running = {(): np.ones(len(legs[0]) + 1)}
+    for p, letters in plan:
+        outs = _integrate(running[p], [legs[j] for j in letters])
+        for j, out in zip(letters, outs):
+            running[p + (j,)] = out
+    return running
+
+
 def _grid(path: BrownianPath, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Sample grid of the path restricted to [0, t]."""
     stop = path.index_of(t)
@@ -100,20 +134,10 @@ def compute_table(path: BrownianPath, t: float,
     if t <= 0.0:
         raise ValueError("horizon must be positive")
     times, values = _grid(path, t)
-    legs = (np.diff(times), np.diff(values))
-
-    entries: dict = {(): 1.0}
-    running = {(): np.ones(len(times))}
-    for _ in range(r):
-        nxt: dict = {}
-        for w, fw in running.items():
-            for j, out in enumerate(_integrate(fw, legs)):
-                nxt[w + (j,)] = out
-                entries[w + (j,)] = float(out[-1])
-        running = nxt  # only the newest level feeds the next one
-
-    return IteratedIntegralTable(horizon=t, entries=entries,
-                                 resolution=len(times) - 1)
+    running = _walk((np.diff(times), np.diff(values)), _full_plan(r))
+    return IteratedIntegralTable(
+        entries={w: float(fw[-1]) for w, fw in running.items()},
+        resolution=len(times) - 1)
 
 
 def iterated_integral(path: BrownianPath, t: float, word) -> float:
@@ -149,15 +173,7 @@ def word_entries(times, values, words) -> np.ndarray:
         raise ValueError("values must hold one driver per row")
     _check_samples(times, values)
     words = [_check_word(w) for w in words]
-    legs = (np.diff(times), np.diff(values, axis=-1))
-    prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
-    running = {(): np.ones(len(times))}
-    # parents by length, so each one is integrated before its children
-    for p in sorted({q[:-1] for q in prefixes}, key=len):
-        letters = [j for j in (0, 1) if p + (j,) in prefixes]
-        for j, out in zip(letters,
-                          _integrate(running[p], [legs[j] for j in letters])):
-            running[p + (j,)] = out
+    running = _walk((np.diff(times), np.diff(values, axis=-1)), _plan(words))
     entries = np.empty((len(values), len(words)))
     for k, w in enumerate(words):
         entries[:, k] = running[w][..., -1]
@@ -168,41 +184,3 @@ def derive_seed(seed: int, index: int) -> int:
     """Stable per-replica sub-seed; independent of evaluation order."""
     ss = np.random.SeedSequence((seed & ((1 << 64) - 1), int(index)))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def l2_scaling_samples(word, t: float, replicas: int, resolution: int,
-                       seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replica entries at horizons t and 1, coupled by rescaling.
-
-    Each replica draws one unit-horizon path and evaluates the word's entry
-    on it and on its Brownian rescaling to horizon t, so the two samples
-    come from the same underlying realization.
-    """
-    if t <= 0.0:
-        raise ValueError("horizon must be positive")
-    if replicas < 100:
-        raise ValueError("need at least 100 replicas")
-    words = [tuple(word)]
-    # the arithmetic of BrownianPath.rescale(c), one ufunc per operation
-    c = 1.0 / t
-    rc = sqrt(c)
-    at_t = np.empty(replicas)
-    at_1 = np.empty(replicas)
-    seeds = [derive_seed(seed, i) for i in range(replicas)]
-    for rows, times, values in uniform_blocks(1.0, resolution, seeds):
-        at_1[rows] = word_entries(times, values, words)[:, 0]
-        at_t[rows] = word_entries(times / c, values / rc, words)[:, 0]
-    return at_t, at_1
-
-
-def l2_scaling_estimate(word, t: float, replicas: int, resolution: int,
-                        seed: int) -> tuple[float, float]:
-    """Monte Carlo L^2 norms of a word's entry at horizons t and 1.
-
-    The ratio estimates t^deg(word): the coupling in
-    :func:`l2_scaling_samples` makes the exponent estimate exact up to
-    rounding for the piecewise-linear lift.
-    """
-    at_t, at_1 = l2_scaling_samples(word, t, replicas, resolution, seed)
-    return (sqrt(float(np.mean(np.square(at_t)))),
-            sqrt(float(np.mean(np.square(at_1)))))

@@ -226,24 +226,6 @@ def test_zeros_path_stays_zero_under_refinement():
                for v in p.values.tolist())
 
 
-def test_rescale():
-    p = BrownianPath.sample_uniform(1.0, 8, seed=6)
-    q = p.rescale(4.0)
-    assert q.horizon == 0.25
-    np.testing.assert_array_equal(q.times, p.times / 4.0)
-    np.testing.assert_array_equal(q.values, p.values / 2.0)
-
-
-def test_rescaled_refinement_consistent():
-    # rescaling commutes with bridge refinement in distribution; at the
-    # implementation level the rescaled path keys draws by its own times,
-    # so only the scale of inserted values is checked here
-    p = BrownianPath.sample_uniform(1.0, 2, seed=7).rescale(4.0)
-    p.insert_midpoint(0)
-    assert p.n_intervals == 3
-    assert p.times[1] == 0.0625
-
-
 def test_non_finite_samples_are_rejected():
     nan, inf = float("nan"), float("inf")
     with pytest.raises(ValueError, match="finite"):

@@ -119,6 +119,15 @@ def test_overwrite_needs_force(tmp_path, capsys):
     assert run(*args, "--force") == 0
 
 
+def test_out_that_is_a_file_exits_one_before_work(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    # level 13 is refused by the run itself; the path check comes first
+    assert run("taylor-terms", "--r", "13", "--out", str(blocker)) == 1
+    assert "not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == "keep"
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SLESIM_OUT", str(tmp_path / "nested" / "dir"))
     assert run("taylor-terms", "--r", "1") == 0
@@ -137,11 +146,12 @@ def test_taylor_terms_rejects_negative_level(tmp_path, capsys):
 
 
 def test_taylor_terms_above_cap_writes_nothing(tmp_path, capsys):
-    assert run("taylor-terms", "--r", "13", "--out", str(tmp_path)) == 1
+    out = tmp_path / "new" / "dir"
+    assert run("taylor-terms", "--r", "13", "--out", str(out)) == 1
     assert "above cap" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert not (tmp_path / "new").exists()  # not even the directory
     # no partial file is left behind to block the next run
-    assert run("taylor-terms", "--r", "3", "--out", str(tmp_path)) == 0
+    assert run("taylor-terms", "--r", "3", "--out", str(out)) == 0
 
 
 def test_integrals_table_satisfies_shuffle(tmp_path):
@@ -221,7 +231,8 @@ def test_compare_uses_default_horizon_ladder(tmp_path):
 
 @pytest.mark.parametrize("command", ["scaling", "compare"])
 def test_nonpositive_kappa_exits_one(command, tmp_path, capsys):
+    out = tmp_path / "new" / "dir"
     assert run(command, "--kappa", "0", "--replicas", "2",
-               "--out", str(tmp_path)) == 1
+               "--out", str(out)) == 1
     assert "kappa" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert not (tmp_path / "new").exists()

@@ -150,6 +150,19 @@ def test_moment_validation():
         moment_preservation(2.0, 1j, 1.0, 4, 1, seed=0)
     with pytest.raises(ValueError, match="kappa"):
         moment_preservation(math.nan, 1j, 1.0, 4, 100, seed=0)
+    # refused before any arithmetic, so no RuntimeWarning comes first
+    for z0 in (complex(math.inf, 1.0), complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="z0"):
+            moment_preservation(2.0, z0, 1.0, 2, 100, seed=0)
+
+
+def test_moment_nan_stderr_is_not_a_pass():
+    # Z^2 overflows from a huge finite start; the NaN standard error must
+    # not turn into a deviation of 0 standard errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = moment_preservation(2.0, 1e200j, 1.0, 2, 100, seed=0).rows[0]
+    assert math.isnan(row["stderr"])
+    assert math.isnan(row["deviation_se"])
 
 
 def test_scheme_comparison_crossover():

@@ -1,20 +1,25 @@
 """Iterated integrals of the piecewise-linear driver lift."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slesim.brownian import BrownianPath
 from slesim.integrals import (compute_table, derive_seed, iterated_integral,
-                              l2_scaling_estimate, l2_scaling_samples,
                               word_entries)
 from slesim.vfalgebra import deg
 
 
 def _path(n=128, seed=5, T=1.0):
     return BrownianPath.sample_uniform(T, n, seed=seed)
+
+
+def _words_up_to(r):
+    """Every word of length <= r: by length, lexicographic within one."""
+    return [w for k in range(r + 1) for w in product((0, 1), repeat=k)]
 
 
 def test_level_zero_and_one():
@@ -74,11 +79,26 @@ def test_third_level_noise_cube():
     assert abs(tab.entry((1, 1, 1)) - b ** 3 / 6.0) <= 5e-4
 
 
-def test_single_entry_matches_table():
-    p = _path(seed=13)
-    tab = compute_table(p, 1.0, 3)
-    for word in [(0,), (1,), (0, 1), (1, 0), (1, 1, 0), (0, 1, 1)]:
-        assert iterated_integral(p, 1.0, word) == tab.entry(word)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 99), T=st.floats(1e-3, 1e2),
+       cuts=st.lists(st.integers(0, 10 ** 6), max_size=6),
+       refine=st.booleans(), r=st.integers(0, 5),
+       back=st.integers(0, 10 ** 6))
+@example(n=128, seed=13, T=1.0, cuts=[], refine=False, r=3, back=0)
+def test_single_entry_matches_table(n, seed, T, cuts, refine, r, back):
+    # an uneven grid, and a horizon t at any of its knots
+    p = _path(n=n, seed=seed, T=T)
+    for c in cuts:
+        p.insert_midpoint(c % p.n_intervals)
+    if refine:
+        p.refine()
+    stop = p.n_intervals - back % p.n_intervals
+    t = float(p.times[stop])
+    tab = compute_table(p, t, r)
+    assert tab.resolution == stop
+    assert list(tab.entries) == _words_up_to(r)
+    for word, value in tab.entries.items():
+        assert iterated_integral(p, t, word) == value
 
 
 _words = st.lists(
@@ -164,42 +184,18 @@ def test_derive_seed_is_stable_and_spread():
 
 
 def test_l2_coupling_makes_exponent_exact():
-    # deterministic words scale exactly; stochastic words scale exactly
-    # too because the rescaled path is evaluated replica by replica
-    t = 0.25
-    for word in [(0,), (1,), (0, 1), (1, 0)]:
-        at_t, at_1 = l2_scaling_samples(word, t, 100, 32, seed=1)
-        expo = np.log(np.abs(at_t) + 1e-300) - np.log(np.abs(at_1) + 1e-300)
-        expo /= math.log(t)
-        assert np.max(np.abs(expo - float(deg(word)))) < 1e-10
-
-
-@pytest.mark.parametrize("word,t,replicas,resolution,seed", [
-    ((1,), 0.25, 100, 32, 1),
-    ((1, 1, 0), 0.3, 130, 16, 2),
-    ((0, 0), 3.0, 129, 8, 5),
-    ((), 0.5, 100, 4, 0),
-])
-def test_l2_samples_equal_rescaled_path_loop(word, t, replicas, resolution,
-                                             seed):
-    at_t, at_1 = l2_scaling_samples(word, t, replicas, resolution, seed)
-    for i in range(replicas):
-        path = BrownianPath.sample_uniform(1.0, resolution,
-                                           derive_seed(seed, i))
-        scaled = path.rescale(1.0 / t)
-        assert at_1[i] == iterated_integral(path, 1.0, word)
-        assert at_t[i] == iterated_integral(scaled, scaled.horizon, word)
-
-
-def test_l2_norm_of_noise_entry():
-    # E[B(1)^2] = 1: straight Monte Carlo sanity on the uncoupled norm
-    _, at_1 = l2_scaling_samples((1,), 0.5, 3000, 16, seed=4)
-    var = float(np.mean(np.square(at_1)))
-    assert abs(var - 1.0) <= 3.0 * math.sqrt(2.0 / len(at_1))
-
-
-def test_l2_estimate_ratio():
-    t = 1.0 / 16.0
-    norm_t, norm_1 = l2_scaling_estimate((0, 1), t, 200, 32, seed=6)
-    expo = math.log(norm_t / norm_1) / math.log(t)
-    assert abs(expo - 1.5) < 1e-10
+    # Brownian scaling: on the grid times / c with samples values / sqrt(c)
+    # each entry is t^deg(word) times its value on the unit grid, t = 1/c.
+    # With c a power of 4 every operation of the quadrature scales by a
+    # power of 2, so the scaling holds bit for bit, row by row.
+    words = _words_up_to(4)
+    paths = [_path(n=32, seed=derive_seed(1, i)) for i in range(100)]
+    times = paths[0].times
+    values = np.array([p.values for p in paths])
+    at_1 = word_entries(times, values, words)
+    for c in (4.0, 16.0):
+        at_t = word_entries(times / c, values / math.sqrt(c), words)
+        for k, word in enumerate(words):
+            # t^deg = sqrt(t)^(2 deg), a power of 2 with an integer exponent
+            scale = (1.0 / math.sqrt(c)) ** int(2 * deg(word))
+            assert np.array_equal(at_t[:, k], at_1[:, k] * scale)
