@@ -13,7 +13,7 @@ command line exposes.
 
 from .brownian import BrownianPath, philox_stream, uniform_blocks
 from .halfplane import sqrt_h
-from .integrals import (IteratedIntegralTable, compute_table, derive_seed,
+from .integrals import (IteratedIntegralTable, compute_table, derive_seeds,
                         iterated_integral, word_entries)
 from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, euler_step,
                       flow_drift, flow_noise, nv_step, reference_solve,
@@ -32,7 +32,7 @@ __all__ = [
     "BrownianPath", "philox_stream", "uniform_blocks",
     "sqrt_h",
     "IteratedIntegralTable", "compute_table",
-    "derive_seed", "iterated_integral", "word_entries",
+    "derive_seeds", "iterated_integral", "word_entries",
     "REFERENCE_RTOL", "SCALED_NOISE", "UNIT_NOISE", "euler_step",
     "flow_drift", "flow_noise", "nv_step", "reference_solve", "taylor_step",
     "TraceRefinementError", "TraceResult", "build_trace", "render_svg",

@@ -19,6 +19,7 @@ that did not converge).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -59,6 +60,7 @@ def _finite(text: str) -> float:
     return value
 
 
+@functools.cache  # parsing leaves the parser as it was; build it once
 def _build_parser() -> _Parser:
     parser = _Parser(prog="slesim",
                      description="Splitting schemes, stochastic Taylor "

@@ -27,7 +27,7 @@ import numpy as np
 
 from .brownian import (BrownianPath, _uniform_grid, philox_stream,
                        uniform_blocks)
-from .integrals import compute_table, derive_seed, word_entries
+from .integrals import compute_table, derive_seeds, word_entries
 from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, euler_step,
                       nv_step, reference_solve, taylor_step)
 from .vfalgebra import compose, deg, eval_term, format_word
@@ -126,15 +126,16 @@ def _reference_errors(z0: complex, t: float, substeps: int,
     """Probe errors of every replica against its converged reference.
 
     Replica i draws its driver on ``substeps`` uniform intervals of [0, t]
-    from ``derive_seed(seed, first + i)``; ``probes(z0, path, t, ref)``
-    returns the errors measured against the candidate reference ``ref``
-    (see :func:`_converged_reference`).  Returns an array of shape
-    (replicas, number of errors), in replica order.
+    from the sub-seed of index ``first + i`` (see :func:`derive_seeds`);
+    ``probes(z0, path, t, ref)`` returns the errors measured against the
+    candidate reference ``ref`` (see :func:`_converged_reference`).
+    Returns an array of shape (replicas, number of errors), in replica
+    order.
     """
     errors = []
-    for i in range(replicas):
-        path = BrownianPath.sample_uniform(t, substeps,
-                                           derive_seed(seed, first + i))
+    seeds = derive_seeds(seed, range(first, first + replicas)).tolist()
+    for sub_seed in seeds:
+        path = BrownianPath.sample_uniform(t, substeps, sub_seed)
         errors.append(_converged_reference(z0, path, t, kappa,
                                            partial(probes, z0, path, t))[1])
     return np.array(errors)
@@ -214,8 +215,8 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
     # one driver per (replica, eps level), shared by all words
     integrals = []
     for lvl, t in enumerate(horizons):
-        seeds = [derive_seed(seed, lvl * replicas + i)
-                 for i in range(replicas)]
+        seeds = derive_seeds(seed, range(lvl * replicas,
+                                         (lvl + 1) * replicas)).tolist()
         entries = np.empty((replicas, len(live)))
         for rows, times, values in uniform_blocks(t, resolution, seeds):
             entries[rows] = word_entries(times, values, live)
@@ -262,8 +263,9 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     if not kappa >= 0.0:
         raise ValueError("kappa must be nonnegative")
     z0 = complex(z0)
-    if not cmath.isfinite(z0):
-        raise ValueError("z0 must be finite")
+    # Python complex arithmetic: no numpy overflow warning comes first
+    if not cmath.isfinite(z0 * z0):
+        raise ValueError("z0 and its square must be finite")
     times = _uniform_grid(T, n_steps).tolist()
     incs = philox_stream(seed, _TAG_MATRIX).standard_normal(
         (replicas, n_steps))

@@ -120,13 +120,14 @@ def _nv_steps(z: complex, cs, ds) -> complex:
         # copysign is called only for a zero imaginary part, so the
         # common cases pay one or two comparisons and no call
         s = _sqrt(z * z - c)
-        if s.imag <= 0.0 and (s.imag < 0.0 or _copysign(1.0, s.imag) < 0.0):
+        im = s.imag
+        if im <= 0.0 and (im < 0.0 or _copysign(1.0, im) < 0.0):
             s = -s
         y = s + d
-        s = _sqrt(y * y - c)
-        if s.imag <= 0.0 and (s.imag < 0.0 or _copysign(1.0, s.imag) < 0.0):
-            s = -s
-        z = s
+        z = _sqrt(y * y - c)
+        im = z.imag
+        if im <= 0.0 and (im < 0.0 or _copysign(1.0, im) < 0.0):
+            z = -z
     return z
 
 

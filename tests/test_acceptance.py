@@ -20,7 +20,7 @@ import slesim
 from slesim.brownian import BrownianPath
 from slesim.experiments import (divergence_probe, epsilon_scaling,
                                 moment_preservation)
-from slesim.integrals import compute_table, derive_seed, iterated_integral
+from slesim.integrals import compute_table, derive_seeds, iterated_integral
 from slesim.schemes import flow_drift, flow_noise, nv_step
 from slesim.trace import build_trace
 from slesim.vfalgebra import compose, deg, enumerate_level, eval_term
@@ -164,12 +164,12 @@ def test_criterion_6_integral_identities_and_scaling():
     for seed in range(5):
         path = BrownianPath.sample_uniform(1.0, 128, seed=seed)
         tab = compute_table(path, 1.0, 2)
-        lhs = tab.entry((0,)) * tab.entry((1,))
-        rhs = tab.entry((0, 1)) + tab.entry((1, 0))
+        lhs = tab.entries[(0,)] * tab.entries[(1,)]
+        rhs = tab.entries[(0, 1)] + tab.entries[(1, 0)]
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-        assert abs(tab.entry((0, 0)) - 0.5) <= 1e-12
+        assert abs(tab.entries[(0, 0)] - 0.5) <= 1e-12
         b = path.value_at(1.0)
-        assert abs(tab.entry((1, 1)) - 0.5 * b * b) <= 1e-12
+        assert abs(tab.entries[(1, 1)] - 0.5 * b * b) <= 1e-12
 
     t, replicas, resolution = 1.0 / 16.0, 10000, 64
     worst = 0.0
@@ -178,9 +178,10 @@ def test_criterion_6_integral_identities_and_scaling():
         for h_idx, (tag, horizon) in enumerate((("t", t), ("one", 1.0))):
             samples = np.empty(replicas)
             base = 1000 * (w_idx + 1) + h_idx  # fixed, independent streams
-            for i in range(replicas):
-                path = BrownianPath.sample_uniform(
-                    horizon, resolution, derive_seed(base, i))
+            seeds = derive_seeds(base, range(replicas)).tolist()
+            for i, sub_seed in enumerate(seeds):
+                path = BrownianPath.sample_uniform(horizon, resolution,
+                                                   sub_seed)
                 samples[i] = iterated_integral(path, horizon, word)
             sq[tag] = np.square(samples)
         norm_t, norm_1 = math.sqrt(sq["t"].mean()), math.sqrt(sq["one"].mean())

@@ -12,12 +12,19 @@ import pytest
 
 import slesim
 from slesim.brownian import BrownianPath
-from slesim.cli import main
+from slesim.cli import _build_parser, main
 from slesim.trace import build_trace
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def _fresh_env():
+    """Environment for a child interpreter that imports this package."""
+    src = str(Path(slesim.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_help_exits_zero(capsys):
@@ -31,6 +38,33 @@ def test_unknown_subcommand_exits_one(capsys):
 
 def test_unknown_flag_exits_one(capsys):
     assert run("scaling", "--what") == 1
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # one process, three runs: a bad flag between two valid runs, the
+    # last relying on defaults the first overrode; each one exits, prints
+    # and writes what it does in a fresh interpreter
+    assert _build_parser() is _build_parser()
+    runs = [["integrals", "--n", "4", "--r", "1", "--seed", "3"],
+            ["integrals", "--n", "4", "--what"],
+            ["integrals", "--r", "1"]]
+    for k, argv in enumerate(runs):
+        here, alone = tmp_path / f"here{k}", tmp_path / f"alone{k}"
+        code = run(*argv, "--out", str(here))
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "slesim.cli", *argv, "--out", str(alone)],
+            capture_output=True, text=True, env=_fresh_env())
+        assert code == proc.returncode == (1 if k == 1 else 0)
+        assert err == proc.stderr
+        assert out.replace(str(here), str(alone)) == proc.stdout
+        assert here.exists() == alone.exists() == (k != 1)
+        if k != 1:
+            assert ((here / "integrals.csv").read_bytes()
+                    == (alone / "integrals.csv").read_bytes())
+            config = [json.loads((d / "integrals.json").read_text())["config"]
+                      for d in (here, alone)]
+            assert config[0] == config[1]
 
 
 def test_missing_required_flag_exits_one(capsys):
@@ -200,13 +234,10 @@ def test_threads_flag_does_not_change_bytes(tmp_path):
 def test_import_leaves_out_the_executor():
     # replicas run in one serial loop; importing the package must not
     # pull in concurrent.futures
-    src = str(Path(slesim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, slesim; print(sorted(m for m in sys.modules "
             "if m.startswith('concurrent')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, check=True)
+                          text=True, env=_fresh_env(), check=True)
     assert proc.stdout.strip() == "[]"
 
 

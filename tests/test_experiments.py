@@ -9,6 +9,7 @@ import pytest
 
 from slesim import experiments
 from slesim.brownian import BrownianPath, philox_stream
+from slesim.cli import main
 from slesim.experiments import (ReferenceConvergenceError,
                                 _converged_reference, divergence_probe,
                                 epsilon_scaling, moment_preservation,
@@ -141,7 +142,7 @@ def test_moment_rows_equal_stored_matrix_recomputation():
                        "deviation_se": abs(mean - target) / se}
 
 
-def test_moment_validation():
+def test_moment_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         moment_preservation(2.0, 1j, 0.0, 4, 100, seed=0)
     with pytest.raises(ValueError):
@@ -150,17 +151,24 @@ def test_moment_validation():
         moment_preservation(2.0, 1j, 1.0, 4, 1, seed=0)
     with pytest.raises(ValueError, match="kappa"):
         moment_preservation(math.nan, 1j, 1.0, 4, 100, seed=0)
-    # refused before any arithmetic, so no RuntimeWarning comes first
-    for z0 in (complex(math.inf, 1.0), complex(0.0, math.nan)):
+    # refused before any arithmetic, so no RuntimeWarning comes first;
+    # 1e200j is finite but its square overflows
+    for z0 in (complex(math.inf, 1.0), complex(0.0, math.nan), 1e200j):
         with pytest.raises(ValueError, match="z0"):
             moment_preservation(2.0, z0, 1.0, 2, 100, seed=0)
+    out = tmp_path / "new"
+    assert main(["moments", "--z0-im", "1e200", "--replicas", "100",
+                 "--steps", "2", "--out", str(out)]) == 1
+    assert "z0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_moment_nan_stderr_is_not_a_pass():
-    # Z^2 overflows from a huge finite start; the NaN standard error must
-    # not turn into a deviation of 0 standard errors
+    # a huge finite kappa overflows the noise displacement squared; the
+    # NaN standard error must not turn into a deviation of 0 standard
+    # errors
     with np.errstate(over="ignore", invalid="ignore"):
-        row = moment_preservation(2.0, 1e200j, 1.0, 2, 100, seed=0).rows[0]
+        row = moment_preservation(1e308, 1j, 1.0, 2, 100, seed=0).rows[0]
     assert math.isnan(row["stderr"])
     assert math.isnan(row["deviation_se"])
 
@@ -206,6 +214,23 @@ def test_epsilon_scaling_probes_taylor_once_per_refinement(monkeypatch):
     assert calls["refine"] >= 3 * 7
     assert calls["compute_table"] == calls["refine"]
     assert calls["taylor_step"] == calls["refine"]
+
+
+def test_replica_seeds_build_no_seed_sequence(monkeypatch):
+    # every replica's sub-seed comes from one block hash per eps level
+    built = Counter()
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built["SeedSequence"] += 1
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    np.random.SeedSequence(0)  # the patch counts
+    assert built["SeedSequence"] == 1
+    divergence_probe(0.125, 0.5, [(1,), (0, 1)], 5, seed=2, resolution=8)
+    epsilon_scaling(EPS3, 0.5, 2, 2.0, 3, seed=4, substeps=8)
+    assert built["SeedSequence"] == 1
 
 
 def test_reference_convergence_error():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slesim.brownian import BrownianPath
-from slesim.integrals import (compute_table, derive_seed, iterated_integral,
+from slesim.integrals import (compute_table, derive_seeds, iterated_integral,
                               word_entries)
 from slesim.vfalgebra import deg
 
@@ -25,16 +25,17 @@ def _words_up_to(r):
 def test_level_zero_and_one():
     p = _path()
     tab = compute_table(p, 1.0, 1)
-    assert tab.entry(()) == 1.0
-    assert tab.entry((0,)) == 1.0  # elapsed time
-    assert abs(tab.entry((1,)) - p.value_at(1.0)) < 1e-15
+    assert tab.entries[()] == 1.0
+    assert tab.entries[(0,)] == 1.0  # elapsed time
+    assert abs(tab.entries[(1,)] - p.value_at(1.0)) < 1e-15
 
 
 def test_time_time_entry_is_half_t_squared():
     for t in (1.0, 0.5, 0.125):
         p = _path(T=1.0)
         tab = compute_table(p, t, 2)
-        assert abs(tab.entry((0, 0)) - 0.5 * t * t) <= 1e-12 * max(1.0, t * t)
+        assert (abs(tab.entries[(0, 0)] - 0.5 * t * t)
+                <= 1e-12 * max(1.0, t * t))
 
 
 def test_noise_noise_entry_telescopes():
@@ -42,7 +43,7 @@ def test_noise_noise_entry_telescopes():
     p = _path(seed=9)
     tab = compute_table(p, 1.0, 2)
     b = p.value_at(1.0)
-    assert abs(tab.entry((1, 1)) - 0.5 * b * b) <= 1e-14
+    assert abs(tab.entries[(1, 1)] - 0.5 * b * b) <= 1e-14
 
 
 def test_shuffle_identity_per_path():
@@ -50,8 +51,8 @@ def test_shuffle_identity_per_path():
     for seed in range(6):
         p = _path(seed=seed)
         tab = compute_table(p, 1.0, 2)
-        lhs = tab.entry((0,)) * tab.entry((1,))
-        rhs = tab.entry((0, 1)) + tab.entry((1, 0))
+        lhs = tab.entries[(0,)] * tab.entries[(1,)]
+        rhs = tab.entries[(0, 1)] + tab.entries[(1, 0)]
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -59,15 +60,15 @@ def test_second_shuffle_square():
     # X^(0)^2 = 2 X^(0,0) and X^(1)^2 = 2 X^(1,1)
     p = _path(seed=3)
     tab = compute_table(p, 1.0, 2)
-    assert abs(tab.entry((0,)) ** 2 - 2 * tab.entry((0, 0))) <= 1e-12
-    assert abs(tab.entry((1,)) ** 2 - 2 * tab.entry((1, 1))) <= 1e-12
+    assert abs(tab.entries[(0,)] ** 2 - 2 * tab.entries[(0, 0)]) <= 1e-12
+    assert abs(tab.entries[(1,)] ** 2 - 2 * tab.entries[(1, 1)]) <= 1e-12
 
 
 def test_third_level_deterministic_entry():
     # trapezoid integration of t^2/2 carries an O(h^2) defect
     p = _path(n=256)
     tab = compute_table(p, 1.0, 3)
-    assert abs(tab.entry((0, 0, 0)) - 1.0 / 6.0) <= 1e-5
+    assert abs(tab.entries[(0, 0, 0)] - 1.0 / 6.0) <= 1e-5
 
 
 def test_third_level_noise_cube():
@@ -76,7 +77,7 @@ def test_third_level_noise_cube():
     p = _path(n=4096, seed=11)
     tab = compute_table(p, 1.0, 3)
     b = p.value_at(1.0)
-    assert abs(tab.entry((1, 1, 1)) - b ** 3 / 6.0) <= 5e-4
+    assert abs(tab.entries[(1, 1, 1)] - b ** 3 / 6.0) <= 5e-4
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,8 +117,8 @@ def test_word_entries_equal_iterated_integral_bitwise(words, zeros, rows, n,
     # shared and duplicate prefixes, plus a word made only of 0s
     w0 = words[0]
     words = words + [w0, w0[:-1], w0 + (1,), (0,) * zeros]
-    paths = [BrownianPath.sample_uniform(T, n, seed=derive_seed(seed, i))
-             for i in range(rows)]
+    paths = [BrownianPath.sample_uniform(T, n, seed=s)
+             for s in derive_seeds(seed, range(rows)).tolist()]
     times = paths[0].times
     values = np.array([p.values for p in paths])
     entries = word_entries(times, values, words)
@@ -163,7 +164,7 @@ def test_depth_and_entry_access():
     tab = compute_table(p, 1.0, 2)
     assert tab.depth == 2
     with pytest.raises(KeyError):
-        tab.entry((1, 1, 1))
+        tab.entries[(1, 1, 1)]
 
 
 def test_validation():
@@ -176,11 +177,45 @@ def test_validation():
         compute_table(p, 1.0, 99)  # level cap
 
 
-def test_derive_seed_is_stable_and_spread():
-    assert derive_seed(0, 0) == derive_seed(0, 0)
-    seen = {derive_seed(7, i) for i in range(100)}
+def test_derive_seeds_is_stable_and_spread():
+    assert derive_seeds(0, [0]).tolist() == derive_seeds(0, [0]).tolist()
+    seen = set(derive_seeds(7, range(100)).tolist())
     assert len(seen) == 100
-    assert derive_seed(7, 1) != derive_seed(8, 1)
+    assert derive_seeds(7, [1]).tolist() != derive_seeds(8, [1]).tolist()
+
+
+def _seed_sequence_state(seed, index):
+    entropy = (seed & (2 ** 64 - 1), index)
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+_WORD = 2 ** 32
+_U64 = 2 ** 64 - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(-2 ** 70, 2 ** 70),
+       indices=st.lists(st.integers(0, _U64), max_size=8))
+@example(seed=0, indices=[0, _WORD - 1, _WORD, _U64])
+@example(seed=_WORD - 1, indices=[1, _WORD + 1, 5, _WORD - 1])
+@example(seed=_WORD, indices=[_WORD, 0, _U64, 3])
+@example(seed=_U64, indices=[0, _U64, _WORD - 1, _WORD])
+@example(seed=-1, indices=[7, 2 ** 63])
+@example(seed=-_WORD, indices=[_WORD - 1, _WORD])
+def test_derive_seeds_equal_seed_sequence(seed, indices):
+    # blocks mix indices of one uint32 word (< 2**32) and of two
+    got = derive_seeds(seed, indices)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [_seed_sequence_state(seed, i) for i in indices]
+
+
+def test_derive_seeds_empty_block_and_negative_index():
+    assert derive_seeds(3, []).shape == (0,)
+    assert derive_seeds(3, range(0)).dtype == np.uint64
+    with pytest.raises(ValueError):
+        derive_seeds(3, [0, -1])
+    with pytest.raises(ValueError):
+        np.random.SeedSequence((3, -1))  # the oracle refuses it too
 
 
 def test_l2_coupling_makes_exponent_exact():
@@ -189,7 +224,8 @@ def test_l2_coupling_makes_exponent_exact():
     # With c a power of 4 every operation of the quadrature scales by a
     # power of 2, so the scaling holds bit for bit, row by row.
     words = _words_up_to(4)
-    paths = [_path(n=32, seed=derive_seed(1, i)) for i in range(100)]
+    paths = [_path(n=32, seed=s)
+             for s in derive_seeds(1, range(100)).tolist()]
     times = paths[0].times
     values = np.array([p.values for p in paths])
     at_1 = word_entries(times, values, words)
