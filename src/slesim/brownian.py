@@ -47,29 +47,52 @@ def philox_stream(seed: int, tag: int) -> np.random.Generator:
 _local = threading.local()
 
 
-def _normals(seed: int, tag: int, size=None):
-    """``philox_stream(seed, tag).standard_normal(size)``, bit for bit.
+def _philox():
+    """This thread's Philox, its generator and its reset state.
 
-    Resets this thread's Philox to the state a new stream starts in: key
-    (seed, tag), zero counter, empty output buffer.  The state setter
-    reads the words one at a time, which is cheaper from Python int lists
-    than from numpy arrays.
+    Setting ``bitgen.state = state`` puts the generator in the state a
+    new stream starts in: key ``state["state"]["key"]``, zero counter,
+    empty output buffer.  The state setter reads the words one at a time,
+    which is cheaper from Python int lists than from numpy arrays.
     """
     try:
-        bitgen, gen, state = _local.philox
+        return _local.philox
     except AttributeError:
         bitgen = np.random.Philox()
-        gen = np.random.Generator(bitgen)
         state = {"bit_generator": "Philox",
                  "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
                  "buffer": [0, 0, 0, 0],
                  "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        _local.philox = bitgen, gen, state
+        _local.philox = bitgen, np.random.Generator(bitgen), state
+        return _local.philox
+
+
+def _normals(seed: int, tag: int, size=None):
+    """``philox_stream(seed, tag).standard_normal(size)``, bit for bit."""
+    bitgen, gen, state = _philox()
     key = state["state"]["key"]
     key[0] = seed & _MASK64
     key[1] = tag & _MASK64
     bitgen.state = state
     return gen.standard_normal(size)
+
+
+def _keyed_normals(seed: int, tags) -> list[float]:
+    """``[_normals(seed, tag) for tag in tags]``, bit for bit.
+
+    The lookups are hoisted out of the loop, which leaves one reset and
+    one draw per tag.  Tags must already lie in [0, 2**64).
+    """
+    bitgen, gen, state = _philox()
+    key = state["state"]["key"]
+    key[0] = seed & _MASK64
+    normal = gen.standard_normal
+    out = []
+    for tag in tags:
+        key[1] = tag
+        bitgen.state = state
+        out.append(normal())
+    return out
 
 
 def _time_tag(t: float) -> int:
@@ -119,6 +142,46 @@ def _uniform_block(T: float, n: int, seeds) -> np.ndarray:
         row[1:] = _normals(seed, _TAG_INCREMENTS, n)
     np.cumsum(values[:, 1:] * sqrt(T / n), axis=1, out=values[:, 1:])
     return values
+
+
+def _bisect(t: np.ndarray, v: np.ndarray, seeds,
+            bridge_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Every interval of grid ``t`` gains its midpoint, in every row of ``v``.
+
+    ``v`` holds one driver per row, sampled on ``t``; row r draws its
+    bridge midpoints keyed by ``seeds[r]`` and the bit pattern of the
+    midpoint time, exactly as :meth:`BrownianPath.insert_midpoint`
+    would, scaled by ``bridge_scale``.  Returns the refined grid and
+    values.  If some interval cannot be bisected in float64, raises
+    ValueError.
+    """
+    t0, t1 = t[:-1], t[1:]
+    # one float64 ufunc per scalar operation: the same roundings
+    tm = 0.5 * (t0 + t1)
+    stuck = np.flatnonzero(~((t0 < tm) & (tm < t1)))
+    if stuck.size:
+        i = stuck[0]
+        raise ValueError(f"interval ({float(t0[i])!r}, "
+                         f"{float(t1[i])!r}) cannot be bisected in "
+                         "float64")
+    sd = np.sqrt(0.25 * (t1 - t0)) * bridge_scale
+    # a zero-width bridge draws nothing
+    live = np.flatnonzero(sd)
+    tags = tm[live].view(np.uint64).tolist()
+    xi = np.zeros((len(v), len(tm)))
+    for row, seed in zip(xi, seeds):
+        row[live] = _keyed_normals(seed, tags)
+    times = np.empty(2 * len(t) - 1)
+    values = np.empty((len(v), len(times)))
+    times[0::2], times[1::2] = t, tm
+    values[:, 0::2] = v
+    # the midpoint 0.5 * (left + right) + sd * xi, formed in place
+    mid = values[:, 1::2]
+    np.add(v[:, :-1], v[:, 1:], out=mid)
+    mid *= 0.5
+    xi *= sd
+    mid += xi
+    return times, values
 
 
 def uniform_blocks(T: float, n: int, seeds):
@@ -249,28 +312,13 @@ class BrownianPath:
         """One full bisection pass: every interval gains its midpoint.
 
         Bit for bit the same as :meth:`insert_midpoint` on every interval,
-        done in one array pass.  If some interval cannot be bisected in
-        float64, raises ValueError and leaves the path unchanged.
+        done in one array pass, :func:`_bisect`, which also refines blocks
+        of drivers that share a grid.  If some interval cannot be bisected
+        in float64, raises ValueError and leaves the path unchanged.
         """
-        t, v = self.times, self.values
-        t0, t1 = t[:-1], t[1:]
-        # one float64 ufunc per scalar operation: the same roundings
-        tm = 0.5 * (t0 + t1)
-        stuck = np.flatnonzero(~((t0 < tm) & (tm < t1)))
-        if stuck.size:
-            i = stuck[0]
-            raise ValueError(f"interval ({float(t0[i])!r}, "
-                             f"{float(t1[i])!r}) cannot be bisected in "
-                             "float64")
-        sd = np.sqrt(0.25 * (t1 - t0)) * self._bridge_scale
-        xi = np.array([_normals(self.seed, tag) if s else 0.0
-                       for tag, s in zip(tm.view(np.uint64).tolist(),
-                                         sd.tolist())])
-        vm = 0.5 * (v[:-1] + v[1:]) + sd * xi
-        times = np.empty(2 * len(t) - 1)
-        values = np.empty(2 * len(t) - 1)
-        times[0::2], times[1::2] = t, tm
-        values[0::2], values[1::2] = v, vm
+        times, values = _bisect(self.times, self.values[None, :],
+                                [self.seed], self._bridge_scale)
+        values = values[0]
         self._times = times.tolist()
         self._values = values.tolist()
         self._cache = (times, values)

@@ -13,7 +13,7 @@ accepted on every subcommand and ignored.
 Exit codes: 0 success, 1 validation error (bad flags, existing outputs
 without --force), 2 numerical failure (a trace interval still too coarse
 after its bisection budget or at the float64 limit of time, a reference
-that did not converge).
+that did not converge, a ``moments`` run that overflows float64).
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import experiments as ex
 from .brownian import BrownianPath
@@ -210,10 +212,21 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    z0 = complex(args.z0_re, args.z0_im)
-    return _run_report(args, "moments", lambda: (ex.moment_preservation(
-        args.kappa, z0, args.horizon, args.steps, args.replicas,
-        args.seed),))
+    def runner():
+        # float64 overflow is a numerical failure, not a row of inf or nan
+        failure = "the run left the float64 range ({})"
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                report = ex.moment_preservation(
+                    args.kappa, complex(args.z0_re, args.z0_im),
+                    args.horizon, args.steps, args.replicas, args.seed)
+        except FloatingPointError as exc:
+            raise FloatingPointError(failure.format(exc)) from None
+        if not all(map(math.isfinite, (v for row in report.rows
+                                       for v in row.values()))):
+            raise FloatingPointError(failure.format("a row is not finite"))
+        return report,
+    return _run_report(args, "moments", runner)
 
 
 def _cmd_compare(args) -> int:
@@ -271,7 +284,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"slesim: error: {exc}", file=sys.stderr)
         return 1
-    except (TraceRefinementError, ex.ReferenceConvergenceError) as exc:
+    except (TraceRefinementError, ex.ReferenceConvergenceError,
+            FloatingPointError) as exc:
         print(f"slesim: numerical failure: {exc}", file=sys.stderr)
         return 2
 

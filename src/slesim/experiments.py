@@ -2,8 +2,10 @@
 
 Each experiment returns an :class:`ExperimentReport` that is a bitwise
 deterministic function of (config, seed): every random draw is keyed by
-seed and replica index, replicas run serially in index order, and
-reductions use numpy's fixed-order pairwise summation.  Reports are
+seed and replica index, every replica's arithmetic is independent of the
+others (also where replicas step together as the lanes of one array),
+results are collected in replica order, and reductions use numpy's
+fixed-order pairwise summation.  Reports are
 written as CSV plus a JSON sidecar; only the sidecar carries wall-clock
 metadata.
 
@@ -17,19 +19,19 @@ error).
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from math import log, sqrt
+from math import isfinite, log, nan, sqrt
 
 import numpy as np
 
-from .brownian import (BrownianPath, _uniform_grid, philox_stream,
+from .brownian import (BrownianPath, _bisect, _uniform_grid, philox_stream,
                        uniform_blocks)
-from .integrals import compute_table, derive_seeds, word_entries
-from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, euler_step,
-                      nv_step, reference_solve, taylor_step)
+from .integrals import IteratedIntegralTable, derive_seeds, word_entries
+from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, _nv_lanes,
+                      euler_step, nv_step, reference_solve, taylor_step)
 from .vfalgebra import compose, deg, eval_term, format_word
 
 __all__ = [
@@ -47,6 +49,16 @@ __all__ = [
 # the driver is refined once more; see the module docstring.
 REF_ERROR_FRACTION = 0.05
 _MAX_DOUBLINGS = 10
+# Below this many unconverged lanes a doubling solves each reference with
+# the scalar reference_solve: one step of _nv_lanes makes ~25 numpy calls,
+# 35-40 us at widths 24-96, and one scalar map costs ~0.6 us (measured on
+# a 2-vCPU Xeon VM), so the two break even near 64 lanes.
+_LANE_CROSSOVER = 64
+# Steps per call of _nv_lanes: bounds its (steps, lanes) input arrays.
+_STEP_BLOCK = 32
+
+# Drivers per block of iterated integrals in a reference probe.
+_PROBE_ROWS = 16
 
 # Stream tag for experiments that draw increment matrices directly.
 _TAG_MATRIX = 0xE1
@@ -93,52 +105,125 @@ def _l2_and_stderr(samples: np.ndarray) -> tuple[float, float]:
     return sqrt(m), se_m / (2.0 * sqrt(m))
 
 
-def _converged_reference(z0: complex, path: BrownianPath, t: float,
-                         kappa: float, probes) -> tuple[complex, tuple]:
-    """Refine the driver until the reference stops moving.
+def _reference_errors(starts, horizons, substeps: int, kappa: float,
+                      depth: int, probes, seed: int,
+                      replicas: int) -> tuple[list, list]:
+    """Probe errors of every replica of every row against its reference.
 
-    ``probes`` maps the candidate reference to the tuple of errors the
-    caller measures against it, on the driver as refined so far; the
-    change under one more refinement must stay below REF_ERROR_FRACTION
-    of the smallest of them (or below REFERENCE_RTOL relative, whichever
-    is larger).  Returns the accepted reference and its errors, which
-    are final: the driver is not refined after they are probed.
+    Row j starts at ``starts[j]`` and ends at ``horizons[j]``; its replica
+    i draws its driver on ``substeps`` uniform intervals from the sub-seed
+    of index ``j * replicas + i`` (see :func:`derive_seeds`).  A replica's
+    reference is the splitting solution on its driver, refined one
+    bisection pass at a time until one more pass moves it by at most
+    REF_ERROR_FRACTION of the smallest error it is probed with, or by
+    REFERENCE_RTOL relative, whichever is larger.  ``probes(z0, t, table,
+    b)`` returns the approximations to measure on the driver as refined so
+    far: ``table`` holds its iterated integrals up to length ``depth``
+    over [0, t], ``b`` its value at t.  Accepted errors are final: a
+    driver is not refined after its errors are probed.
+
+    Every replica of every row is a lane, and all lanes double together.
+    The drivers of a row share one grid at every doubling, so they are the
+    rows of one array; see :func:`_solve` for how the references step.
+
+    Returns ``(errors, doublings)``: ``errors[j]`` is an array of shape
+    (replicas, number of probes) in replica order, and entry k of
+    ``doublings[j]`` counts the replicas of row j accepted after k
+    doublings.  Raises ReferenceConvergenceError for the first replica,
+    in (row, replica) order, still moving after _MAX_DOUBLINGS doublings.
     """
-    ref = reference_solve(z0, path, t, kappa)
-    for _ in range(_MAX_DOUBLINGS):
-        path.refine()
-        finer = reference_solve(z0, path, t, kappa)
-        errors = probes(finer)
-        moved = abs(finer - ref)
-        budget = max(REF_ERROR_FRACTION * min(errors),
-                     REFERENCE_RTOL * abs(finer))
-        if moved <= budget:
-            return finer, errors
-        ref = finer
-    raise ReferenceConvergenceError(
-        f"reference still moving by {moved:.3g} after {_MAX_DOUBLINGS} "
-        f"refinements (budget {budget:.3g})")
+    rows = range(len(horizons))
+    seeds = [derive_seeds(seed, range(j * replicas, (j + 1) * replicas))
+             .tolist() for j in rows]
+    # the words of compute_table(path, t, depth), in its order
+    words = [w for n in range(depth + 1)
+             for w in itertools.product((0, 1), repeat=n)]
+    grids = [_uniform_grid(t, substeps) for t in horizons]
+    # per row: the replicas still moving, their drivers (values[j][k] is
+    # replica live[j][k] on grids[j]) and their references so far
+    live = [list(range(replicas)) for _ in rows]
+    values = [np.concatenate([block for _, _, block in uniform_blocks(
+        horizons[j], substeps, seeds[j])]) for j in rows]
+    refs = _solve(starts, horizons, grids, values, kappa, seeds, live)
+    errors = [[None] * replicas for _ in rows]
+    accepted_at = [[0] * replicas for _ in rows]
+    for doubling in range(1, _MAX_DOUBLINGS + 1):
+        for j in rows:
+            if live[j]:
+                grids[j], values[j] = _bisect(
+                    grids[j], values[j], [seeds[j][i] for i in live[j]])
+        finer = _solve(starts, horizons, grids, values, kappa, seeds, live)
+        moving = []
+        for j in rows:
+            keep = []
+            for a in range(0, len(live[j]), _PROBE_ROWS):
+                block = values[j][a:a + _PROBE_ROWS]
+                entries = word_entries(grids[j], block, words).tolist()
+                for k, row, end in zip(range(a, a + len(block)), entries,
+                                       block[:, -1].tolist()):
+                    table = IteratedIntegralTable(dict(zip(words, row)),
+                                                  len(grids[j]) - 1)
+                    new = finer[j][k]
+                    errs = tuple(abs(new - approx) for approx in
+                                 probes(starts[j], horizons[j], table, end))
+                    moved = abs(new - refs[j][k])
+                    budget = max(REF_ERROR_FRACTION * min(errs),
+                                 REFERENCE_RTOL * abs(new))
+                    if moved <= budget:
+                        errors[j][live[j][k]] = errs
+                        accepted_at[j][live[j][k]] = doubling
+                    else:
+                        keep.append(k)
+                        moving.append((moved, budget))
+            live[j] = [live[j][k] for k in keep]
+            values[j] = values[j][keep]
+            refs[j] = [finer[j][k] for k in keep]
+        if not moving:
+            break
+    else:
+        moved, budget = moving[0]
+        raise ReferenceConvergenceError(
+            f"reference still moving by {moved:.3g} after {_MAX_DOUBLINGS} "
+            f"refinements (budget {budget:.3g})")
+    return ([np.array(e) for e in errors],
+            [np.bincount(d).tolist() for d in accepted_at])
 
 
-def _reference_errors(z0: complex, t: float, substeps: int,
-                      kappa: float, probes, seed: int, first: int,
-                      replicas: int) -> np.ndarray:
-    """Probe errors of every replica against its converged reference.
+def _solve(starts, horizons, grids, values, kappa, seeds, live) -> list:
+    """Splitting solution on every live driver, as lists of Python complex.
 
-    Replica i draws its driver on ``substeps`` uniform intervals of [0, t]
-    from the sub-seed of index ``first + i`` (see :func:`derive_seeds`);
-    ``probes(z0, path, t, ref)`` returns the errors measured against the
-    candidate reference ``ref`` (see :func:`_converged_reference`).
-    Returns an array of shape (replicas, number of errors), in replica
-    order.
+    Row j's drivers are the rows of ``values[j]``, on ``grids[j]``, for
+    its replicas ``live[j]`` (keyed by ``seeds[j]``).  While
+    _LANE_CROSSOVER or more drivers are live, every solution is one lane
+    of ``_nv_lanes``; below that, each is its own ``reference_solve``.
+    Both are bit for bit the scalar kernel.
     """
-    errors = []
-    seeds = derive_seeds(seed, range(first, first + replicas)).tolist()
-    for sub_seed in seeds:
-        path = BrownianPath.sample_uniform(t, substeps, sub_seed)
-        errors.append(_converged_reference(z0, path, t, kappa,
-                                           partial(probes, z0, path, t))[1])
-    return np.array(errors)
+    used = [j for j in range(len(live)) if live[j]]
+    width = sum(len(live[j]) for j in used)
+    if width < _LANE_CROSSOVER:
+        return [[reference_solve(starts[j], BrownianPath(
+                    grids[j], v, seeds[j][i]), horizons[j], kappa)
+                 for i, v in zip(live[j], values[j])]
+                for j in range(len(live))]
+    # drift time of each step in each used row: 2h/kappa, as reference_solve
+    drift = {j: 2.0 * np.diff(grids[j]) / kappa for j in used}
+    steps = len(drift[used[0]])
+    z = [starts[j] for j in used for _ in live[j]]
+    # a block of steps at a time keeps the (steps, lanes) arrays small
+    for a in range(0, steps, _STEP_BLOCK):
+        b = min(a + _STEP_BLOCK, steps)
+        cs, ds = np.empty((b - a, width)), np.empty((b - a, width))
+        lane = 0
+        for j in used:
+            lanes = slice(lane, lane + len(live[j]))
+            cs[:, lanes] = drift[j][a:b, None]
+            # each driver's noise displacements, as np.diff
+            np.subtract(values[j][:, a + 1:b + 1].T, values[j][:, a:b].T,
+                        out=ds[:, lanes])
+            lane = lanes.stop
+        z = _nv_lanes(z, cs, ds)
+    flat = iter(z.tolist())
+    return [[next(flat) for _ in live[j]] for j in range(len(live))]
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +250,16 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
 
-    def probes(z0, path, t, ref) -> tuple:
-        table = compute_table(path, t, r)
-        return (abs(ref - taylor_step(z0, table, r, kappa)),)
+    def probes(z0, t, table, b) -> tuple:
+        return (taylor_step(z0, table, r, kappa),)
 
+    horizons = [eps ** (2.0 + delta) for eps in eps_list]
+    errors, doublings = _reference_errors(
+        [complex(0.0, eps) for eps in eps_list], horizons, substeps, kappa,
+        r, probes, seed, replicas)
     rows = []
-    for j, eps in enumerate(eps_list):
-        t = eps ** (2.0 + delta)
-        errors = _reference_errors(complex(0.0, eps), t, substeps, kappa,
-                                   probes, seed, j * replicas, replicas)
-        l2, se = _l2_and_stderr(errors[:, 0])
+    for eps, t, errs in zip(eps_list, horizons, errors):
+        l2, se = _l2_and_stderr(errs[:, 0])
         rows.append({"eps": eps, "horizon": t, "l2_error": l2,
                      "stderr": se, "replicas": replicas})
 
@@ -184,7 +269,8 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
                           [row["l2_error"] for row in rows])
     config = {"eps_list": eps_list, "delta": delta, "r": r, "kappa": kappa,
               "replicas": replicas, "substeps": substeps}
-    return ExperimentReport("epsilon_scaling", rows, fit, config, seed)
+    return ExperimentReport("epsilon_scaling", rows, fit, config, seed,
+                            {"reference_doublings": doublings})
 
 
 def divergence_probe(eps: float, delta: float, words, replicas: int,
@@ -256,7 +342,9 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
 
     The splitting step preserves this second-moment recursion exactly in
     expectation, so deviations are pure Monte Carlo noise; each row
-    reports the deviation in standard errors.
+    reports the deviation in standard errors.  Float64 overflow follows
+    numpy's error state (the CLI makes it raise FloatingPointError); when
+    it is ignored, an overflowed row has a NaN deviation.
     """
     if not T > 0.0 or n_steps < 1 or replicas < 2:
         raise ValueError("need T > 0, n_steps >= 1, replicas >= 2")
@@ -281,8 +369,14 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
         target = z0 * z0 + (kappa - 4.0) * t
         se = sqrt((float(np.var(square.real))
                    + float(np.var(square.imag))) / replicas)
-        # a NaN se stays NaN; only an exact 0 (no spread at all) gives 0
-        dev = abs(mean - target) / se if se != 0.0 else 0.0
+        # only an exact 0 (no spread at all) gives 0; a NaN or overflowed
+        # se gives NaN, never a deviation that reads as a pass
+        if se == 0.0:
+            dev = 0.0
+        elif isfinite(se):
+            dev = abs(mean - target) / se
+        else:
+            dev = nan
         rows.append({"t": t, "mean_re": mean.real, "mean_im": mean.imag,
                      "target_re": target.real, "target_im": target.imag,
                      "stderr": se, "deviation_se": dev})
@@ -305,20 +399,18 @@ def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
 
-    def probes(z0, path, t, ref) -> tuple:
-        table = compute_table(path, t, 3)
-        b = path.value_at(t)
-        return tuple(abs(ref - a) for a in (
-            euler_step(z0, t, b, kappa),
-            taylor_step(z0, table, 2, kappa),
-            taylor_step(z0, table, 3, kappa),
-            nv_step(z0, t, b, kappa, UNIT_NOISE)))
+    def probes(z0, t, table, b) -> tuple:
+        return (euler_step(z0, t, b, kappa),
+                taylor_step(z0, table, 2, kappa),
+                taylor_step(z0, table, 3, kappa),
+                nv_step(z0, t, b, kappa, UNIT_NOISE))
 
+    errors, doublings = _reference_errors(
+        [complex(0.0, eps)] * len(horizons), horizons, substeps, kappa, 3,
+        probes, seed, replicas)
+    labels = ("euler_l2", "taylor2_l2", "taylor3_l2", "nv_l2")
     rows = []
-    for j, t in enumerate(horizons):
-        errs = _reference_errors(complex(0.0, eps), t, substeps, kappa,
-                                 probes, seed, j * replicas, replicas)
-        labels = ("euler_l2", "taylor2_l2", "taylor3_l2", "nv_l2")
+    for t, errs in zip(horizons, errors):
         row = {"horizon": t}
         for col, label in enumerate(labels):
             row[label] = _l2_and_stderr(errs[:, col])[0]
@@ -326,7 +418,8 @@ def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
 
     config = {"kappa": kappa, "eps": eps, "horizons": horizons,
               "replicas": replicas, "substeps": substeps}
-    return ExperimentReport("scheme_comparison", rows, None, config, seed)
+    return ExperimentReport("scheme_comparison", rows, None, config, seed,
+                            {"reference_doublings": doublings})
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ the nonnegative real axis it agrees with the ordinary real square root, and
 the sign of a zero imaginary part decides the side of the cut, so the maps
 extend continuously to the negative real axis.  The scalar splitting kernel
 ``schemes._nv_steps`` inlines the same flip rule, so a change to the branch
-must change both.
+must change both; the lane kernel ``schemes._nv_lanes`` shares the array
+form of the flip, ``_flip_up``, with ``sqrt_h``.
 """
 
 from __future__ import annotations
@@ -47,9 +48,19 @@ def sqrt_h(w):
         nonnegative real root.
     """
     if isinstance(w, np.ndarray):
-        s = np.sqrt(w.astype(np.complex128, copy=False))
-        return np.where(np.signbit(s.imag), -s, s)
+        # a fresh array even for a 0-d or complex128 ``w``, so the root
+        # and the flip can work in place
+        s = w.astype(np.complex128)
+        return _flip_up(np.sqrt(s, out=s))
     s = cmath.sqrt(w)
     if s.imag <= 0.0 and copysign(1.0, s.imag) < 0.0:
         s = -s
+    return s
+
+
+def _flip_up(s: np.ndarray) -> np.ndarray:
+    """Negate in place each root of complex array ``s`` whose imaginary
+    part has its sign bit set; returns ``s``.  The array form of the
+    ``sqrt_h`` flip."""
+    np.negative(s, out=s, where=np.signbit(s.imag))
     return s

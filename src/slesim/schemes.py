@@ -31,7 +31,7 @@ from math import copysign, sqrt
 import numpy as np
 
 from .brownian import BrownianPath
-from .halfplane import sqrt_h
+from .halfplane import _flip_up, sqrt_h
 from .integrals import IteratedIntegralTable
 from .vfalgebra import LEVEL_CAP, enumerate_level, eval_term
 
@@ -94,15 +94,19 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
         raise ValueError("kappa must be nonnegative")
     if convention == SCALED_NOISE:
         c = 2.0 * h
-        y = sqrt_h(z * z - c) + sqrt(kappa) * dB
+        dB = sqrt(kappa) * dB
     elif convention == UNIT_NOISE:
         if kappa == 0.0:
             raise ValueError("unit_noise requires kappa > 0")
         c = 2.0 * h / kappa
-        y = sqrt_h(z * z - c) + dB
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    return sqrt_h(y * y - c)
+    # y * y is a new complex array (or a scalar), so the shift can work
+    # in place; z * z - c cannot, as ``z`` may be an int array
+    y = sqrt_h(z * z - c) + dB
+    w = y * y
+    w -= c
+    return sqrt_h(w)
 
 
 def _nv_steps(z: complex, cs, ds) -> complex:
@@ -128,6 +132,58 @@ def _nv_steps(z: complex, cs, ds) -> complex:
         im = z.imag
         if im <= 0.0 and (im < 0.0 or _copysign(1.0, im) < 0.0):
             z = -z
+    return z
+
+
+# Lane roots are taken by np.sqrt only while both parts of every argument
+# lie in [2**-500, 2**500].  There numpy's complex root and cmath.sqrt run
+# the same hypot/sqrt algorithm up to exact power-of-two scalings, so they
+# agree bit for bit; they can part at a zero part (np.sqrt(1j) differs),
+# at subnormal parts and near overflow, where each library rescales its
+# own way.
+_LANE_BOX = (2.0 ** -500, 2.0 ** 500)
+
+
+def _nv_lanes(z, cs, ds) -> np.ndarray:
+    """``_nv_steps`` for many lanes at once, bit for bit per lane.
+
+    Lane k starts at ``z[k]`` and takes step j with ``cs[j][k]`` and
+    ``ds[j][k]``; ``z`` is a sequence of complex starts, ``cs`` and
+    ``ds`` are (steps, lanes) arrays.  Each square is formed from real
+    float64 ufuncs in CPython's order for a complex product.  Each root
+    is ``np.sqrt`` of the whole lane array and the ``sqrt_h`` flip; a
+    root whose argument leaves the box ``_LANE_BOX`` in any lane is taken
+    lane by lane with the scalar ``sqrt_h``.
+    """
+    z = np.array(z, dtype=np.complex128)
+    s, w = np.empty_like(z), np.empty_like(z)
+    s_re, w_re, w_im, w_parts = s.real, w.real, w.imag, w.view(np.float64)
+    square, size = np.empty(len(z)), np.empty(2 * len(z))
+    lo, hi = _LANE_BOX
+
+    def root(x, c, out):
+        # w = x * x - c: (re*re - im*im) - c and re*im + im*re
+        x_re, x_im = x.real, x.imag
+        np.multiply(x_re, x_re, out=w_re)
+        np.multiply(x_im, x_im, out=square)
+        np.subtract(w_re, square, out=w_re)
+        np.subtract(w_re, c, out=w_re)
+        np.multiply(x_re, x_im, out=w_im)
+        np.add(w_im, w_im, out=w_im)
+        np.absolute(w_parts, out=size)
+        if lo <= size.min() and size.max() <= hi:
+            _flip_up(np.sqrt(w, out=out))
+        else:
+            out[:] = [sqrt_h(v) for v in w.tolist()]
+
+    # overflow gives inf and nan silently, as in the scalar kernel
+    with np.errstate(all="ignore"):
+        for c, d in zip(cs, ds):
+            root(z, c, s)
+            # the root's imaginary part has a clear sign bit, so adding
+            # 0.0 to it, as CPython's complex + float does, changes nothing
+            np.add(s_re, d, out=s_re)
+            root(s, c, z)
     return z
 
 

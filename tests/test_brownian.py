@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slesim.brownian import (BrownianPath, _normals, _uniform_grid,
-                             philox_stream, uniform_blocks)
+from slesim.brownian import (BrownianPath, _bisect, _keyed_normals, _normals,
+                             _uniform_grid, philox_stream, uniform_blocks)
 
 
 def test_same_seed_same_path():
@@ -130,6 +130,30 @@ def test_refine_equals_reversed_midpoint_loop(seed, n):
     assert a.values.tolist() == b.values.tolist()
     assert [a.sample(i) for i in range(len(a))] == \
         [b.sample(i) for i in range(len(b))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 40), st.integers(1, 9),
+       st.floats(1e-6, 1e3))
+def test_block_bisection_equals_path_refine(seed, n, rows, T):
+    # one row per driver, all on the uniform grid: three passes over the
+    # block give each path's own refine() bits, draws included
+    seeds = list(range(seed, seed + rows))
+    (_, times, values), = uniform_blocks(T, n, seeds)
+    paths = [BrownianPath.sample_uniform(T, n, s) for s in seeds]
+    for _ in range(3):
+        times, values = _bisect(times, values, seeds)
+        for path in paths:
+            path.refine()
+    for path, row in zip(paths, values.tolist()):
+        assert path.times.tolist() == times.tolist()
+        assert path.values.tolist() == row
+
+
+def test_keyed_normals_equal_one_draw_per_tag():
+    tags = [1, 2 ** 64 - 1, 0x3FE0000000000000, 12345]
+    assert _keyed_normals(77, tags) == [_normals(77, t) for t in tags]
+    assert _keyed_normals(-3, []) == []
 
 
 def test_refine_of_unbisectable_interval_leaves_path_unchanged():

@@ -209,6 +209,22 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["scaling", "compare"])
+def test_reference_doublings_in_sidecar(tmp_path, command):
+    # the per-row histogram is deterministic and leaves the CSV alone
+    for sub in ("a", "b"):
+        assert run(command, "--replicas", "30", "--seed", "4",
+                   "--out", str(tmp_path / sub)) == 0
+    a, b = ((tmp_path / sub / f"{command}.json") for sub in ("a", "b"))
+    stats = json.loads(a.read_text())["stats"]
+    assert stats == json.loads(b.read_text())["stats"]
+    rows = (tmp_path / "a" / f"{command}.csv").read_text().splitlines()[1:]
+    assert len(stats["reference_doublings"]) == len(rows)
+    assert all(sum(counts) == 30 for counts in stats["reference_doublings"])
+    assert ((tmp_path / "a" / f"{command}.csv").read_bytes()
+            == (tmp_path / "b" / f"{command}.csv").read_bytes())
+
+
 def test_moments_deterministic_bytes(tmp_path):
     for sub in ("a", "b"):
         assert run("moments", "--replicas", "300", "--steps", "4",

@@ -11,11 +11,12 @@ from slesim import experiments
 from slesim.brownian import BrownianPath, philox_stream
 from slesim.cli import main
 from slesim.experiments import (ReferenceConvergenceError,
-                                _converged_reference, divergence_probe,
-                                epsilon_scaling, moment_preservation,
-                                scheme_comparison, write_report_csv,
-                                write_report_sidecar)
-from slesim.schemes import SCALED_NOISE, nv_step
+                                divergence_probe, epsilon_scaling,
+                                moment_preservation, scheme_comparison,
+                                write_report_csv, write_report_sidecar)
+from slesim.integrals import compute_table, derive_seeds
+from slesim.schemes import (REFERENCE_RTOL, SCALED_NOISE, nv_step,
+                            reference_solve, taylor_step)
 
 EPS3 = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
 
@@ -173,6 +174,33 @@ def test_moment_nan_stderr_is_not_a_pass():
     assert math.isnan(row["deviation_se"])
 
 
+def test_moment_overflowed_stderr_is_not_a_pass():
+    # z0 = 1e150 i passes the finite-square check, but the variance of
+    # Z^2 overflows: an infinite standard error must not turn into a
+    # deviation of 0 standard errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = moment_preservation(2.0, 1e150j, 1.0, 2, 100, seed=0).rows[0]
+    assert row["stderr"] == math.inf
+    assert math.isnan(row["deviation_se"])
+
+
+@pytest.mark.parametrize("flags,cause", [
+    (["--z0-im", "1e150"], "overflow encountered in square"),
+    (["--kappa", "1e308"], "overflow encountered in multiply"),
+    (["--T", "1e308"], "overflow encountered in multiply"),
+])
+def test_moment_overflow_exits_two(tmp_path, capsys, flags, cause):
+    # finite flags whose run leaves float64: a numerical failure with no
+    # RuntimeWarning (pytest makes one an error) and no output
+    out = tmp_path / "new"
+    assert main(["moments", *flags, "--replicas", "100", "--steps", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: the run left the float64 range" in err
+    assert cause in err
+    assert not out.exists()
+
+
 def test_scheme_comparison_crossover():
     eps = 2.0 ** -6
     report = scheme_comparison(2.0, eps, [eps ** 2.5, eps ** 1.75], 60,
@@ -194,26 +222,15 @@ def test_scheme_comparison_deterministic():
 
 
 def test_epsilon_scaling_probes_taylor_once_per_refinement(monkeypatch):
-    # each reference doubling probes the Taylor error once; the accepted
-    # probe is the replica's error, so nothing is recomputed afterwards
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(experiments, "compute_table",
-                        counted("compute_table", experiments.compute_table))
-    monkeypatch.setattr(experiments, "taylor_step",
-                        counted("taylor_step", experiments.taylor_step))
-    monkeypatch.setattr(BrownianPath, "refine",
-                        counted("refine", BrownianPath.refine))
-    epsilon_scaling(EPS3, 0.5, 2, 2.0, 7, seed=9, substeps=32)
-    assert calls["refine"] >= 3 * 7
-    assert calls["compute_table"] == calls["refine"]
-    assert calls["taylor_step"] == calls["refine"]
+    # each reference doubling probes each replica's Taylor error once; the
+    # accepted probe is the replica's error, so nothing is recomputed
+    # afterwards
+    calls = _counting(monkeypatch, "taylor_step")
+    report = epsilon_scaling(EPS3, 0.5, 2, 2.0, 7, seed=9, substeps=32)
+    refinements = sum(k * n for counts in report.stats["reference_doublings"]
+                      for k, n in enumerate(counts))
+    assert refinements >= 3 * 7
+    assert len(calls) == refinements
 
 
 def test_replica_seeds_build_no_seed_sequence(monkeypatch):
@@ -233,12 +250,117 @@ def test_replica_seeds_build_no_seed_sequence(monkeypatch):
     assert built["SeedSequence"] == 1
 
 
-def test_reference_convergence_error():
-    # an impossible budget (zero measured error forces the flat relative
-    # floor) cannot be met within the doubling limit on a rough driver
-    path = BrownianPath.sample_uniform(1.0, 4, seed=13)
-    with pytest.raises(ReferenceConvergenceError):
-        _converged_reference(1j, path, 1.0, 6.0, lambda ref: (0.0,))
+def _scalar_reference(z0, t, substeps, kappa, depth, probes, sub_seed):
+    """One replica's reference loop on its own BrownianPath: the oracle.
+
+    Returns (errors, doublings) or raises ReferenceConvergenceError, as
+    the per-replica loop did before every replica of a run stepped
+    together.
+    """
+    path = BrownianPath.sample_uniform(t, substeps, sub_seed)
+    ref = reference_solve(z0, path, t, kappa)
+    for doubling in range(1, experiments._MAX_DOUBLINGS + 1):
+        path.refine()
+        finer = reference_solve(z0, path, t, kappa)
+        errors = tuple(abs(finer - a) for a in probes(
+            z0, t, compute_table(path, t, depth), path.value_at(t)))
+        moved = abs(finer - ref)
+        budget = max(experiments.REF_ERROR_FRACTION * min(errors),
+                     REFERENCE_RTOL * abs(finer))
+        if moved <= budget:
+            return errors, doubling
+        ref = finer
+    raise ReferenceConvergenceError(
+        f"reference still moving by {moved:.3g} after "
+        f"{experiments._MAX_DOUBLINGS} refinements (budget {budget:.3g})")
+
+
+def _taylor2(z0, t, table, b):
+    return (taylor_step(z0, table, 2, 2.0), complex(b))
+
+
+_LANE_RUN = ([0.125j, 0.0625j], [0.125 ** 2.5, 0.0625 ** 2.5], 8, 2.0, 2,
+             _taylor2)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(experiments, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+def test_lane_loop_equals_scalar_loop(monkeypatch):
+    # 2 rows of 40 lanes: the lane kernel runs the first doublings, the
+    # scalar tail the rest; every error and every doubling count must be
+    # the per-replica loop's
+    starts, horizons, substeps, kappa, depth, probes = _LANE_RUN
+    lane_calls = _counting(monkeypatch, "_nv_lanes")
+    tail_calls = _counting(monkeypatch, "reference_solve")
+    errors, doublings = experiments._reference_errors(
+        starts, horizons, substeps, kappa, depth, probes, 5, 40)
+    assert lane_calls and tail_calls
+    seeds = derive_seeds(5, range(80)).tolist()
+    for j, (z0, t) in enumerate(zip(starts, horizons)):
+        want = [_scalar_reference(z0, t, substeps, kappa, depth, probes,
+                                  seeds[j * 40 + i]) for i in range(40)]
+        assert errors[j].tolist() == [list(e) for e, _ in want]
+        assert doublings[j] == np.bincount([d for _, d in want]).tolist()
+
+
+def test_reference_convergence_error(monkeypatch):
+    # one doubling allowed: row 0 is probed against a far point, so its
+    # budget is loose and all its lanes converge; in row 1 replicas 0-2
+    # converge and replica 3 is the first lane still moving, which must
+    # name the error although later lanes fail too
+    monkeypatch.setattr(experiments, "_MAX_DOUBLINGS", 1)
+    starts, horizons, substeps, kappa, depth, _ = _LANE_RUN
+
+    def probes(z0, t, table, b):
+        return ((z0 + 1e3,) if z0 == starts[0]
+                else _taylor2(z0, t, table, b))
+
+    seeds = derive_seeds(11, range(80)).tolist()
+    failures = []
+    for k in range(80):
+        try:
+            _scalar_reference(starts[k // 40], horizons[k // 40], substeps,
+                              kappa, depth, probes, seeds[k])
+        except ReferenceConvergenceError as exc:
+            failures.append((k, str(exc)))
+    assert failures[0][0] == 43 and len(failures) > 1
+    with pytest.raises(ReferenceConvergenceError) as caught:
+        experiments._reference_errors(starts, horizons, substeps, kappa,
+                                      depth, probes, 11, 40)
+    assert str(caught.value) == failures[0][1]
+
+
+def test_reference_convergence_error_exits_two(monkeypatch, tmp_path,
+                                               capsys):
+    monkeypatch.setattr(experiments, "_MAX_DOUBLINGS", 1)
+    out = tmp_path / "out"
+    assert main(["scaling", "--replicas", "20", "--out", str(out)]) == 2
+    assert "numerical failure: reference still moving" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: epsilon_scaling(EPS3, 0.5, 2, 2.0, 30, seed=3, substeps=16),
+    lambda: scheme_comparison(2.0, 0.125, [0.01, 0.02], 30, seed=3,
+                              substeps=16)])
+def test_reference_doublings_are_deterministic(run):
+    a, b = run(), run()
+    assert a.stats == b.stats
+    doublings = a.stats["reference_doublings"]
+    assert len(doublings) == len(a.rows)
+    for counts in doublings:
+        assert counts[0] == 0 and sum(counts) == 30
 
 
 def test_report_csv_roundtrip(tmp_path):
@@ -262,6 +384,7 @@ def test_report_sidecar(tmp_path):
     assert payload["seed"] == 15
     assert payload["config"]["delta"] == 0.5
     assert payload["runtime_seconds"] == 1.25
-    assert payload["stats"] == {}
+    assert payload["stats"] == report.stats
+    assert len(payload["stats"]["reference_doublings"]) == 3
     assert "created_unix" in payload
     assert payload["fit"]["slope"] == report.fit[0]

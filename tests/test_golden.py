@@ -7,7 +7,10 @@ one scalar splitting kernel; the ``integrals`` and ``taylor-terms``
 digests before replicas moved to one serial loop; the two 300-replica
 ``divergence`` digests, whose drivers span several blocks, one of them
 with a skipped word, before divergence integrals moved to one array pass
-per block.  The trace point counts and ``stats`` were recorded before
+per block; the three wide ``scaling`` and ``compare`` digests, whose 240-500
+lanes reach the lane-batched reference kernel, before the references of a
+run moved from one scalar loop per replica to that kernel.  The trace
+point counts and ``stats`` were recorded before
 ``build_trace`` moved from a recursive closure to one flat loop; the CSV
 digest pins the points but not these counters.  A change that alters any
 random stream, or the arithmetic on it, fails here; such a change must
@@ -64,6 +67,15 @@ def test_pinned_midpoint_draws():
     (["divergence", "--replicas", "300", "--seed", "1",
       "--words", "1", "0", "01", "10"], "divergence.csv",
      "adf4136a659bad27eb3bb950af9db77cc5bd9f64d9e246e6e628042d1f5f3005"),
+    # 240-500 lanes: the first doublings run on the lane kernel
+    (["scaling", "--replicas", "100", "--eps", "0.125", "0.0625", "0.03125",
+      "--seed", "0"], "scaling.csv",
+     "0e6d133a6d3608ef1f1b50344e6587c9800e905cfee787251bf9f8312f6f6882"),
+    (["scaling", "--replicas", "60", "--eps", "0.25", "0.125", "0.0625",
+      "0.03125", "--kappa", "6", "--seed", "3"], "scaling.csv",
+     "7b7cc885dee7b3ff52df75b83a851e55273c5be29463f460f0fdade89bd8ffd5"),
+    (["compare", "--replicas", "100", "--seed", "0"], "compare.csv",
+     "91bc6bc9e337f7b56c23ee09338efb2fffc88131119597b2e6f45ef2af16ab17"),
 ])
 def test_pinned_csv_bytes(tmp_path, capsys, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0

@@ -1,5 +1,6 @@
 """One-step maps: splitting identity, moment transport, Taylor assembly."""
 
+import cmath
 import math
 import struct
 
@@ -335,3 +336,63 @@ def test_step_validation():
         euler_step(1j, 0.1, 0.0, 0.0)
     with pytest.raises(ValueError, match="kappa"):
         reference_solve(1j, BrownianPath.zeros(1.0, 4), 1.0, -2.0)
+
+
+def test_root_box_premise():
+    # _nv_lanes takes array roots with np.sqrt only inside _LANE_BOX; there
+    # numpy's complex root must be cmath.sqrt bit for bit
+    rng = np.random.default_rng(12)
+    lo, hi = (math.log2(b) for b in schemes._LANE_BOX)
+    parts = np.exp2(rng.uniform(lo, hi, (2, 20000)))
+    parts *= rng.choice([-1.0, 1.0], parts.shape)
+    w = parts[0] + 1j * parts[1]
+    got = np.sqrt(w).tolist()
+    for v, s in zip(w.tolist(), got):
+        assert _bits(s) == _bits(cmath.sqrt(v))
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 2.0 ** 300,
+            -2.0 ** 300, 1e300]
+_PART = st.one_of(st.floats(-20.0, 20.0), st.sampled_from(_SPECIAL))
+_DRIFT = st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 1e-300]))
+_NOISE = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0, 1e200]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), lanes=st.integers(1, 6), steps=st.integers(1, 5))
+def test_lane_kernel_equals_scalar_kernel(data, lanes, steps):
+    # starts on and off both axes, with signed zeros, z0 = 0, and parts
+    # tiny or huge enough that some roots leave the box
+    starts = data.draw(st.lists(st.one_of(
+        st.builds(complex, _PART, _PART),
+        st.sampled_from([0j, complex(-0.0, 0.0), complex(-2.0, 0.0),
+                         complex(3.0, -0.0), 1j, complex(-0.0, 1e-200)])),
+        min_size=lanes, max_size=lanes))
+    cs = np.array(data.draw(st.lists(_DRIFT, min_size=steps * lanes,
+                                     max_size=steps * lanes)))
+    ds = np.array(data.draw(st.lists(_NOISE, min_size=steps * lanes,
+                                     max_size=steps * lanes)))
+    cs, ds = cs.reshape(steps, lanes), ds.reshape(steps, lanes)
+    got = schemes._nv_lanes(starts, cs, ds).tolist()
+    for k, z0 in enumerate(starts):
+        want = schemes._nv_steps(z0, cs[:, k].tolist(), ds[:, k].tolist())
+        assert _bits(got[k]) == _bits(want)
+
+
+def test_lane_kernel_guard_catches_the_imaginary_axis():
+    # z0 = 0.1 + 0.1i with no drift and no noise squares to
+    # 0.020000000000000004i, on the imaginary axis, where np.sqrt and
+    # cmath.sqrt part; the guard must take that step's roots with cmath
+    # for every lane
+    w = complex(0.1, 0.1) * complex(0.1, 0.1)
+    assert _bits(complex(np.sqrt(np.array([w]))[0])) != _bits(cmath.sqrt(w))
+    rng = np.random.default_rng(4)
+    starts = (rng.uniform(-1, 1, 9) + 1j * rng.uniform(0.1, 1, 9)).tolist()
+    starts.append(complex(0.1, 0.1))
+    cs = np.zeros((1, 10))
+    ds = rng.normal(0.0, 0.2, (1, 10))
+    ds[0, 9] = 0.0
+    got = schemes._nv_lanes(starts, cs, ds).tolist()
+    for k, z0 in enumerate(starts):
+        want = schemes._nv_steps(z0, cs[:, k].tolist(), ds[:, k].tolist())
+        assert _bits(got[k]) == _bits(want)
