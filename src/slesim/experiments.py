@@ -247,6 +247,9 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0.0 or e >= 1.0 for e in eps_list):
         raise ValueError("eps values must lie in (0, 1)")
+    # a repeat adds no point to the log-log fit, only weight
+    if len(set(eps_list)) < len(eps_list):
+        raise ValueError("eps values must be distinct")
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
 

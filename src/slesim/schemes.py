@@ -212,6 +212,20 @@ def _truncation_terms(r: int) -> tuple:
                  for word, term in enumerate_level(n) if not term.is_zero())
 
 
+@functools.lru_cache(maxsize=64)
+def _taylor_coefficients(z: complex, re_sign: float, im_sign: float, r: int,
+                         kappa: float) -> tuple:
+    """(word, (V_I Id)(z)) for every pair of ``_truncation_terms(r)``.
+
+    They depend on (z, kappa, r) alone, while a Monte Carlo study sums
+    them against the tables of many drivers.  The signs of z's parts
+    are part of the key: complex keys treat -0.0 and 0.0 as equal, yet
+    a term's value at z can carry that sign.
+    """
+    return tuple((word, eval_term(term, z, kappa))
+                 for word, term in _truncation_terms(r))
+
+
 def taylor_step(z, table: IteratedIntegralTable, r: int,
                 kappa: float) -> complex:
     """Truncated stochastic Taylor approximation of the unit_noise equation
@@ -230,14 +244,15 @@ def taylor_step(z, table: IteratedIntegralTable, r: int,
         raise ValueError("truncation level must be nonnegative")
     z = complex(z)
     total = 0j
-    for word, term in _truncation_terms(r):
+    for word, value in _taylor_coefficients(z, copysign(1.0, z.real),
+                                            copysign(1.0, z.imag), r, kappa):
         try:
             entry = table.entries[word]
         except KeyError:
             raise ValueError(
                 f"table depth {table.depth} too shallow for word {word}"
             ) from None
-        total += eval_term(term, z, kappa) * entry
+        total += value * entry
     return total
 
 

@@ -283,3 +283,11 @@ def test_nonpositive_kappa_exits_one(command, tmp_path, capsys):
                "--out", str(out)) == 1
     assert "kappa" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
+
+
+def test_repeated_scaling_eps_exits_one(tmp_path, capsys):
+    out = tmp_path / "new" / "dir"
+    assert run("scaling", "--eps", "0.25", "0.25", "0.25", "--replicas", "4",
+               "--substeps", "8", "--out", str(out)) == 1
+    assert "distinct" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()

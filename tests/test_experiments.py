@@ -55,6 +55,13 @@ def test_epsilon_scaling_validation():
         epsilon_scaling(EPS3, 0.5, 2, 2.0, 0, seed=0)
 
 
+@pytest.mark.parametrize("eps", [[0.25, 0.25, 0.25], [0.25, 0.125, 0.25]])
+def test_epsilon_scaling_rejects_repeated_eps(eps):
+    # three equal eps used to fit a line of slope 1.374 with r2 0
+    with pytest.raises(ValueError, match="distinct"):
+        epsilon_scaling(eps, 0.5, 2, 2.0, 4, seed=0, substeps=8)
+
+
 def test_divergence_deterministic_words_are_exact():
     eps, delta = 2.0 ** -6, 0.5
     report = divergence_probe(eps, delta, [(0,), (0, 0)], 50, seed=3,

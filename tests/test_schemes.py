@@ -188,7 +188,9 @@ def test_taylor_step_composes_each_term_once(monkeypatch):
         return compose(word)
 
     monkeypatch.setattr(vfalgebra, "compose", counted)
-    schemes._truncation_terms.cache_clear()  # start from an empty cache
+    # start from empty caches
+    schemes._truncation_terms.cache_clear()
+    schemes._taylor_coefficients.cache_clear()
     path = BrownianPath.sample_uniform(0.125, 64, seed=41)
     table = compute_table(path, 0.125, 3)
     first = taylor_step(0.3 + 1.2j, table, 2, 2.0)
@@ -197,6 +199,33 @@ def test_taylor_step_composes_each_term_once(monkeypatch):
         assert taylor_step(0.3 + 1.2j, table, 2, 2.0) == first
     assert len(calls) == composed
     assert composed == 7  # the 7 words of length <= 2, once each
+
+
+def test_taylor_step_evaluates_each_term_once_per_point(monkeypatch):
+    # the coefficients depend on (z, kappa, r) only; signed zeros count as
+    # different points, since the identity term keeps the sign of re(z)
+    calls = []
+
+    def counted(term, z, kappa):
+        calls.append(z)
+        return eval_term(term, z, kappa)
+
+    monkeypatch.setattr(schemes, "eval_term", counted)
+    schemes._taylor_coefficients.cache_clear()
+    path = BrownianPath.sample_uniform(0.125, 64, seed=41)
+    table = compute_table(path, 0.125, 3)
+    terms = len(schemes._truncation_terms(3))
+    for z in (0.3 + 1.2j, complex(0.0, 1.0), complex(-0.0, 1.0)):
+        manual = 0j
+        for n in range(4):
+            for word, term in enumerate_level(n):
+                if not term.is_zero():
+                    manual += eval_term(term, z, 2.0) * table.entries[word]
+        for _ in range(5):
+            got = taylor_step(z, table, 3, 2.0)
+            assert (got, repr(got)) == (manual, repr(manual))
+    assert len(calls) == 3 * terms
+    assert repr(calls[-1]) == "(-0+1j)"
 
 
 def test_taylor_refuses_levels_past_the_cap():
