@@ -19,7 +19,6 @@ error).
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -27,11 +26,12 @@ from math import isfinite, log, nan, sqrt
 
 import numpy as np
 
-from .brownian import (BrownianPath, _bisect, _uniform_grid, philox_stream,
+from .brownian import (_bisect, _uniform_block, _uniform_grid, philox_stream,
                        uniform_blocks)
-from .integrals import IteratedIntegralTable, derive_seeds, word_entries
+from .integrals import _tables, derive_seeds, word_entries
 from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, _nv_lanes,
-                      euler_step, nv_step, reference_solve, taylor_step)
+                      _nv_steps, _truncation_terms, euler_step, nv_step,
+                      taylor_step)
 from .vfalgebra import compose, deg, eval_term, format_word
 
 __all__ = [
@@ -49,16 +49,13 @@ __all__ = [
 # the driver is refined once more; see the module docstring.
 REF_ERROR_FRACTION = 0.05
 _MAX_DOUBLINGS = 10
-# Below this many unconverged lanes a doubling solves each reference with
-# the scalar reference_solve: one step of _nv_lanes makes ~25 numpy calls,
-# 35-40 us at widths 24-96, and one scalar map costs ~0.6 us (measured on
-# a 2-vCPU Xeon VM), so the two break even near 64 lanes.
+# Below this many unconverged lanes a doubling steps each reference on
+# its own with the scalar _nv_steps: one step of _nv_lanes makes ~25
+# numpy calls, 35-40 us at widths 24-96, and one scalar map costs ~0.6 us
+# (measured on a 2-vCPU Xeon VM), so the two break even near 64 lanes.
 _LANE_CROSSOVER = 64
 # Steps per call of _nv_lanes: bounds its (steps, lanes) input arrays.
 _STEP_BLOCK = 32
-
-# Drivers per block of iterated integrals in a reference probe.
-_PROBE_ROWS = 16
 
 # Stream tag for experiments that draw increment matrices directly.
 _TAG_MATRIX = 0xE1
@@ -135,16 +132,12 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
     rows = range(len(horizons))
     seeds = [derive_seeds(seed, range(j * replicas, (j + 1) * replicas))
              .tolist() for j in rows]
-    # the words of compute_table(path, t, depth), in its order
-    words = [w for n in range(depth + 1)
-             for w in itertools.product((0, 1), repeat=n)]
     grids = [_uniform_grid(t, substeps) for t in horizons]
     # per row: the replicas still moving, their drivers (values[j][k] is
     # replica live[j][k] on grids[j]) and their references so far
     live = [list(range(replicas)) for _ in rows]
-    values = [np.concatenate([block for _, _, block in uniform_blocks(
-        horizons[j], substeps, seeds[j])]) for j in rows]
-    refs = _solve(starts, horizons, grids, values, kappa, seeds, live)
+    values = [_uniform_block(horizons[j], substeps, seeds[j]) for j in rows]
+    refs = _solve(starts, grids, values, kappa, live)
     errors = [[None] * replicas for _ in rows]
     accepted_at = [[0] * replicas for _ in rows]
     for doubling in range(1, _MAX_DOUBLINGS + 1):
@@ -152,29 +145,24 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
             if live[j]:
                 grids[j], values[j] = _bisect(
                     grids[j], values[j], [seeds[j][i] for i in live[j]])
-        finer = _solve(starts, horizons, grids, values, kappa, seeds, live)
+        finer = _solve(starts, grids, values, kappa, live)
         moving = []
         for j in rows:
             keep = []
-            for a in range(0, len(live[j]), _PROBE_ROWS):
-                block = values[j][a:a + _PROBE_ROWS]
-                entries = word_entries(grids[j], block, words).tolist()
-                for k, row, end in zip(range(a, a + len(block)), entries,
-                                       block[:, -1].tolist()):
-                    table = IteratedIntegralTable(dict(zip(words, row)),
-                                                  len(grids[j]) - 1)
-                    new = finer[j][k]
-                    errs = tuple(abs(new - approx) for approx in
-                                 probes(starts[j], horizons[j], table, end))
-                    moved = abs(new - refs[j][k])
-                    budget = max(REF_ERROR_FRACTION * min(errs),
-                                 REFERENCE_RTOL * abs(new))
-                    if moved <= budget:
-                        errors[j][live[j][k]] = errs
-                        accepted_at[j][live[j][k]] = doubling
-                    else:
-                        keep.append(k)
-                        moving.append((moved, budget))
+            ends = values[j][:, -1].tolist()
+            for k, table in enumerate(_tables(grids[j], values[j], depth)):
+                new = finer[j][k]
+                errs = tuple(abs(new - approx) for approx in
+                             probes(starts[j], horizons[j], table, ends[k]))
+                moved = abs(new - refs[j][k])
+                budget = max(REF_ERROR_FRACTION * min(errs),
+                             REFERENCE_RTOL * abs(new))
+                if moved <= budget:
+                    errors[j][live[j][k]] = errs
+                    accepted_at[j][live[j][k]] = doubling
+                else:
+                    keep.append(k)
+                    moving.append((moved, budget))
             live[j] = [live[j][k] for k in keep]
             values[j] = values[j][keep]
             refs[j] = [finer[j][k] for k in keep]
@@ -189,24 +177,27 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
             [np.bincount(d).tolist() for d in accepted_at])
 
 
-def _solve(starts, horizons, grids, values, kappa, seeds, live) -> list:
+def _solve(starts, grids, values, kappa, live) -> list:
     """Splitting solution on every live driver, as lists of Python complex.
 
     Row j's drivers are the rows of ``values[j]``, on ``grids[j]``, for
-    its replicas ``live[j]`` (keyed by ``seeds[j]``).  While
+    its replicas ``live[j]``; each solution steps the unit_noise map of
+    ``reference_solve`` across every interval of its row's grid, with the
+    drift times of the row computed once for all its drivers.  While
     _LANE_CROSSOVER or more drivers are live, every solution is one lane
-    of ``_nv_lanes``; below that, each is its own ``reference_solve``.
-    Both are bit for bit the scalar kernel.
+    of ``_nv_lanes``; below that, each is its own ``_nv_steps`` on the
+    row's arrays.  Both are bit for bit ``reference_solve``.
     """
     used = [j for j in range(len(live)) if live[j]]
-    width = sum(len(live[j]) for j in used)
-    if width < _LANE_CROSSOVER:
-        return [[reference_solve(starts[j], BrownianPath(
-                    grids[j], v, seeds[j][i]), horizons[j], kappa)
-                 for i, v in zip(live[j], values[j])]
-                for j in range(len(live))]
     # drift time of each step in each used row: 2h/kappa, as reference_solve
     drift = {j: 2.0 * np.diff(grids[j]) / kappa for j in used}
+    width = sum(len(live[j]) for j in used)
+    if width < _LANE_CROSSOVER:
+        # a row with no live driver has no ds, so it looks up no cs
+        cs = {j: drift[j].tolist() for j in used}
+        return [[_nv_steps(starts[j], cs[j], ds)
+                 for ds in np.diff(values[j], axis=1).tolist()]
+                for j in range(len(live))]
     steps = len(drift[used[0]])
     z = [starts[j] for j in used for _ in live[j]]
     # a block of steps at a time keeps the (steps, lanes) arrays small
@@ -252,6 +243,8 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
         raise ValueError("eps values must be distinct")
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
+    # refuses a level no Taylor step takes, before any driver is drawn
+    _truncation_terms(r)
 
     def probes(z0, t, table, b) -> tuple:
         return (taylor_step(z0, table, r, kappa),)
@@ -285,7 +278,8 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
     eps and at eps/2; the two-point slope in the ``exponent`` column
     cancels the word's constant, while ``exponent_one_point`` is the raw
     log(estimate)/log(eps), which carries that constant as a bias.  Words
-    whose symbolic term vanishes are recorded in the config and skipped.
+    whose symbolic term vanishes are recorded in the config and skipped;
+    a list in which every term vanishes is refused before any draw.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -297,6 +291,8 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
     terms = {w: compose(w) for w in words}
     skipped = [format_word(w) for w in words if terms[w].is_zero()]
     live = [w for w in words if not terms[w].is_zero()]
+    if not live:
+        raise ValueError("every word's Taylor term vanishes")
     levels = [eps, 0.5 * eps]
     horizons = [e ** (2.0 - delta) for e in levels]
 

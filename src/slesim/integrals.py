@@ -11,9 +11,10 @@ exact whenever the integrand is linear there - in particular every entry
 up to length 2 is exact for the piecewise-linear path, e.g. the (1, 1)
 entry telescopes to B(t)^2 / 2.
 
-One prefix walk serves both :func:`compute_table` (every word up to a
-length, on one driver) and :func:`word_entries` (chosen words on a block
-of drivers that share one grid, one row per driver): it integrates each
+One prefix walk serves both the table builder behind
+:func:`compute_table` (every word up to a length, on each of a block of
+drivers that share one grid) and :func:`word_entries` (chosen words on
+such a block, one row per driver): it integrates each
 distinct word prefix once, parents before children.  The quadrature is
 made of separate real float64 ufuncs and a sequential cumsum along each
 row, so every row rounds exactly as :func:`iterated_integral`, the
@@ -23,14 +24,13 @@ independent reference.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brownian import BrownianPath, _check_samples
+from .brownian import BrownianPath, _BLOCK_ROWS, _check_samples
 from .vfalgebra import LEVEL_CAP, _check_word
 
 __all__ = [
@@ -88,12 +88,6 @@ def _plan(words) -> tuple[tuple[tuple, tuple], ...]:
                  for p in parents)
 
 
-@functools.cache
-def _full_plan(r: int) -> tuple[tuple[tuple, tuple], ...]:
-    # the prefixes of the words of length r are all words of length <= r
-    return _plan(itertools.product((0, 1), repeat=r))
-
-
 def _walk(legs, plan) -> dict:
     """Running integral of the empty word and of every prefix in ``plan``.
 
@@ -114,6 +108,27 @@ def _grid(path: BrownianPath, t: float) -> tuple[np.ndarray, np.ndarray]:
     return path.times[: stop + 1], path.values[: stop + 1]
 
 
+def _tables(times: np.ndarray, values: np.ndarray, r: int):
+    """One :class:`IteratedIntegralTable` per row of ``values``, in order.
+
+    Row ``i`` is a driver on grid ``times`` (already checked); its table
+    holds every word of length <= r over [0, times[-1]].  Rows are
+    integrated a bounded block at a time, each rounded as on its own.
+    """
+    # the prefixes of the words of length r are all words of length <= r
+    plan = _plan(itertools.product((0, 1), repeat=r))
+    legs = np.diff(times)
+    for a in range(0, len(values), _BLOCK_ROWS):
+        block = values[a:a + _BLOCK_ROWS]
+        running = _walk((legs, np.diff(block, axis=-1)), plan)
+        # a prefix made only of 0s is flat: its entry is every row's
+        ends = [np.broadcast_to(fw[..., -1], len(block)).tolist()
+                for fw in running.values()]
+        for row in zip(*ends):
+            yield IteratedIntegralTable(dict(zip(running, row)),
+                                        len(times) - 1)
+
+
 def compute_table(path: BrownianPath, t: float,
                   r: int) -> IteratedIntegralTable:
     """All entries for words of length <= r over [0, t].
@@ -132,10 +147,7 @@ def compute_table(path: BrownianPath, t: float,
     if t <= 0.0:
         raise ValueError("horizon must be positive")
     times, values = _grid(path, t)
-    running = _walk((np.diff(times), np.diff(values)), _full_plan(r))
-    return IteratedIntegralTable(
-        entries={w: float(fw[-1]) for w, fw in running.items()},
-        resolution=len(times) - 1)
+    return next(_tables(times, values[None, :], r))
 
 
 def iterated_integral(path: BrownianPath, t: float, word) -> float:

@@ -203,8 +203,10 @@ def _truncation_terms(r: int) -> tuple:
 
     Words are in deterministic (lexicographic within length) order.  No
     table holds a word longer than LEVEL_CAP, so a cutoff past it is
-    refused before any word is composed.
+    refused before any word is composed, as is a negative one.
     """
+    if r < 0:
+        raise ValueError("truncation level must be nonnegative")
     if r > LEVEL_CAP:
         raise ValueError(f"truncation level {r} needs words longer than "
                          f"LEVEL_CAP = {LEVEL_CAP}")
@@ -240,8 +242,6 @@ def taylor_step(z, table: IteratedIntegralTable, r: int,
         r: truncation level, 0 <= r <= LEVEL_CAP.
         kappa: SLE parameter, > 0.
     """
-    if r < 0:
-        raise ValueError("truncation level must be nonnegative")
     z = complex(z)
     total = 0j
     for word, value in _taylor_coefficients(z, copysign(1.0, z.real),

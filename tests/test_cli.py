@@ -291,3 +291,11 @@ def test_repeated_scaling_eps_exits_one(tmp_path, capsys):
                "--substeps", "8", "--out", str(out)) == 1
     assert "distinct" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
+
+
+def test_all_vanishing_divergence_words_exit_one(tmp_path, capsys):
+    # the run used to fail only at the CSV write, after making the directory
+    out = tmp_path / "new" / "nested"
+    assert run("divergence", "--words", "01", "11", "--out", str(out)) == 1
+    assert "vanishes" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()

@@ -62,6 +62,21 @@ def test_epsilon_scaling_rejects_repeated_eps(eps):
         epsilon_scaling(eps, 0.5, 2, 2.0, 4, seed=0, substeps=8)
 
 
+def _forbid_draws(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a driver was drawn")
+
+    monkeypatch.setattr(experiments, "derive_seeds", no_draws)
+
+
+@pytest.mark.parametrize("r", [13, -1])
+def test_epsilon_scaling_rejects_level_before_drawing(monkeypatch, r):
+    # r = 13 used to solve, double and probe 16,383 word prefixes first
+    _forbid_draws(monkeypatch)
+    with pytest.raises(ValueError, match="truncation level"):
+        epsilon_scaling(EPS3, 0.5, r, 2.0, 4, seed=0, substeps=8)
+
+
 def test_divergence_deterministic_words_are_exact():
     eps, delta = 2.0 ** -6, 0.5
     report = divergence_probe(eps, delta, [(0,), (0, 0)], 50, seed=3,
@@ -84,6 +99,12 @@ def test_divergence_skips_vanishing_words():
                               seed=4, resolution=32)
     assert report.config["skipped_words"] == ["11", "01"]
     assert [row["word"] for row in report.rows] == ["0"]
+
+
+def test_divergence_rejects_all_vanishing_words(monkeypatch):
+    _forbid_draws(monkeypatch)
+    with pytest.raises(ValueError, match="vanishes"):
+        divergence_probe(0.125, 0.5, [(0, 1), (1, 1)], 50, seed=4)
 
 
 def test_divergence_magnitudes_grow_with_degree():
@@ -308,7 +329,7 @@ def test_lane_loop_equals_scalar_loop(monkeypatch):
     # the per-replica loop's
     starts, horizons, substeps, kappa, depth, probes = _LANE_RUN
     lane_calls = _counting(monkeypatch, "_nv_lanes")
-    tail_calls = _counting(monkeypatch, "reference_solve")
+    tail_calls = _counting(monkeypatch, "_nv_steps")
     errors, doublings = experiments._reference_errors(
         starts, horizons, substeps, kappa, depth, probes, 5, 40)
     assert lane_calls and tail_calls
@@ -318,6 +339,22 @@ def test_lane_loop_equals_scalar_loop(monkeypatch):
                                   seeds[j * 40 + i]) for i in range(40)]
         assert errors[j].tolist() == [list(e) for e, _ in want]
         assert doublings[j] == np.bincount([d for _, d in want]).tolist()
+
+
+def test_scalar_tail_builds_no_path(monkeypatch):
+    # 9 lanes, all below _LANE_CROSSOVER: every reference is the scalar
+    # tail's, stepped on the row's arrays
+    built = []
+    init = BrownianPath.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BrownianPath, "__init__", counting)
+    tail_calls = _counting(monkeypatch, "_nv_steps")
+    epsilon_scaling(EPS3, 0.5, 2, 2.0, 3, seed=4, substeps=8)
+    assert tail_calls and not built
 
 
 def test_reference_convergence_error(monkeypatch):
