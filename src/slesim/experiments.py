@@ -50,15 +50,19 @@ __all__ = [
 REF_ERROR_FRACTION = 0.05
 _MAX_DOUBLINGS = 10
 # Below this many unconverged lanes a doubling steps each reference on
-# its own with the scalar _nv_steps: one step of _nv_lanes makes ~25
-# numpy calls, 35-40 us at widths 24-96, and one scalar map costs ~0.6 us
-# (measured on a 2-vCPU Xeon VM), so the two break even near 64 lanes.
+# its own with the scalar _nv_steps: one step of _nv_lanes makes ~23
+# numpy calls, 17-20 us at widths 24-96, and one scalar map costs
+# ~0.34 us (measured on a 2-vCPU Xeon VM), so the two break even near
+# 48-56 lanes.
 _LANE_CROSSOVER = 64
 # Steps per call of _nv_lanes: bounds its (steps, lanes) input arrays.
 _STEP_BLOCK = 32
 
 # Stream tag for experiments that draw increment matrices directly.
 _TAG_MATRIX = 0xE1
+# Replicas per draw of an increment matrix: bounds the (replicas, steps)
+# block that each draw makes before it is stored step-major.
+_NOISE_BLOCK = 4096
 
 
 class ReferenceConvergenceError(RuntimeError):
@@ -335,6 +339,21 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
     return ExperimentReport("divergence_probe", rows, None, config, seed)
 
 
+def _step_normals(gen: np.random.Generator, n_steps: int,
+                  replicas: int) -> np.ndarray:
+    """``gen.standard_normal((replicas, n_steps)).T``, stored C-contiguous.
+
+    Row k holds step k's noise for every replica, so a step reads it
+    contiguously.  The draws are made _NOISE_BLOCK replicas at a time;
+    the generator fills each block in order, so the values are the same.
+    """
+    incs = np.empty((n_steps, replicas))
+    for a in range(0, replicas, _NOISE_BLOCK):
+        b = min(a + _NOISE_BLOCK, replicas)
+        incs[:, a:b] = gen.standard_normal((b - a, n_steps)).T
+    return incs
+
+
 def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
                         replicas: int, seed: int) -> ExperimentReport:
     """Sample mean of Z^2 under splitting steps against z0^2 + (kappa-4) t.
@@ -354,15 +373,14 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     if not cmath.isfinite(z0 * z0):
         raise ValueError("z0 and its square must be finite")
     times = _uniform_grid(T, n_steps).tolist()
-    incs = philox_stream(seed, _TAG_MATRIX).standard_normal(
-        (replicas, n_steps))
+    incs = _step_normals(philox_stream(seed, _TAG_MATRIX), n_steps, replicas)
 
     z = np.full(replicas, z0, dtype=np.complex128)
     rows = []
     for k in range(n_steps):
         t = times[k + 1]
         h = t - times[k]
-        z = nv_step(z, h, sqrt(h) * incs[:, k], kappa, SCALED_NOISE)
+        z = nv_step(z, h, sqrt(h) * incs[k], kappa, SCALED_NOISE)
         square = z * z
         mean = complex(np.mean(square))
         target = z0 * z0 + (kappa - 4.0) * t

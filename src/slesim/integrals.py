@@ -58,22 +58,25 @@ class IteratedIntegralTable:
         return max(len(w) for w in self.entries)
 
 
-def _integrate(fw: np.ndarray, legs) -> list[np.ndarray]:
-    """Running integrals of ``fw`` against each leg, starting from 0.
+def _midpoints(fw: np.ndarray) -> np.ndarray:
+    """The mean of the integrand's two endpoint values on every
+    sub-interval, along the last axis."""
+    return 0.5 * (fw[..., :-1] + fw[..., 1:])
+
+
+def _integrate(avg: np.ndarray, leg: np.ndarray) -> np.ndarray:
+    """Running integral, starting from 0, of the integrand whose
+    :func:`_midpoints` are ``avg``, against ``leg``.
 
     The quadrature rule: on every sub-interval the mean of the integrand's
     two endpoint values times the leg, summed in order along the last
     axis.  Leading axes hold rows (drivers) and broadcast; each row is
     rounded exactly as it would be on its own.
     """
-    avg = 0.5 * (fw[..., :-1] + fw[..., 1:])
-    outs = []
-    for leg in legs:
-        step = avg * leg
-        out = np.zeros(step.shape[:-1] + (step.shape[-1] + 1,))
-        step.cumsum(axis=-1, out=out[..., 1:])
-        outs.append(out)
-    return outs
+    step = avg * leg
+    out = np.zeros(step.shape[:-1] + (step.shape[-1] + 1,))
+    step.cumsum(axis=-1, out=out[..., 1:])
+    return out
 
 
 def _plan(words) -> tuple[tuple[tuple, tuple], ...]:
@@ -89,17 +92,28 @@ def _plan(words) -> tuple[tuple[tuple, tuple], ...]:
 
 
 def _walk(legs, plan) -> dict:
-    """Running integral of the empty word and of every prefix in ``plan``.
+    """End value of the running integral of the empty word and of every
+    prefix in ``plan``.
 
     Keys come in the order the walk makes them: by length, and
-    lexicographically within a length.
+    lexicographically within a length.  Only the running arrays of
+    parents still to be integrated are kept: a parent's array is dropped
+    once its children are made, and any other prefix is reduced to its
+    end value as soon as it is made.
     """
+    parents = {p for p, _ in plan}
     running = {(): np.ones(len(legs[0]) + 1)}
+    # copies: a view of the last entry would keep the whole array alive
+    ends = {(): running[()][..., -1].copy()}
     for p, letters in plan:
-        outs = _integrate(running[p], [legs[j] for j in letters])
-        for j, out in zip(letters, outs):
-            running[p + (j,)] = out
-    return running
+        avg = _midpoints(running.pop(p))
+        for j in letters:
+            q = p + (j,)
+            running[q] = _integrate(avg, legs[j])
+            ends[q] = running[q][..., -1].copy()
+            if q not in parents:
+                del running[q]
+    return ends
 
 
 def _grid(path: BrownianPath, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -120,12 +134,12 @@ def _tables(times: np.ndarray, values: np.ndarray, r: int):
     legs = np.diff(times)
     for a in range(0, len(values), _BLOCK_ROWS):
         block = values[a:a + _BLOCK_ROWS]
-        running = _walk((legs, np.diff(block, axis=-1)), plan)
+        ends = _walk((legs, np.diff(block, axis=-1)), plan)
         # a prefix made only of 0s is flat: its entry is every row's
-        ends = [np.broadcast_to(fw[..., -1], len(block)).tolist()
-                for fw in running.values()]
-        for row in zip(*ends):
-            yield IteratedIntegralTable(dict(zip(running, row)),
+        columns = [np.broadcast_to(e, len(block)).tolist()
+                   for e in ends.values()]
+        for row in zip(*columns):
+            yield IteratedIntegralTable(dict(zip(ends, row)),
                                         len(times) - 1)
 
 
@@ -157,7 +171,7 @@ def iterated_integral(path: BrownianPath, t: float, word) -> float:
     legs = (np.diff(times), np.diff(values))
     fw = np.ones(len(times))
     for j in word:
-        fw, = _integrate(fw, (legs[j],))
+        fw = _integrate(_midpoints(fw), legs[j])
     return float(fw[-1])
 
 
@@ -183,10 +197,10 @@ def word_entries(times, values, words) -> np.ndarray:
         raise ValueError("values must hold one driver per row")
     _check_samples(times, values)
     words = [_check_word(w) for w in words]
-    running = _walk((np.diff(times), np.diff(values, axis=-1)), _plan(words))
+    ends = _walk((np.diff(times), np.diff(values, axis=-1)), _plan(words))
     entries = np.empty((len(values), len(words)))
     for k, w in enumerate(words):
-        entries[:, k] = running[w][..., -1]
+        entries[:, k] = ends[w]
     return entries
 
 

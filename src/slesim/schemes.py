@@ -31,7 +31,7 @@ from math import copysign, sqrt
 import numpy as np
 
 from .brownian import BrownianPath
-from .halfplane import _flip_up, sqrt_h
+from .halfplane import _flip_up, _sqrt_h_into, sqrt_h
 from .integrals import IteratedIntegralTable
 from .vfalgebra import LEVEL_CAP, enumerate_level, eval_term
 
@@ -101,12 +101,14 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
         c = 2.0 * h / kappa
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    # y * y is a new complex array (or a scalar), so the shift can work
-    # in place; z * z - c cannot, as ``z`` may be an int array
-    y = sqrt_h(z * z - c) + dB
+    # z * z - c and y * y are this call's own arrays (or scalars), so
+    # each root may overwrite its argument, and the shift may work in
+    # place on y * y, which is complex; z * z - c is complex only when z
+    # is, so a root of it takes a copy otherwise
+    y = _sqrt_h_into(z * z - c) + dB
     w = y * y
     w -= c
-    return sqrt_h(w)
+    return _sqrt_h_into(w)
 
 
 def _nv_steps(z: complex, cs, ds) -> complex:
@@ -115,20 +117,35 @@ def _nv_steps(z: complex, cs, ds) -> complex:
     Each step is z -> sqrt_h((sqrt_h(z^2 - c) + d)^2 - c), with c the
     drift time (2h, or 2h/kappa for unit_noise) and d the noise
     displacement (sqrt(kappa) dB, or dB).  The same scalar operations as
-    ``nv_step`` with the ``sqrt_h`` flip inlined (the root is negated
-    exactly when the sign bit of its imaginary part is set), so bit for
-    bit equal to a loop of ``nv_step`` calls, without a call per step.
+    ``nv_step``, without a call per step, and with the ``sqrt_h`` flip
+    (negate the root exactly when the sign bit of its imaginary part is
+    set) taken once per root only where its result is read:
+
+    - the first root's flip folds into the noise shift, as d - s is
+      (-s) + d bit for bit;
+    - the second root enters the next step only through its square, and
+      (-z) * (-z) is z * z bit for bit, so it is flipped once, after the
+      last step.
+
+    So the result equals a loop of ``nv_step`` calls bit for bit.  On the
+    way, only a NaN, which float64 overflow can make, may carry another
+    sign bit than in that loop, and the next root turns any NaN into
+    cmath's own, so the result keeps the loop's bits there too.
     """
     _sqrt, _copysign = cmath.sqrt, copysign
+    c = None
     for c, d in zip(cs, ds):
         # copysign is called only for a zero imaginary part, so the
         # common cases pay one or two comparisons and no call
         s = _sqrt(z * z - c)
         im = s.imag
         if im <= 0.0 and (im < 0.0 or _copysign(1.0, im) < 0.0):
-            s = -s
-        y = s + d
+            y = d - s
+        else:
+            y = s + d
         z = _sqrt(y * y - c)
+    # no step leaves the start as it is
+    if c is not None:
         im = z.imag
         if im <= 0.0 and (im < 0.0 or _copysign(1.0, im) < 0.0):
             z = -z
@@ -151,9 +168,10 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
     ``ds[j][k]``; ``z`` is a sequence of complex starts, ``cs`` and
     ``ds`` are (steps, lanes) arrays.  Each square is formed from real
     float64 ufuncs in CPython's order for a complex product.  Each root
-    is ``np.sqrt`` of the whole lane array and the ``sqrt_h`` flip; a
-    root whose argument leaves the box ``_LANE_BOX`` in any lane is taken
-    lane by lane with the scalar ``sqrt_h``.
+    is ``np.sqrt`` of the whole lane array; a root whose argument leaves
+    the box ``_LANE_BOX`` in any lane is taken lane by lane with
+    ``cmath.sqrt``.  The flips follow ``_nv_steps``: the first root's
+    before the noise shift, the second root's once, after the last step.
     """
     z = np.array(z, dtype=np.complex128)
     s, w = np.empty_like(z), np.empty_like(z)
@@ -172,19 +190,22 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
         np.add(w_im, w_im, out=w_im)
         np.absolute(w_parts, out=size)
         if lo <= size.min() and size.max() <= hi:
-            _flip_up(np.sqrt(w, out=out))
+            np.sqrt(w, out=out)
         else:
-            out[:] = [sqrt_h(v) for v in w.tolist()]
+            out[:] = [cmath.sqrt(v) for v in w.tolist()]
 
     # overflow gives inf and nan silently, as in the scalar kernel
     with np.errstate(all="ignore"):
         for c, d in zip(cs, ds):
             root(z, c, s)
-            # the root's imaginary part has a clear sign bit, so adding
-            # 0.0 to it, as CPython's complex + float does, changes nothing
+            # after the flip, adding d to the real part gives the scalar
+            # kernel's y: -re + d is d - re and -im is 0.0 - im bit for
+            # bit, and an unflipped im has a clear sign bit, so the 0.0
+            # that CPython's complex + float adds to it changes nothing
+            _flip_up(s)
             np.add(s_re, d, out=s_re)
             root(s, c, z)
-    return z
+    return _flip_up(z) if len(cs) else z
 
 
 def euler_step(z, h, dB, kappa: float):

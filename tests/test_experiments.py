@@ -145,6 +145,22 @@ def test_moment_stderr_scales_like_inverse_root_replicas():
         assert 1.7 <= ratio <= 2.3
 
 
+@pytest.mark.parametrize("block, replicas", [(7, 30), (None, 8197)])
+def test_step_normals_equal_one_matrix_draw(monkeypatch, block, replicas):
+    # drawn a block of replicas at a time and stored step-major, yet
+    # column for column the one (replicas, steps) draw; neither replica
+    # count is a multiple of the block
+    if block is not None:
+        monkeypatch.setattr(experiments, "_NOISE_BLOCK", block)
+    assert replicas % experiments._NOISE_BLOCK != 0
+    got = experiments._step_normals(philox_stream(4, 9), 5, replicas)
+    want = philox_stream(4, 9).standard_normal((replicas, 5))
+    assert got.flags.c_contiguous
+    assert got.shape == (5, replicas)
+    for k in range(5):
+        assert got[k].tobytes() == want[:, k].tobytes()
+
+
 def test_moment_rows_equal_stored_matrix_recomputation():
     # reference: keep every step's Z^2 in one (steps, replicas) matrix,
     # then reduce each row

@@ -1,13 +1,15 @@
 """Iterated integrals of the piecewise-linear driver lift."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slesim.brownian import BrownianPath
+from slesim import integrals
+from slesim.brownian import BrownianPath, _uniform_block, _uniform_grid
 from slesim.integrals import (compute_table, derive_seeds, iterated_integral,
                               word_entries)
 from slesim.vfalgebra import deg
@@ -136,6 +138,23 @@ def test_word_entries_equal_iterated_integral_bitwise(words, zeros, rows, n,
     i = data.draw(st.integers(0, rows - 1))
     alone = word_entries(times, values[i:i + 1], words)
     assert alone.tobytes() == entries[i:i + 1].tobytes()
+
+
+def test_table_block_keeps_only_live_prefix_arrays():
+    # one block of 64 drivers on 8,193 knots at r = 3: the walk holds the
+    # arrays of the parents still to integrate and a few temporaries, not
+    # every prefix's array (13.4 blocks' worth, 56 MB, when it kept them)
+    times = _uniform_grid(1.0, 8192)
+    values = _uniform_block(1.0, 8192, list(range(64)))
+    tracemalloc.start()
+    try:
+        tables = list(integrals._tables(times, values, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 64
+    assert len(tables[0].entries) == 15
+    assert peak <= 8 * values.nbytes
 
 
 def test_word_entries_validation():

@@ -408,6 +408,97 @@ def test_lane_kernel_equals_scalar_kernel(data, lanes, steps):
         assert _bits(got[k]) == _bits(want)
 
 
+def _flipped_roots(z, cs, ds):
+    # how many roots of an nv_step chain sqrt_h negates: those whose
+    # principal root has the sign bit of its imaginary part set
+    count = 0
+    for c, d in zip(cs, ds):
+        w = z * z - c
+        y = sqrt_h(w) + d
+        v = y * y - c
+        z = sqrt_h(v)
+        count += sum(math.copysign(1.0, cmath.sqrt(x).imag) < 0.0
+                     for x in (w, v))
+    return count
+
+
+def _chain_args(h, dB, kappa, convention):
+    # the drift times and noise displacements nv_step computes from them
+    if convention == SCALED_NOISE:
+        return [2.0 * x for x in h], [math.sqrt(kappa) * x for x in dB]
+    return [2.0 * x / kappa for x in h], dB
+
+
+_START_PART = st.one_of(st.floats(-20.0, 20.0),
+                        st.sampled_from([0.0, -0.0, 5e-324, -1e-200, 1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), steps=st.integers(2, 6),
+       kappa=st.sampled_from([0.5, 2.0, 8.0 / 3.0, 6.0]),
+       convention=st.sampled_from([SCALED_NOISE, UNIT_NOISE]))
+def test_scalar_kernel_equals_nv_step_loop(data, steps, kappa, convention):
+    # starts on and off both axes, with signed zeros and z0 = 0, on chains
+    # whose roots, first and second, often get flipped (a start left of
+    # the imaginary axis squares below the real axis); huge parts
+    # overflow, and the bits must agree there too
+    z0 = data.draw(st.one_of(
+        st.builds(complex, _START_PART, _START_PART),
+        st.sampled_from([0j, complex(-0.0, 0.0), complex(-2.0, 0.0),
+                         complex(3.0, -0.0), complex(-0.0, 1.5),
+                         complex(-1.0, 0.25)])))
+    h = data.draw(st.lists(st.one_of(st.floats(0.0, 3.0),
+                                     st.sampled_from([0.0, 1e-300])),
+                           min_size=steps, max_size=steps))
+    dB = data.draw(st.lists(st.one_of(st.floats(-4.0, 4.0),
+                                      st.sampled_from([0.0, -0.0, 1e200])),
+                            min_size=steps, max_size=steps))
+    want = z0
+    for x, b in zip(h, dB):
+        want = nv_step(want, x, b, kappa, convention)
+    got = schemes._nv_steps(z0, *_chain_args(h, dB, kappa, convention))
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("convention", [SCALED_NOISE, UNIT_NOISE])
+def test_scalar_kernel_flips_inside_a_chain(convention):
+    # a chain that wanders left of the imaginary axis, so that both of
+    # its roots get flipped on many steps: the kernel takes the first
+    # root's flip as d - s and the second root's only after the last
+    # step, and must still give nv_step's bits
+    rng = np.random.default_rng(9)
+    h = rng.uniform(0.0, 0.05, 40).tolist()
+    dB = (rng.normal(-0.3, 0.5, 40)).tolist()
+    cs, ds = _chain_args(h, dB, 6.0, convention)
+    assert _flipped_roots(-1.0 + 0.5j, cs, ds) >= 20
+    want = -1.0 + 0.5j
+    for x, b in zip(h, dB):
+        want = nv_step(want, x, b, 6.0, convention)
+    assert _bits(schemes._nv_steps(-1.0 + 0.5j, cs, ds)) == _bits(want)
+    # no step leaves the start as it is, sign bits included
+    assert _bits(schemes._nv_steps(complex(3.0, -0.0), [], [])) == \
+        _bits(complex(3.0, -0.0))
+    empty = np.empty((0, 1))
+    assert _bits(schemes._nv_lanes([complex(3.0, -0.0)], empty,
+                                   empty)[0]) == _bits(complex(3.0, -0.0))
+
+
+@pytest.mark.parametrize("convention", [SCALED_NOISE, UNIT_NOISE])
+def test_array_step_leaves_its_inputs_unchanged(convention):
+    # the array path takes its roots in place, on its own temporaries only
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-2, 2, 50) + 1j * rng.uniform(0.0, 2, 50)
+    dB = rng.normal(0.0, 1.0, 50)
+    ints = np.arange(-3, 4)
+    copies = z.copy(), dB.copy(), ints.copy()
+    nv_step(z, 0.3, dB, 2.0, convention)
+    nv_step(ints, 0.3, dB[:7], 2.0, convention)
+    nv_step(1j, 0.3, dB, 2.0, convention)
+    assert z.tobytes() == copies[0].tobytes()
+    assert dB.tobytes() == copies[1].tobytes()
+    assert ints.tobytes() == copies[2].tobytes()
+
+
 def test_lane_kernel_guard_catches_the_imaginary_axis():
     # z0 = 0.1 + 0.1i with no drift and no noise squares to
     # 0.020000000000000004i, on the imaginary axis, where np.sqrt and
