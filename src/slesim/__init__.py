@@ -11,7 +11,7 @@ trace, and :mod:`slesim.experiments` wraps the Monte Carlo studies the
 command line exposes.
 """
 
-from .brownian import BrownianPath, philox_stream, uniform_blocks
+from .brownian import BrownianPath, philox_stream
 from .halfplane import sqrt_h
 from .integrals import (IteratedIntegralTable, compute_table, derive_seeds,
                         iterated_integral, word_entries)
@@ -29,7 +29,7 @@ from .experiments import (ExperimentReport, ReferenceConvergenceError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BrownianPath", "philox_stream", "uniform_blocks",
+    "BrownianPath", "philox_stream",
     "sqrt_h",
     "IteratedIntegralTable", "compute_table",
     "derive_seeds", "iterated_integral", "word_entries",

@@ -7,7 +7,7 @@ endpoints, so earlier samples never move.  Every random draw is keyed by
 (seed, quantity drawn), not by call order: the initial increments use one
 Philox stream, and each midpoint uses a stream keyed by the bit pattern
 of its time.  Two runs that bisect the same intervals in different orders
-therefore produce bitwise identical samples.  :func:`uniform_blocks` draws
+therefore produce bitwise identical samples.  :func:`_uniform_block` draws
 many uniform-grid drivers as rows of one array, each row bit for bit the
 path :meth:`BrownianPath.sample_uniform` draws from the same seed.
 
@@ -34,7 +34,7 @@ from math import sqrt
 
 import numpy as np
 
-__all__ = ["BrownianPath", "philox_stream", "uniform_blocks"]
+__all__ = ["BrownianPath", "philox_stream"]
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -54,10 +54,6 @@ _KEY_BLOCK = 1 << 12
 # Tag for the initial-increment stream.  Midpoint streams are tagged with the
 # float64 bit pattern of the midpoint time, which is never 0 for t > 0.
 _TAG_INCREMENTS = 0
-# Rows per block of :func:`uniform_blocks`.  Callers keep a few arrays of
-# one block's shape alive (the iterated integrals keep one per word prefix),
-# so memory stays near 1 MB at 256 intervals whatever the replica count.
-_BLOCK_ROWS = 64
 
 
 def philox_stream(seed: int, tag: int) -> np.random.Generator:
@@ -342,26 +338,14 @@ def _bisect(t: np.ndarray, v: np.ndarray, seeds,
     return times, values
 
 
-def uniform_blocks(T: float, n: int, seeds):
-    """Uniform-grid drivers for many seeds, a bounded block at a time.
-
-    Yields ``(rows, times, values)``: ``rows`` is the slice of ``seeds``
-    the block covers, ``times`` the grid k*T/n that all drivers share,
-    and ``values[r]`` equals ``BrownianPath.sample_uniform(T, n,
-    seeds[rows][r]).values`` bit for bit.
-    """
-    times = _uniform_grid(T, n)
-    for start in range(0, len(seeds), _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, len(seeds)))
-        yield rows, times, _uniform_block(T, n, seeds[rows])
-
-
 class BrownianPath:
     """Piecewise-sampled Brownian motion on [0, T].
 
     Construct from existing samples with ``BrownianPath(times, values,
     seed)``, or with :meth:`sample_uniform` or :meth:`zeros`.  ``seed``
-    keys the bridge draws of later refinements.
+    keys the bridge draws of later refinements.  The samples are kept
+    once, as lists; :attr:`times` and :attr:`values` build arrays from
+    them.
     """
 
     def __init__(self, times, values, seed: int, bridge_scale: float = 1.0):
@@ -376,7 +360,6 @@ class BrownianPath:
         self._values = v.tolist()
         self.seed = int(seed)
         self._bridge_scale = float(bridge_scale)
-        self._cache: tuple[np.ndarray, np.ndarray] | None = (t, v)
 
     # ------------------------------------------------------------------
     # constructors
@@ -408,17 +391,14 @@ class BrownianPath:
 
     @property
     def times(self) -> np.ndarray:
-        self._refresh()
-        return self._cache[0]
+        """The sample times as a new array; writing to it leaves the path
+        as it was."""
+        return np.array(self._times)
 
     @property
     def values(self) -> np.ndarray:
-        self._refresh()
-        return self._cache[1]
-
-    def _refresh(self) -> None:
-        if self._cache is None:
-            self._cache = (np.array(self._times), np.array(self._values))
+        """The samples as a new array, like :attr:`times`."""
+        return np.array(self._values)
 
     def __len__(self) -> int:
         return len(self._times)
@@ -463,7 +443,6 @@ class BrownianPath:
         xi = _normals(self.seed, _time_tag(tm)) if sd else 0.0
         self._times.insert(i + 1, tm)
         self._values.insert(i + 1, mean + sd * xi)
-        self._cache = None
         return self
 
     def refine(self) -> "BrownianPath":
@@ -476,8 +455,6 @@ class BrownianPath:
         """
         times, values = _bisect(self.times, self.values[None, :],
                                 [self.seed], self._bridge_scale)
-        values = values[0]
         self._times = times.tolist()
-        self._values = values.tolist()
-        self._cache = (times, values)
+        self._values = values[0].tolist()
         return self

@@ -183,9 +183,8 @@ def _cmd_trace(args) -> int:
         path = BrownianPath.sample_uniform(args.horizon, args.n_init,
                                            args.seed)
         result = build_trace(path, args.horizon, args.kappa,
-                             n_init=args.n_init, tolerance=args.tolerance,
-                             max_depth=args.max_depth,
-                             apply_shift=args.shift)
+                             tolerance=args.tolerance,
+                             max_depth=args.max_depth, apply_shift=args.shift)
         rows = [{"t": t, "re": z.real, "im": z.imag}
                 for t, z in result.points]
         config = {"kappa": args.kappa, "T": args.horizon,

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brownian import BrownianPath, _BLOCK_ROWS, _check_samples
-from .vfalgebra import LEVEL_CAP, _check_word
+from .brownian import BrownianPath, _check_samples
+from .vfalgebra import _check_level, _check_word
 
 __all__ = [
     "IteratedIntegralTable",
@@ -40,6 +40,13 @@ __all__ = [
     "word_entries",
     "derive_seeds",
 ]
+
+# Drivers per block of :func:`_tables`, and per call of :func:`word_entries`
+# in ``divergence_probe``.  The prefix walk keeps a few arrays of one
+# block's shape alive (one per word prefix still to extend), so memory
+# stays near 1 MB at 256 intervals whatever the replica count.
+_BLOCK_ROWS = 64
+
 
 @dataclass
 class IteratedIntegralTable:
@@ -156,8 +163,7 @@ def compute_table(path: BrownianPath, t: float,
     Returns:
         IteratedIntegralTable with 2^(r+1) - 1 entries.
     """
-    if r < 0 or r > LEVEL_CAP:
-        raise ValueError(f"word length bound {r} outside [0, {LEVEL_CAP}]")
+    _check_level(r)
     if t <= 0.0:
         raise ValueError("horizon must be positive")
     times, values = _grid(path, t)

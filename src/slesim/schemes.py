@@ -33,7 +33,7 @@ import numpy as np
 from .brownian import BrownianPath
 from .halfplane import _flip_up, _sqrt_h_into, sqrt_h
 from .integrals import IteratedIntegralTable
-from .vfalgebra import LEVEL_CAP, enumerate_level, eval_term
+from .vfalgebra import _check_level, enumerate_level, eval_term
 
 __all__ = [
     "UNIT_NOISE",
@@ -226,11 +226,7 @@ def _truncation_terms(r: int) -> tuple:
     table holds a word longer than LEVEL_CAP, so a cutoff past it is
     refused before any word is composed, as is a negative one.
     """
-    if r < 0:
-        raise ValueError("truncation level must be nonnegative")
-    if r > LEVEL_CAP:
-        raise ValueError(f"truncation level {r} needs words longer than "
-                         f"LEVEL_CAP = {LEVEL_CAP}")
+    _check_level(r)
     return tuple((word, term) for n in range(r + 1)
                  for word, term in enumerate_level(n) if not term.is_zero())
 

@@ -5,8 +5,9 @@ The point of the trace at partition time t_k is
     z_k = f_0(f_1(... f_{k-1}(0) ...)),
 
 where f_i is the closed-form splitting step over [t_i, t_{i+1}] driven by
-the reversed increment B(t_i) - B(t_{i+1}).  A left-to-right sweep accepts
-points while consecutive spatial gaps stay below the tolerance; a violating
+the reversed increment B(t_i) - B(t_{i+1}).  The partition starts as the
+driver's own grid on [0, T].  A left-to-right sweep accepts points while
+consecutive spatial gaps stay below the tolerance; a violating
 interval is bisected through the driver's bridge midpoint and only the
 affected suffix is recomputed, since accepted points to the left depend on
 nothing to the right.  The refinement draws are keyed by midpoint time, so
@@ -77,19 +78,17 @@ def _eval_chain(j: int, dd: list, cc: list) -> complex:
     return _nv_steps(0j, reversed(cc[:j]), reversed(dd[:j]))
 
 
-def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
+def build_trace(path: BrownianPath, T: float, kappa: float,
                 tolerance: float = 0.02, max_depth: int = 40,
                 apply_shift: bool = False) -> TraceResult:
     """Adaptively refined trace of the driver on [0, T].
 
     Args:
         path: driver, mutated in place by bridge bisections; must carry T
-            as a sample time.  If its grid on
-            [0, T] is coarser than n_init intervals it is pre-refined by
-            whole-path midpoint passes (``path.refine()``).
+            as a sample time.  Its grid on [0, T] is the initial
+            partition.
         T: horizon, > 0.
         kappa: noise strength, >= 0 (0 gives the deterministic slit).
-        n_init: minimum initial partition size, >= 1.
         tolerance: accepted spatial gap bound, > 0.
         max_depth: bisection budget per initial interval.
         apply_shift: translate all points by sqrt(kappa) B(T) (maps the
@@ -112,8 +111,6 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
         raise ValueError("horizon must be positive")
     if not kappa >= 0.0:
         raise ValueError("kappa must be nonnegative")
-    if n_init < 1:
-        raise ValueError("n_init must be >= 1")
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     if max_depth < 0:
@@ -122,9 +119,6 @@ def build_trace(path: BrownianPath, T: float, kappa: float, n_init: int = 64,
         raise ValueError(f"path horizon {path.horizon} is shorter than {T}")
 
     end = path.index_of(T)
-    while end < n_init:
-        end = path.refine().index_of(T)
-
     # cc[i] = 2 h_i and dd[i] = sqrt(kappa) (B_i - B_{i+1}) for interval i
     # of the partition, which is the path's grid on [0, T]; depth[i] counts
     # the bisections behind interval i.

@@ -60,6 +60,14 @@ def _check_word(word) -> Word:
     return word
 
 
+def _check_level(r: int) -> None:
+    """Refuse a truncation level (a word length) outside [0, LEVEL_CAP]."""
+    if r < 0:
+        raise ValueError(f"truncation level {r} is negative")
+    if r > LEVEL_CAP:
+        raise ValueError(f"truncation level {r} above cap {LEVEL_CAP}")
+
+
 def deg(word) -> Fraction:
     """Scaling degree m + n/2 (m zeros weighted 1, n ones weighted 1/2).
 
@@ -108,10 +116,7 @@ def enumerate_level(r: int) -> list[tuple[Word, LaurentTerm]]:
         r: word length, 0 <= r <= LEVEL_CAP (the cap guards against
             accidental exponential blowups).
     """
-    if r < 0:
-        raise ValueError("level must be nonnegative")
-    if r > LEVEL_CAP:
-        raise ValueError(f"level {r} above cap {LEVEL_CAP}")
+    _check_level(r)
     return [(word, compose(word))
             for word in itertools.product((0, 1), repeat=r)]
 

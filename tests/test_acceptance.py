@@ -201,7 +201,7 @@ def test_criterion_6_integral_identities_and_scaling():
 def test_criterion_7_trace_construction():
     # flat driver: the trace is 2i sqrt(t) to 1e-10 everywhere
     flat = BrownianPath.zeros(1.0, 64)
-    result = build_trace(flat, 1.0, kappa=2.0, n_init=64, tolerance=0.1)
+    result = build_trace(flat, 1.0, kappa=2.0, tolerance=0.1)
     worst = max(abs(z - 2j * math.sqrt(t)) for t, z in result.points)
     assert worst <= 1e-10, worst
 
@@ -211,8 +211,7 @@ def test_criterion_7_trace_construction():
         per_tol = []
         for tolerance in (0.1, 0.05, 0.025):
             path = BrownianPath.sample_uniform(1.0, 32, seed=2026)
-            res = build_trace(path, 1.0, kappa=kappa, n_init=32,
-                              tolerance=tolerance)
+            res = build_trace(path, 1.0, kappa=kappa, tolerance=tolerance)
             zs = [z for _, z in res.points]
             assert max(abs(b - a) for a, b in zip(zs, zs[1:])) < tolerance
             assert min(z.imag for z in zs) >= 0.0

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from slesim import brownian
 from slesim.brownian import (BrownianPath, _bisect, _block_normals, _normals,
-                             _philox_words, _uniform_grid, _zig_tables,
-                             philox_stream, uniform_blocks)
+                             _philox_words, _uniform_block, _uniform_grid,
+                             _zig_tables, philox_stream)
 
 _TOP = 2 ** 64 - 1
 # (seed, tag) keys whose first Philox word numpy's ziggurat fast path does
@@ -63,16 +63,15 @@ def test_uniform_grid_rounds_like_scalar_loop(T, n):
 
 
 def test_uniform_blocks_equal_sample_uniform():
-    # 130 seeds span three blocks; every row equals its own path
+    # every row equals its own path, whichever block of seeds it is in
     seeds = [3 * s + 1 for s in range(130)]
-    covered = []
-    for rows, times, values in uniform_blocks(0.7, 9, seeds):
-        covered.extend(range(130)[rows])
-        for seed, row in zip(seeds[rows], values):
-            p = BrownianPath.sample_uniform(0.7, 9, seed=seed)
-            assert times.tolist() == p.times.tolist()
-            assert row.tolist() == p.values.tolist()
-    assert covered == list(range(130))
+    times = _uniform_grid(0.7, 9)
+    values = _uniform_block(0.7, 9, seeds)
+    assert _bits(_uniform_block(0.7, 9, seeds[64:])) == _bits(values[64:])
+    for seed, row in zip(seeds, values):
+        p = BrownianPath.sample_uniform(0.7, 9, seed=seed)
+        assert times.tolist() == p.times.tolist()
+        assert row.tolist() == p.values.tolist()
     assert BrownianPath.zeros(0.7, 9).times.tolist() == times.tolist()
 
 
@@ -159,7 +158,7 @@ def test_block_bisection_equals_midpoint_loop(seed, n, rows, T):
     # one row per driver, all on the uniform grid: three passes over the
     # block give the bits of each path's own scalar midpoint draws
     seeds = list(range(seed, seed + rows))
-    (_, times, values), = uniform_blocks(T, n, seeds)
+    times, values = _uniform_grid(T, n), _uniform_block(T, n, seeds)
     paths = [BrownianPath.sample_uniform(T, n, s) for s in seeds]
     for _ in range(3):
         times, values = _bisect(times, values, seeds)
@@ -255,7 +254,8 @@ def test_self_check_falls_back_on_corrupted_tables(monkeypatch):
 def test_first_bisection_in_two_threads_matches_serial(monkeypatch):
     # both threads find the tables missing at once; one derives them,
     # the other waits for it, and both draw the serial bits
-    (_, times, values), = uniform_blocks(1.0, 64, [5, 6, 7])
+    times, values = _uniform_grid(1.0, 64), _uniform_block(1.0, 64,
+                                                           [5, 6, 7])
     want = _bisect(times, values, [5, 6, 7])
     derive = brownian._derive_tables
     derived = []
@@ -412,12 +412,29 @@ def test_index_and_increment():
         p.index_of(0.51)
 
 
+@pytest.mark.parametrize("refine", [False, True])
+def test_writing_into_the_arrays_leaves_the_path_as_it_was(refine):
+    # times and values are new arrays each time: the path keeps its
+    # samples once, so sample, index_of and the arrays always agree
+    p = BrownianPath.sample_uniform(1.0, 4, seed=4)
+    if refine:
+        p.refine()
+    times, values = p.times.tolist(), p.values.tolist()
+    p.times[2] = 0.9
+    p.values[2] = 7.0
+    assert p.times.tolist() == times and p.values.tolist() == values
+    assert p.sample(2) == (times[2], values[2])
+    assert p.index_of(times[2]) == 2
+    with pytest.raises(ValueError):
+        p.index_of(0.9)
+
+
 def test_empty_uniform_grid_is_refused_before_dividing():
     # the check comes before k / n is formed, so no divide warning escapes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="interval"):
-            list(uniform_blocks(1.0, 0, [1]))
+            _uniform_grid(1.0, 0)
         with pytest.raises(ValueError, match="interval"):
             BrownianPath.sample_uniform(1.0, 0, seed=1)
         with pytest.raises(ValueError, match="horizon"):

@@ -83,7 +83,7 @@ def test_trace_writes_three_files(tmp_path, capsys):
     assert lines[0] == "t,re,im" and lines[1] == "0.0,0.0,0.0"
     # repr round-trip: parsing the rows reproduces every point exactly
     result = build_trace(BrownianPath.sample_uniform(1.0, 8, 0), 1.0, 2.5,
-                         n_init=8, tolerance=0.2)
+                         tolerance=0.2)
     assert [(float(t), complex(float(re), float(im)))
             for t, re, im in (line.split(",") for line in lines[1:])] \
         == result.points

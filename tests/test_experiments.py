@@ -107,6 +107,15 @@ def test_divergence_rejects_all_vanishing_words(monkeypatch):
         divergence_probe(0.125, 0.5, [(0, 1), (1, 1)], 50, seed=4)
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+def test_divergence_refuses_kappa_before_drawing(monkeypatch, kappa):
+    # kappa = 0 used to raise only once every driver was drawn and
+    # integrated, and NaN was not refused at all: its rows came out NaN
+    _forbid_draws(monkeypatch)
+    with pytest.raises(ValueError, match="kappa"):
+        divergence_probe(0.125, 0.5, [(0,), (1,)], 50, seed=4, kappa=kappa)
+
+
 def test_divergence_magnitudes_grow_with_degree():
     report = divergence_probe(2.0 ** -6, 0.5, [(1,), (0,), (1, 0), (0, 0)],
                               400, seed=5, resolution=64)

@@ -83,19 +83,22 @@ def test_pinned_csv_bytes(tmp_path, capsys, argv, name, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n,seed,kappa,tolerance,n_init,points,stats", [
+@pytest.mark.parametrize("n,seed,kappa,tolerance,intervals,points,stats", [
     (64, 8, 6.0, 0.16, 64, 145,
      {"refinement_depth_max": 8, "map_evaluations": 10440,
       "chain_map_applications": 14679}),
-    # a 4-interval driver: pre-refined to 8 intervals before the sweep
+    # a 4-interval driver, refined to 8 intervals before the sweep
     (4, 11, 4.0, 0.1, 5, 61,
      {"refinement_depth_max": 7, "map_evaluations": 1830,
       "chain_map_applications": 3255}),
 ])
-def test_pinned_trace_stats(n, seed, kappa, tolerance, n_init, points,
+def test_pinned_trace_stats(n, seed, kappa, tolerance, intervals, points,
                             stats):
+    # whole-path bisection passes until the grid has at least
+    # ``intervals`` intervals: the initial partition of the sweep
     path = BrownianPath.sample_uniform(1.0, n, seed)
-    result = build_trace(path, 1.0, kappa, n_init=n_init,
-                         tolerance=tolerance)
+    while path.n_intervals < intervals:
+        path.refine()
+    result = build_trace(path, 1.0, kappa, tolerance=tolerance)
     assert len(result.points) == points
     assert result.stats == stats

@@ -237,6 +237,19 @@ def test_taylor_refuses_levels_past_the_cap():
         taylor_step(1j, table, 40, 2.0)
 
 
+@pytest.mark.parametrize("r,message", [
+    (-1, "truncation level -1 is "),
+    (vfalgebra.LEVEL_CAP + 1, f"above cap {vfalgebra.LEVEL_CAP}")])
+def test_every_level_check_is_the_same_rule(r, message):
+    # enumerating words, truncating a Taylor sum and building a table all
+    # refuse a level outside [0, LEVEL_CAP] through one check
+    path = BrownianPath.sample_uniform(1.0, 8, seed=2)
+    for refuse in (enumerate_level, schemes._truncation_terms,
+                   lambda r: compute_table(path, 1.0, r)):
+        with pytest.raises(ValueError, match=message):
+            refuse(r)
+
+
 def test_taylor_zero_level_is_identity():
     path = BrownianPath.sample_uniform(1.0, 8, seed=2)
     table = compute_table(path, 1.0, 0)

@@ -14,7 +14,7 @@ from slesim.trace import (TraceRefinementError, TraceResult, _eval_chain,
 def test_zero_noise_trace_is_the_square_root_curve():
     # with a flat driver every partition telescopes to 2i sqrt(t)
     path = BrownianPath.zeros(1.0, 16)
-    result = build_trace(path, 1.0, kappa=2.0, n_init=16, tolerance=0.3)
+    result = build_trace(path, 1.0, kappa=2.0, tolerance=0.3)
     for t, z in result.points:
         assert abs(z - 2j * math.sqrt(t)) <= 1e-10
 
@@ -22,7 +22,7 @@ def test_zero_noise_trace_is_the_square_root_curve():
 def test_zero_noise_any_kappa():
     for kappa in (0.0, 8.0 / 3.0, 6.0):
         path = BrownianPath.zeros(0.7, 8)
-        result = build_trace(path, 0.7, kappa=kappa, n_init=8, tolerance=0.4)
+        result = build_trace(path, 0.7, kappa=kappa, tolerance=0.4)
         for t, z in result.points:
             assert abs(z - 2j * math.sqrt(t)) <= 1e-10
 
@@ -30,8 +30,7 @@ def test_zero_noise_any_kappa():
 def _build(kappa=8.0 / 3.0, seed=7, tolerance=0.1, T=1.0, n_init=16,
            **kw):
     path = BrownianPath.sample_uniform(T, n_init, seed=seed)
-    return build_trace(path, T, kappa=kappa, n_init=n_init,
-                       tolerance=tolerance, **kw)
+    return build_trace(path, T, kappa=kappa, tolerance=tolerance, **kw)
 
 
 def _assert_points_are_final_chains(result, path):
@@ -51,16 +50,20 @@ def _assert_points_are_final_chains(result, path):
     (4.0, 11, 0.1, 5)])
 def test_points_equal_chains_over_final_partition(kappa, seed, tolerance,
                                                   n_init):
+    # whole-path bisection passes until the grid has at least n_init
+    # intervals: the initial partition of the sweep
     path = BrownianPath.sample_uniform(1.0, 4, seed=seed)
-    result = build_trace(path, 1.0, kappa=kappa, n_init=n_init,
-                         tolerance=tolerance)
-    assert len(result) > n_init + 1  # some intervals were bisected
+    while path.n_intervals < n_init:
+        path.refine()
+    n = path.n_intervals
+    result = build_trace(path, 1.0, kappa=kappa, tolerance=tolerance)
+    assert len(result) > n + 1  # some intervals were bisected
     _assert_points_are_final_chains(result, path)
 
 
 def test_chain_map_applications_count_rejected_candidates():
     # without bisection every candidate is accepted: the two counts agree
-    flat = build_trace(BrownianPath.zeros(1.0, 8), 1.0, kappa=2.0, n_init=8,
+    flat = build_trace(BrownianPath.zeros(1.0, 8), 1.0, kappa=2.0,
                        tolerance=10.0)
     assert flat.stats["chain_map_applications"] == \
         flat.stats["map_evaluations"] == 8 * 9 // 2
@@ -85,8 +88,7 @@ def test_points_stay_in_closed_half_plane():
 
 def test_partition_is_sorted_and_matches_points():
     path = BrownianPath.sample_uniform(1.0, 16, seed=7)
-    result = build_trace(path, 1.0, kappa=8.0 / 3.0, n_init=16,
-                         tolerance=0.1)
+    result = build_trace(path, 1.0, kappa=8.0 / 3.0, tolerance=0.1)
     times = [t for t, _ in result.points]
     assert times == path.times.tolist()  # the driver's final grid
     assert all(a < b for a, b in zip(times, times[1:]))
@@ -123,10 +125,8 @@ def test_rebuild_on_refined_path_is_stable():
     # the builder mutates its driver; a second pass over the settled
     # partition must accept every interval and reproduce the points
     path = BrownianPath.sample_uniform(1.0, 16, seed=19)
-    first = build_trace(path, 1.0, kappa=8.0 / 3.0, n_init=16,
-                        tolerance=0.1)
-    second = build_trace(path, 1.0, kappa=8.0 / 3.0, n_init=16,
-                         tolerance=0.1)
+    first = build_trace(path, 1.0, kappa=8.0 / 3.0, tolerance=0.1)
+    second = build_trace(path, 1.0, kappa=8.0 / 3.0, tolerance=0.1)
     assert first.points == second.points
 
 
@@ -134,8 +134,8 @@ def test_shift_translates_by_final_driver_value():
     kappa = 6.0
     a = BrownianPath.sample_uniform(1.0, 16, seed=23)
     b = BrownianPath.sample_uniform(1.0, 16, seed=23)
-    plain = build_trace(a, 1.0, kappa=kappa, n_init=16, tolerance=0.2)
-    shifted = build_trace(b, 1.0, kappa=kappa, n_init=16, tolerance=0.2,
+    plain = build_trace(a, 1.0, kappa=kappa, tolerance=0.2)
+    shifted = build_trace(b, 1.0, kappa=kappa, tolerance=0.2,
                           apply_shift=True)
     assert shifted.shift_applied and not plain.shift_applied
     want = math.sqrt(kappa) * a.value_at(1.0)  # schedule independent
@@ -148,8 +148,7 @@ def test_shift_translates_by_final_driver_value():
 def test_refinement_budget_error():
     path = BrownianPath.sample_uniform(1.0, 4, seed=29)
     with pytest.raises(TraceRefinementError) as info:
-        build_trace(path, 1.0, kappa=6.0, n_init=4, tolerance=1e-4,
-                    max_depth=3)
+        build_trace(path, 1.0, kappa=6.0, tolerance=1e-4, max_depth=3)
     err = info.value
     assert err.depth == 3
     assert err.gap > 1e-4
@@ -162,7 +161,7 @@ def test_float64_limit_is_a_refinement_error():
     # no midpoint to bisect at although the depth budget is not spent
     path = BrownianPath([0.0, 5e-324, 1.0], [0.0, 10.0, 10.0], seed=0)
     with pytest.raises(TraceRefinementError) as info:
-        build_trace(path, 1.0, kappa=6.0, n_init=2, tolerance=0.1)
+        build_trace(path, 1.0, kappa=6.0, tolerance=0.1)
     err = info.value
     assert err.interval == (0.0, 5e-324)
     assert err.depth == 0 and err.gap >= 0.1
@@ -192,7 +191,7 @@ def test_slit_map_matches_manual_composition():
     # the trace point at t_2 is f_0(f_1(0)) with reversed increments
     path = BrownianPath.sample_uniform(0.5, 2, seed=31)
     kappa = 6.0
-    result = build_trace(path, 0.5, kappa=kappa, n_init=2, tolerance=10.0)
+    result = build_trace(path, 0.5, kappa=kappa, tolerance=10.0)
     tt = path.times.tolist()
     bb = path.values.tolist()
     z = 0j
