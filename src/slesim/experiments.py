@@ -22,13 +22,13 @@ import cmath
 import json
 import time
 from dataclasses import dataclass, field
-from math import isfinite, log, nan, sqrt
+from math import inf, isfinite, log, nan, sqrt
 
 import numpy as np
 
 from .brownian import _bisect, _uniform_block, _uniform_grid, philox_stream
 from .integrals import _BLOCK_ROWS, _tables, derive_seeds, word_entries
-from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, _nv_lanes,
+from .schemes import (REFERENCE_RTOL, UNIT_NOISE, _nv_array_step, _nv_lanes,
                       _nv_steps, _truncation_terms, euler_step, nv_step,
                       taylor_step)
 from .vfalgebra import compose, deg, eval_term, format_word
@@ -371,10 +371,10 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     numpy's error state (the CLI makes it raise FloatingPointError); when
     it is ignored, an overflowed row has a NaN deviation.
     """
-    if not T > 0.0 or n_steps < 1 or replicas < 2:
-        raise ValueError("need T > 0, n_steps >= 1, replicas >= 2")
-    if not kappa >= 0.0:
-        raise ValueError("kappa must be nonnegative")
+    if not 0.0 < T < inf or n_steps < 1 or replicas < 2:
+        raise ValueError("need finite T > 0, n_steps >= 1, replicas >= 2")
+    if not 0.0 <= kappa < inf:
+        raise ValueError("kappa must be finite and nonnegative")
     z0 = complex(z0)
     # Python complex arithmetic: no numpy overflow warning comes first
     if not cmath.isfinite(z0 * z0):
@@ -382,13 +382,20 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     times = _uniform_grid(T, n_steps).tolist()
     incs = _step_normals(philox_stream(seed, _TAG_MATRIX), n_steps, replicas)
 
+    # the lanes and their squares, stepped in place; the lanes are never
+    # flipped into the upper half plane, as only their squares are read
     z = np.full(replicas, z0, dtype=np.complex128)
+    square = z * z
+    root_kappa = sqrt(kappa)
     rows = []
     for k in range(n_steps):
         t = times[k + 1]
         h = t - times[k]
-        z = nv_step(z, h, sqrt(h) * incs[k], kappa, SCALED_NOISE)
-        square = z * z
+        # sqrt(kappa) * (sqrt(h) * incs[k]), the displacement of nv_step
+        d = incs[k]
+        d *= sqrt(h)
+        d *= root_kappa
+        _nv_array_step(z, square, 2.0 * h, d)
         mean = complex(np.mean(square))
         target = z0 * z0 + (kappa - 4.0) * t
         se = sqrt((float(np.var(square.real))

@@ -7,10 +7,12 @@ the nonnegative real axis it agrees with the ordinary real square root, and
 the sign of a zero imaginary part decides the side of the cut, so the maps
 extend continuously to the negative real axis.  The splitting kernels in
 ``schemes`` apply the same flip rule only where its result is read: the
-scalar kernel ``_nv_steps`` inlines it, and the lane kernel ``_nv_lanes``
-shares its array form, ``_flip_up``, with ``sqrt_h``; a change to the
-branch must change them too.  ``nv_step`` takes its array roots in place,
-through ``_sqrt_h_into``, on arrays it made itself.
+scalar kernel ``_nv_steps`` inlines it, the lane kernel ``_nv_lanes``
+shares its array form, ``_flip_up``, with ``sqrt_h``, and the array
+kernel ``_nv_array_step`` (the array path of ``nv_step``) folds it into
+the noise shift as copysign and abs of the root's parts, leaving the
+final ``_flip_up`` to its callers; a change to the branch must change
+them too.
 """
 
 from __future__ import annotations
@@ -52,23 +54,12 @@ def sqrt_h(w):
     if isinstance(w, np.ndarray):
         # a fresh array even for a 0-d or complex128 ``w``, so the root
         # and the flip can work in place
-        return _sqrt_h_into(w.astype(np.complex128))
+        s = w.astype(np.complex128)
+        return _flip_up(np.sqrt(s, out=s))
     s = cmath.sqrt(w)
     if s.imag <= 0.0 and copysign(1.0, s.imag) < 0.0:
         s = -s
     return s
-
-
-def _sqrt_h_into(w):
-    """``sqrt_h(w)``, taken in place when ``w`` is a complex128 array.
-
-    For callers whose argument is a temporary of their own: the root
-    overwrites ``w`` instead of a copy of it.  Any other ``w`` goes
-    through ``sqrt_h`` and is left unchanged.
-    """
-    if isinstance(w, np.ndarray) and w.dtype == np.complex128:
-        return _flip_up(np.sqrt(w, out=w))
-    return sqrt_h(w)
 
 
 def _flip_up(s: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from math import copysign, sqrt
 import numpy as np
 
 from .brownian import BrownianPath
-from .halfplane import _flip_up, _sqrt_h_into, sqrt_h
+from .halfplane import _flip_up, sqrt_h
 from .integrals import IteratedIntegralTable
 from .vfalgebra import _check_level, enumerate_level, eval_term
 
@@ -62,14 +62,14 @@ def flow_drift(z, t):
     Maps the closed upper half plane into itself and never lowers the
     imaginary part.  Accepts scalars or arrays.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("flow time must be nonnegative")
     return sqrt_h(z * z - 4.0 * t)
 
 
 def flow_noise(z, u, kappa):
     """Exact noise flow z + sqrt(kappa) u (horizontal translation)."""
-    if kappa < 0.0:
+    if not kappa >= 0.0:
         raise ValueError("kappa must be nonnegative")
     return z + sqrt(kappa) * u
 
@@ -86,11 +86,14 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
 
         sqrt_h((sqrt_h(z^2 - 2h/kappa) + dB)^2 - 2h/kappa).
 
-    Accepts scalars or arrays for z and dB.
+    Accepts scalars or arrays for z and dB.  When either is an array,
+    every element is a lane of ``_nv_array_step``, on complex128 buffers
+    of the broadcast shape made here; a scalar z is then squared once and
+    broadcast, so all its roots are numpy's.
     """
-    if h < 0.0:
+    if not h >= 0.0:
         raise ValueError("step size must be nonnegative")
-    if kappa < 0.0:
+    if not kappa >= 0.0:
         raise ValueError("kappa must be nonnegative")
     if convention == SCALED_NOISE:
         c = 2.0 * h
@@ -101,14 +104,65 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
         c = 2.0 * h / kappa
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    # z * z - c and y * y are this call's own arrays (or scalars), so
-    # each root may overwrite its argument, and the shift may work in
-    # place on y * y, which is complex; z * z - c is complex only when z
-    # is, so a root of it takes a copy otherwise
-    y = _sqrt_h_into(z * z - c) + dB
-    w = y * y
-    w -= c
-    return _sqrt_h_into(w)
+    if np.ndim(z) == np.ndim(dB) == 0:
+        y = sqrt_h(z * z - c) + dB
+        return sqrt_h(y * y - c)
+    square = np.empty(np.broadcast_shapes(np.shape(z), np.shape(dB)),
+                      dtype=np.complex128)
+    square[...] = z * z
+    out = np.empty_like(square)
+    _nv_array_step(out, square, c, dB)
+    return _flip_up(out)
+
+
+# Lanes per block of _nv_array_step: one block's slices of its two
+# buffers and of the noise, 40 bytes a lane, stay in cache through the
+# nine passes of a step.
+_LANE_BLOCK = 8192
+
+
+def _nv_array_step(z, square, c, d) -> None:
+    """One ``nv_step`` of many lanes, in place on the caller's buffers.
+
+    ``z`` and ``square`` are C-contiguous complex128 arrays of one shape;
+    on entry ``square`` holds the square of each lane's start.  ``c`` is
+    the drift time (2h, or 2h/kappa for unit_noise) and ``d`` the noise
+    displacements, real and broadcastable to that shape.  On return ``z``
+    holds each lane's result before its ``sqrt_h`` flip and ``square``
+    its square.  The flips follow ``_nv_steps``, taken only where read:
+
+    - the first root's flip folds into the noise shift: the real part
+      copysign(re, im) + d and the imaginary part |im| are the bits of
+      (-s) + d when the sign bit of im is set and of s + d when not, as a
+      principal root's real part has a clear sign bit;
+    - the second root is not flipped: (-z) * (-z) is z * z bit for bit,
+      under numpy's FMA complex product too, so ``square`` and the next
+      step read the same bits either way.  A caller that returns ``z``
+      flips it once, with ``_flip_up``.
+
+    So a step, flipped, equals the flows flow_drift(h/2), flow_noise,
+    flow_drift(h/2) on the same arrays bit for bit; only a NaN, which
+    float64 overflow can make, may carry another sign bit.  The
+    elementwise passes run ``_LANE_BLOCK`` lanes at a time and allocate
+    nothing of the lanes' size; every element is rounded on its own, so
+    the block size changes no bit.
+    """
+    zf, wf = z.reshape(-1), square.reshape(-1)
+    df = np.broadcast_to(d, z.shape).reshape(-1)
+    for a in range(0, len(zf), _LANE_BLOCK):
+        b = a + _LANE_BLOCK
+        s, w = zf[a:b], wf[a:b]
+        w_re = w.real
+        np.subtract(w, c, out=w)
+        np.sqrt(w, out=s)
+        # y = the flipped first root + d, written over w
+        np.copysign(s.real, s.imag, out=w_re)
+        np.add(w_re, df[a:b], out=w_re)
+        np.absolute(s.imag, out=w.imag)
+        np.multiply(w, w, out=w)
+        np.subtract(w, c, out=w)
+        np.sqrt(w, out=s)
+        np.multiply(s, s, out=w)
 
 
 def _nv_steps(z: complex, cs, ds) -> complex:
@@ -211,9 +265,9 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
 def euler_step(z, h, dB, kappa: float):
     """One Euler-Maruyama step of the unit_noise equation; with constant
     diffusion this is also the Milstein step.  Has a pole at z = 0."""
-    if h < 0.0:
+    if not h >= 0.0:
         raise ValueError("step size must be nonnegative")
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     return z - (2.0 / kappa) / z * h + dB
 
@@ -282,7 +336,7 @@ def reference_solve(z0, path: BrownianPath, t: float, kappa: float) -> complex:
     check: refine the path (midpoint passes), solve again, and require
     the two answers to agree, by default to REFERENCE_RTOL relative.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     stop = path.index_of(t)
     # one float64 ufunc per scalar operation of nv_step: the same roundings

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from slesim import experiments
+from slesim import experiments, schemes
 from slesim.brownian import BrownianPath, philox_stream
 from slesim.cli import main
 from slesim.experiments import (ReferenceConvergenceError,
@@ -15,8 +15,8 @@ from slesim.experiments import (ReferenceConvergenceError,
                                 moment_preservation, scheme_comparison,
                                 write_report_csv, write_report_sidecar)
 from slesim.integrals import compute_table, derive_seeds
-from slesim.schemes import (REFERENCE_RTOL, SCALED_NOISE, nv_step,
-                            reference_solve, taylor_step)
+from slesim.schemes import (REFERENCE_RTOL, SCALED_NOISE, flow_drift,
+                            flow_noise, nv_step, reference_solve, taylor_step)
 
 EPS3 = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
 
@@ -194,6 +194,53 @@ def test_moment_rows_equal_stored_matrix_recomputation():
                        "mean_im": mean.imag, "target_re": target.real,
                        "target_im": target.imag, "stderr": se,
                        "deviation_se": abs(mean - target) / se}
+
+
+def _moment_rows_by_flows(kappa, z0, T, n_steps, replicas, seed):
+    # each step as nv_step's three flows, through public sqrt_h, on fresh
+    # arrays; the rows as moment_preservation forms them
+    incs = philox_stream(seed, experiments._TAG_MATRIX).standard_normal(
+        (replicas, n_steps))
+    times = (T * (np.arange(n_steps + 1) / n_steps)).tolist()
+    z = np.full(replicas, z0, dtype=np.complex128)
+    rows = []
+    for k in range(n_steps):
+        h = times[k + 1] - times[k]
+        z = flow_drift(flow_noise(flow_drift(z, h / 2),
+                                  math.sqrt(h) * incs[:, k], kappa), h / 2)
+        square = z * z
+        mean = complex(np.mean(square))
+        target = z0 * z0 + (kappa - 4.0) * times[k + 1]
+        se = math.sqrt((float(np.var(square.real))
+                        + float(np.var(square.imag))) / replicas)
+        rows.append({"t": times[k + 1], "mean_re": mean.real,
+                     "mean_im": mean.imag, "target_re": target.real,
+                     "target_im": target.imag, "stderr": se,
+                     "deviation_se": abs(mean - target) / se})
+    return rows
+
+
+@pytest.mark.parametrize("replicas", [30, 8197])
+def test_moment_rows_do_not_depend_on_the_lane_block(monkeypatch, replicas):
+    # the kernel steps blocks of lanes; a block of 7 leaves a short last
+    # block at both replica counts, and the rows must still be the flows'
+    args = (6.0, -0.3 + 0.7j, 0.5, 5, replicas, 12)
+    want = _moment_rows_by_flows(*args)
+    assert moment_preservation(*args).rows == want
+    monkeypatch.setattr(schemes, "_LANE_BLOCK", 7)
+    assert moment_preservation(*args).rows == want
+
+
+@pytest.mark.parametrize("kappa, T", [(2.0, math.inf), (math.inf, 1.0)])
+def test_moment_refuses_non_finite_horizon_and_kappa(monkeypatch, kappa, T):
+    # both used to give NaN rows with RuntimeWarnings; they are refused
+    # before any increment is drawn
+    def no_draws(*args):
+        raise AssertionError("increments were drawn")
+
+    monkeypatch.setattr(experiments, "philox_stream", no_draws)
+    with pytest.raises(ValueError, match="finite"):
+        moment_preservation(kappa, 1j, T, 4, 100, 0)
 
 
 def test_moment_validation(tmp_path, capsys):

@@ -139,6 +139,37 @@ def test_one_step_second_moment_is_exact(kappa):
     assert abs(got - (z * z + (kappa - 4.0) * h)) <= 1e-9
 
 
+def _exact_moments(z, h, kappa, n):
+    # E[Z^(2k)] of the scaled_noise equation at time h from z, k = 1..n:
+    # m_k' = k (kappa (2k - 1) - 4) m_(k-1) with m_0 = 1, as polynomials
+    # in h
+    coeffs, moments = [1.0], []
+    for k in range(1, n + 1):
+        rate = k * (kappa * (2 * k - 1) - 4.0)
+        coeffs = [z ** (2 * k)] + [rate * c / (j + 1)
+                                   for j, c in enumerate(coeffs)]
+        moments.append(sum(c * h ** j for j, c in enumerate(coeffs)))
+    return moments
+
+
+@pytest.mark.parametrize("z, h", [(0.4 + 1.1j, 0.17), (1j, 0.05)])
+@pytest.mark.parametrize("kappa", [2.0, 8.0 / 3.0, 6.0])
+def test_array_step_one_step_moments(kappa, z, h):
+    # one array call steps every Gauss-Hermite node; Z^2 is a quadratic
+    # in the increment, so 12 nodes give E[Z^2], E[Z^4] and E[Z^6]
+    # exactly up to rounding: the first two move as the equation's own
+    # moments, and E[Z^6] falls short of its exact value by 16 kappa^2 h^3
+    nodes, weights = np.polynomial.hermite_e.hermegauss(12)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    square = nv_step(z, h, math.sqrt(h) * nodes, kappa) ** 2
+    got = [complex(weights @ square ** k) for k in (1, 2, 3)]
+    want = _exact_moments(z, h, kappa, 3)
+    assert abs(got[0] - want[0]) <= 1e-12
+    assert abs(got[1] - want[1]) <= 1e-12
+    defect = -16.0 * kappa ** 2 * h ** 3
+    assert abs((got[2] - want[2]) - defect) <= 1e-9 * abs(defect)
+
+
 def test_euler_second_moment_carries_h_squared_defect():
     # the unit_noise splitting step moves E Z^2 by exactly (kappa-4)/kappa h;
     # Euler's defect against that is exactly 4 h^2 / (kappa^2 z^2), so the
@@ -380,6 +411,22 @@ def test_step_validation():
         reference_solve(1j, BrownianPath.zeros(1.0, 4), 1.0, -2.0)
 
 
+@pytest.mark.parametrize("name, args", [
+    ("nv_step", (1j, math.nan, 0.1, 2.0)),
+    ("nv_step", (1j, 0.1, 0.1, math.nan)),
+    ("nv_step", (np.array([1j]), math.nan, 0.1, 2.0)),
+    ("flow_drift", (1j, math.nan)),
+    ("flow_noise", (1j, 0.1, math.nan)),
+    ("euler_step", (1j, math.nan, 0.1, 2.0)),
+    ("euler_step", (1j, 0.1, 0.1, math.nan)),
+    ("reference_solve", (1j, BrownianPath.zeros(1.0, 4), 1.0, math.nan)),
+])
+def test_nan_step_and_kappa_are_refused(name, args):
+    # a NaN passed h < 0 and kappa <= 0 and came back as a NaN result
+    with pytest.raises(ValueError, match="step size|flow time|kappa"):
+        getattr(schemes, name)(*args)
+
+
 def test_root_box_premise():
     # _nv_lanes takes array roots with np.sqrt only inside _LANE_BOX; there
     # numpy's complex root must be cmath.sqrt bit for bit
@@ -510,6 +557,49 @@ def test_array_step_leaves_its_inputs_unchanged(convention):
     assert z.tobytes() == copies[0].tobytes()
     assert dB.tobytes() == copies[1].tobytes()
     assert ints.tobytes() == copies[2].tobytes()
+
+
+def _flows(z, h, dB, kappa, convention):
+    # nv_step as its three flows, through public sqrt_h; unit_noise is
+    # the scaled_noise flows at kappa 1 with drift time h / kappa
+    if convention == UNIT_NOISE:
+        h, kappa = h / kappa, 1.0
+    return flow_drift(flow_noise(flow_drift(z, h / 2), dB, kappa), h / 2)
+
+
+def _u64(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("convention", [SCALED_NOISE, UNIT_NOISE])
+def test_array_step_equals_the_flows_bit_for_bit(convention):
+    # 100k starts over the closed upper half plane, with every kind of
+    # axis start and signed zero, and noise with signed zeros
+    rng = np.random.default_rng(31)
+    n = 100_000
+    z = rng.uniform(-10, 10, n) + 1j * rng.uniform(0, 10, n)
+    z[::7] = z[::7].real + 0j
+    z[1::7] = z[1::7].real - 0j
+    z[2::7] = 1j * z[2::7].imag
+    z[3::7] = complex(-0.0, 1.0) * z[3::7].imag
+    z[4:40] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1j, -2.0,
+               complex(-2.0, -0.0)] * 6
+    dB = rng.normal(0.0, 1.0, n)
+    dB[::5] = 0.0
+    dB[1::5] = -0.0
+    for kappa in [2.0, 8.0 / 3.0, 6.0]:
+        for h in [0.0, 1e-300, 0.05, 0.17, 1.3]:
+            got = nv_step(z, h, dB, kappa, convention)
+            want = _flows(z, h, dB, kappa, convention)
+            assert np.array_equal(_u64(got), _u64(want))
+    # broadcast shapes: a row of noise over a grid of starts, one scalar
+    # displacement for every start
+    grid = z[:600].reshape(20, 30)
+    for noise in (dB[:30], -0.0, 0.25):
+        got = nv_step(grid, 0.17, noise, 6.0, convention)
+        assert got.shape == grid.shape
+        want = _flows(grid, 0.17, noise, 6.0, convention)
+        assert np.array_equal(_u64(got), _u64(want))
 
 
 def test_lane_kernel_guard_catches_the_imaginary_axis():
