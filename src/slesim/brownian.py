@@ -34,6 +34,8 @@ from math import sqrt
 
 import numpy as np
 
+from .vfalgebra import _check_nonnegative, _check_positive
+
 __all__ = ["BrownianPath", "philox_stream"]
 
 _MASK64 = (1 << 64) - 1
@@ -277,8 +279,7 @@ def _uniform_grid(T: float, n: int) -> np.ndarray:
     Every uniform driver is built on this grid, so its arguments are
     checked here, before anything divides by ``n``.
     """
-    if T <= 0.0:
-        raise ValueError("horizon must be positive")
+    _check_positive("horizon T", T)
     if n < 1:
         raise ValueError("need at least one interval")
     return T * (np.arange(n + 1) / n)
@@ -356,6 +357,7 @@ class BrownianPath:
             raise ValueError("times and values must be flat and of equal "
                              "length")
         _check_samples(t, v)
+        _check_nonnegative("bridge_scale", bridge_scale)
         self._times = t.tolist()
         self._values = v.tolist()
         self.seed = int(seed)

@@ -22,7 +22,7 @@ import cmath
 import json
 import time
 from dataclasses import dataclass, field
-from math import inf, isfinite, log, nan, sqrt
+from math import isfinite, log, nan, sqrt
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .integrals import _BLOCK_ROWS, _tables, derive_seeds, word_entries
 from .schemes import (REFERENCE_RTOL, UNIT_NOISE, _nv_array_step, _nv_lanes,
                       _nv_steps, _truncation_terms, euler_step, nv_step,
                       taylor_step)
-from .vfalgebra import compose, deg, eval_term, format_word
+from .vfalgebra import (_check_nonnegative, _check_positive, compose, deg,
+                        eval_term, format_word)
 
 __all__ = [
     "ExperimentReport",
@@ -234,18 +235,16 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
     driver; the log-log fit of error against eps is attached when at
     least three eps values are given.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _check_positive("delta", delta)
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     eps_list = [float(e) for e in eps_list]
-    if any(e <= 0.0 or e >= 1.0 for e in eps_list):
+    if not all(0.0 < e < 1.0 for e in eps_list):
         raise ValueError("eps values must lie in (0, 1)")
     # a repeat adds no point to the log-log fit, only weight
     if len(set(eps_list)) < len(eps_list):
         raise ValueError("eps values must be distinct")
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    _check_positive("kappa", kappa)
     # refuses a level no Taylor step takes, before any driver is drawn
     _truncation_terms(r)
 
@@ -290,8 +289,7 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
         raise ValueError("delta must lie in (0, 2)")
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    _check_positive("kappa", kappa)
     words = [tuple(w) for w in words]
     terms = {w: compose(w) for w in words}
     skipped = [format_word(w) for w in words if terms[w].is_zero()]
@@ -371,10 +369,10 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     numpy's error state (the CLI makes it raise FloatingPointError); when
     it is ignored, an overflowed row has a NaN deviation.
     """
-    if not 0.0 < T < inf or n_steps < 1 or replicas < 2:
-        raise ValueError("need finite T > 0, n_steps >= 1, replicas >= 2")
-    if not 0.0 <= kappa < inf:
-        raise ValueError("kappa must be finite and nonnegative")
+    _check_positive("horizon T", T)
+    _check_nonnegative("kappa", kappa)
+    if n_steps < 1 or replicas < 2:
+        raise ValueError("need n_steps >= 1, replicas >= 2")
     z0 = complex(z0)
     # Python complex arithmetic: no numpy overflow warning comes first
     if not cmath.isfinite(z0 * z0):
@@ -425,10 +423,9 @@ def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
     if replicas < 2:
         raise ValueError("replicas must be >= 2")
     horizons = [float(t) for t in horizons]
-    if any(t <= 0.0 for t in horizons):
-        raise ValueError("horizons must be positive")
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    for t in horizons:
+        _check_positive("horizon", t)
+    _check_positive("kappa", kappa)
 
     def probes(z0, t, table, b) -> tuple:
         return (euler_step(z0, t, b, kappa),

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brownian import BrownianPath, _check_samples
-from .vfalgebra import _check_level, _check_word
+from .vfalgebra import _check_level, _check_positive, _check_word
 
 __all__ = [
     "IteratedIntegralTable",
@@ -156,16 +156,19 @@ def compute_table(path: BrownianPath, t: float,
 
     Args:
         path: sampled driver; ``t`` must be one of its sample times.
-        t: horizon, > 0.
+        t: horizon, finite and > 0.
         r: maximum word length, 0 <= r <= LEVEL_CAP (memory and time
             are O(2^r * intervals in [0, t])).
 
     Returns:
         IteratedIntegralTable with 2^(r+1) - 1 entries.
+
+    Raises:
+        ValueError: r is outside [0, LEVEL_CAP], t is not finite and > 0,
+            or t is not a sample time of the path.
     """
     _check_level(r)
-    if t <= 0.0:
-        raise ValueError("horizon must be positive")
+    _check_positive("horizon t", t)
     times, values = _grid(path, t)
     return next(_tables(times, values[None, :], r))
 

@@ -33,7 +33,8 @@ import numpy as np
 from .brownian import BrownianPath
 from .halfplane import _flip_up, sqrt_h
 from .integrals import IteratedIntegralTable
-from .vfalgebra import _check_level, enumerate_level, eval_term
+from .vfalgebra import (_check_level, _check_nonnegative, _check_positive,
+                        enumerate_level, eval_term)
 
 __all__ = [
     "UNIT_NOISE",
@@ -62,15 +63,13 @@ def flow_drift(z, t):
     Maps the closed upper half plane into itself and never lowers the
     imaginary part.  Accepts scalars or arrays.
     """
-    if not t >= 0.0:
-        raise ValueError("flow time must be nonnegative")
+    _check_nonnegative("flow time t", t)
     return sqrt_h(z * z - 4.0 * t)
 
 
 def flow_noise(z, u, kappa):
     """Exact noise flow z + sqrt(kappa) u (horizontal translation)."""
-    if not kappa >= 0.0:
-        raise ValueError("kappa must be nonnegative")
+    _check_nonnegative("kappa", kappa)
     return z + sqrt(kappa) * u
 
 
@@ -90,17 +89,18 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
     every element is a lane of ``_nv_array_step``, on complex128 buffers
     of the broadcast shape made here; a scalar z is then squared once and
     broadcast, so all its roots are numpy's.
+
+    Raises:
+        ValueError: h is not finite and >= 0, or kappa is not finite and
+            >= 0 (> 0 for unit_noise).
     """
-    if not h >= 0.0:
-        raise ValueError("step size must be nonnegative")
-    if not kappa >= 0.0:
-        raise ValueError("kappa must be nonnegative")
+    _check_nonnegative("step size h", h)
     if convention == SCALED_NOISE:
+        _check_nonnegative("kappa", kappa)
         c = 2.0 * h
         dB = sqrt(kappa) * dB
     elif convention == UNIT_NOISE:
-        if kappa == 0.0:
-            raise ValueError("unit_noise requires kappa > 0")
+        _check_positive("kappa", kappa)
         c = 2.0 * h / kappa
     else:
         raise ValueError(f"unknown convention {convention!r}")
@@ -265,10 +265,8 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
 def euler_step(z, h, dB, kappa: float):
     """One Euler-Maruyama step of the unit_noise equation; with constant
     diffusion this is also the Milstein step.  Has a pole at z = 0."""
-    if not h >= 0.0:
-        raise ValueError("step size must be nonnegative")
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    _check_nonnegative("step size h", h)
+    _check_positive("kappa", kappa)
     return z - (2.0 / kappa) / z * h + dB
 
 
@@ -311,7 +309,7 @@ def taylor_step(z, table: IteratedIntegralTable, r: int,
         z: expansion point, im(z) >= 0 away from the pole at 0.
         table: integrals over the step interval, of depth >= r.
         r: truncation level, 0 <= r <= LEVEL_CAP.
-        kappa: SLE parameter, > 0.
+        kappa: SLE parameter, finite and > 0 (checked by ``eval_term``).
     """
     z = complex(z)
     total = 0j
@@ -336,8 +334,7 @@ def reference_solve(z0, path: BrownianPath, t: float, kappa: float) -> complex:
     check: refine the path (midpoint passes), solve again, and require
     the two answers to agree, by default to REFERENCE_RTOL relative.
     """
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    _check_positive("kappa", kappa)
     stop = path.index_of(t)
     # one float64 ufunc per scalar operation of nv_step: the same roundings
     h = np.diff(path.times[:stop + 1])

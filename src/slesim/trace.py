@@ -15,9 +15,10 @@ tightening the tolerance reuses (not redraws) the coarser run's samples.
 
 Because an accepted point never depends on intervals to its right, the
 sweep's values are already the compositions over the final partition, and
-no second pass recomputes them.  The stats report the maps the sweep spent
-on accepted points (sum_k k = N(N+1)/2) and all maps it applied, rejected
-candidates included.
+each gap is tested once, when its right point is accepted; no second pass
+recomputes the points or re-tests the gaps.  The stats report the maps
+the sweep spent on accepted points (sum_k k = N(N+1)/2) and all maps it
+applied, rejected candidates included.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from math import nextafter, sqrt
 
 from .brownian import BrownianPath
 from .schemes import _nv_steps
+from .vfalgebra import _check_nonnegative, _check_positive
 
 __all__ = [
     "TraceRefinementError",
@@ -72,12 +74,6 @@ class TraceResult:
         return len(self.points)
 
 
-def _eval_chain(j: int, dd: list, cc: list) -> complex:
-    # f_0 ... f_{j-1} applied to 0; rightmost (innermost) map first.
-    # cc[i] = 2 h_i, dd[i] = sqrt(kappa) (B_i - B_{i+1}).
-    return _nv_steps(0j, reversed(cc[:j]), reversed(dd[:j]))
-
-
 def build_trace(path: BrownianPath, T: float, kappa: float,
                 tolerance: float = 0.02, max_depth: int = 40,
                 apply_shift: bool = False) -> TraceResult:
@@ -87,9 +83,10 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
         path: driver, mutated in place by bridge bisections; must carry T
             as a sample time.  Its grid on [0, T] is the initial
             partition.
-        T: horizon, > 0.
-        kappa: noise strength, >= 0 (0 gives the deterministic slit).
-        tolerance: accepted spatial gap bound, > 0.
+        T: horizon, finite and > 0.
+        kappa: noise strength, finite and >= 0 (0 gives the
+            deterministic slit).
+        tolerance: accepted spatial gap bound, finite and > 0.
         max_depth: bisection budget per initial interval.
         apply_shift: translate all points by sqrt(kappa) B(T) (maps the
             picture to the coordinate frame anchored at the driver's
@@ -103,16 +100,15 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
         the sweep applied, rejected candidates included).
 
     Raises:
+        ValueError: T, kappa or tolerance is outside its range, NaN or
+            infinite; max_depth is negative; or the path ends before T.
         TraceRefinementError: some interval cannot meet the gap bound
             within max_depth bisections, or reaches adjacent float64
             times (no midpoint left to bisect at) before it does.
     """
-    if not T > 0.0:
-        raise ValueError("horizon must be positive")
-    if not kappa >= 0.0:
-        raise ValueError("kappa must be nonnegative")
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
+    _check_positive("horizon T", T)
+    _check_nonnegative("kappa", kappa)
+    _check_positive("tolerance", tolerance)
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     if path.horizon < T:
@@ -133,7 +129,8 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
         # points 0..i accepted; interval i is the first undecided one
         i = len(zz) - 1
         applications += i + 1
-        z_r = _eval_chain(i + 1, dd, cc)
+        # f_0 ... f_i applied to 0, rightmost (innermost) map first
+        z_r = _nv_steps(0j, reversed(cc[:i + 1]), reversed(dd[:i + 1]))
         gap = abs(z_r - zz[i])
         if gap < tolerance:
             zz.append(z_r)
@@ -150,11 +147,6 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
         dd[i:i + 1] = [sqkap * (b0 - bm), sqkap * (bm - b1)]
         depth[i:i + 1] = [depth[i] + 1] * 2
         end += 1
-
-    for k in range(1, end + 1):
-        if abs(zz[k] - zz[k - 1]) >= tolerance:
-            raise RuntimeError("gap bound violated after the sweep; this is a "
-                               "bug")
 
     shift = sqkap * path.value_at(T) if apply_shift else 0.0
     points = [(t, z + shift)

@@ -7,11 +7,17 @@ a = 2/kappa kept symbolic, letter 1 for the unit horizontal field d/dz
 yields a single Laurent monomial c * a^j * z^p with exact rational c, which
 is what makes closed-form Taylor stepping possible.  Letters act right to
 left: the rightmost letter differentiates first.
+
+The module imports only the standard library, so every other module can
+import its parameter checks: ``_check_level`` for truncation levels, and
+``_check_positive`` and ``_check_nonnegative`` for real parameters, each
+rule stated once and refusing NaN and infinities.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,6 +72,18 @@ def _check_level(r: int) -> None:
         raise ValueError(f"truncation level {r} is negative")
     if r > LEVEL_CAP:
         raise ValueError(f"truncation level {r} above cap {LEVEL_CAP}")
+
+
+def _check_positive(name: str, x) -> None:
+    """Refuse a real parameter outside 0 < x < inf; NaN is outside too."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
+def _check_nonnegative(name: str, x) -> None:
+    """Refuse a real parameter outside 0 <= x < inf; NaN is outside too."""
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {x!r}")
 
 
 def deg(word) -> Fraction:
@@ -139,13 +157,15 @@ def eval_term(term: LaurentTerm, z: complex, kappa: float) -> complex:
     Args:
         term: monomial from :func:`compose`.
         z: evaluation point; must be nonzero when p < 0 (pole).
-        kappa: SLE parameter, > 0.
+        kappa: SLE parameter, finite and > 0.
 
     Returns:
         complex value; exactly 0j for the zero term.
+
+    Raises:
+        ValueError: kappa is not finite and > 0.
     """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+    _check_positive("kappa", kappa)
     if term.coeff == 0:
         return 0j
     z = complex(z)

@@ -2,18 +2,22 @@
 
 import cmath
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slesim import schemes, vfalgebra
+from slesim import brownian, experiments, schemes, vfalgebra
 from slesim.brownian import BrownianPath
+from slesim.experiments import (divergence_probe, epsilon_scaling,
+                                moment_preservation, scheme_comparison)
 from slesim.halfplane import sqrt_h
 from slesim.integrals import compute_table
 from slesim.schemes import (SCALED_NOISE, UNIT_NOISE, euler_step, flow_drift,
                             flow_noise, nv_step, reference_solve, taylor_step)
+from slesim.trace import build_trace
 from slesim.vfalgebra import compose, enumerate_level, eval_term
 
 KAPPAS = [2.0, 8.0 / 3.0, 4.0, 6.0]
@@ -279,6 +283,111 @@ def test_every_level_check_is_the_same_rule(r, message):
                    lambda r: compute_table(path, 1.0, r)):
         with pytest.raises(ValueError, match=message):
             refuse(r)
+
+
+# Every real parameter of every public entry: (entry, the parameter as its
+# message names it, its domain, the entry called with that parameter set
+# to x and every other argument valid).  The flat driver draws nothing.
+_REAL_PARAMETERS = [
+    ("flow_drift", "flow time t", "nonnegative",
+     lambda x: flow_drift(1j, x)),
+    ("flow_noise", "kappa", "nonnegative",
+     lambda x: flow_noise(1j, 0.1, x)),
+    ("nv_step", "step size h", "nonnegative",
+     lambda x: nv_step(1j, x, 0.1, 2.0)),
+    ("nv_step_array", "step size h", "nonnegative",
+     lambda x: nv_step(np.array([1j, 2j]), x, 0.1, 2.0)),
+    ("nv_step", "kappa", "nonnegative",
+     lambda x: nv_step(1j, 0.1, 0.1, x)),
+    ("nv_step_unit_noise", "kappa", "positive",
+     lambda x: nv_step(1j, 0.1, 0.1, x, UNIT_NOISE)),
+    ("euler_step", "step size h", "nonnegative",
+     lambda x: euler_step(1j, x, 0.1, 2.0)),
+    ("euler_step", "kappa", "positive",
+     lambda x: euler_step(1j, 0.1, 0.1, x)),
+    ("eval_term", "kappa", "positive",
+     lambda x: eval_term(compose((0,)), 1j, x)),
+    ("taylor_step", "kappa", "positive",
+     lambda x: taylor_step(
+         1j, compute_table(BrownianPath.zeros(1.0, 4), 1.0, 2), 2, x)),
+    ("reference_solve", "kappa", "positive",
+     lambda x: reference_solve(1j, BrownianPath.zeros(1.0, 4), 1.0, x)),
+    ("build_trace", "horizon T", "positive",
+     lambda x: build_trace(BrownianPath.zeros(1.0, 4), x, 2.0)),
+    ("build_trace", "kappa", "nonnegative",
+     lambda x: build_trace(BrownianPath.zeros(1.0, 4), 1.0, x)),
+    ("build_trace", "tolerance", "positive",
+     lambda x: build_trace(BrownianPath.zeros(1.0, 4), 1.0, 2.0,
+                           tolerance=x)),
+    ("sample_uniform", "horizon T", "positive",
+     lambda x: BrownianPath.sample_uniform(x, 4, 0)),
+    ("zeros", "horizon T", "positive", lambda x: BrownianPath.zeros(x, 4)),
+    ("BrownianPath", "bridge_scale", "nonnegative",
+     lambda x: BrownianPath([0.0, 1.0], [0.0, 0.5], 0, bridge_scale=x)),
+    ("compute_table", "horizon t", "positive",
+     lambda x: compute_table(BrownianPath.zeros(1.0, 4), x, 2)),
+    ("epsilon_scaling", "eps", "positive",
+     lambda x: epsilon_scaling([0.25, x, 0.0625], 0.5, 2, 2.0, 4, 0, 8)),
+    ("epsilon_scaling", "delta", "positive",
+     lambda x: epsilon_scaling([0.25, 0.125], x, 2, 2.0, 4, 0, 8)),
+    ("epsilon_scaling", "kappa", "positive",
+     lambda x: epsilon_scaling([0.25, 0.125], 0.5, 2, x, 4, 0, 8)),
+    ("divergence_probe", "eps", "positive",
+     lambda x: divergence_probe(x, 0.5, [(0,), (1,)], 50, 4)),
+    ("divergence_probe", "delta", "positive",
+     lambda x: divergence_probe(0.125, x, [(0,), (1,)], 50, 4)),
+    ("divergence_probe", "kappa", "positive",
+     lambda x: divergence_probe(0.125, 0.5, [(0,), (1,)], 50, 4, kappa=x)),
+    ("moment_preservation", "horizon T", "positive",
+     lambda x: moment_preservation(2.0, 1j, x, 4, 100, 0)),
+    ("moment_preservation", "kappa", "nonnegative",
+     lambda x: moment_preservation(x, 1j, 1.0, 4, 100, 0)),
+    ("scheme_comparison", "eps", "positive",
+     lambda x: scheme_comparison(2.0, x, [1e-3], 4, 0, 8)),
+    ("scheme_comparison", "horizon", "positive",
+     lambda x: scheme_comparison(2.0, 0.25, [1e-3, x], 4, 0, 8)),
+    ("scheme_comparison", "kappa", "positive",
+     lambda x: scheme_comparison(x, 0.25, [1e-3], 4, 0, 8)),
+]
+_OUTSIDE = {"positive": [math.nan, math.inf, -math.inf, 0.0, -1.0],
+            "nonnegative": [math.nan, math.inf, -math.inf, -1.0]}
+_REFUSALS = [(entry, name, call, x)
+             for (entry, name, domain, call) in _REAL_PARAMETERS
+             for x in _OUTSIDE[domain]]
+
+
+@pytest.mark.parametrize(
+    "name, call, x", [case[1:] for case in _REFUSALS],
+    ids=[f"{entry}-{name}-{x!r}" for entry, name, _, x in _REFUSALS])
+def test_every_real_parameter_check_is_one_rule(monkeypatch, name, call, x):
+    # NaN, +-inf and the wrong side of 0 are refused with a ValueError that
+    # names the parameter, before any random draw; all but the bounded eps
+    # and delta ranges through vfalgebra._check_positive/_check_nonnegative
+    def no_draws(*args):
+        raise AssertionError("a random draw was made")
+
+    monkeypatch.setattr(brownian, "_normals", no_draws)
+    monkeypatch.setattr(brownian, "_block_normals", no_draws)
+    monkeypatch.setattr(experiments, "philox_stream", no_draws)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
+        call(x)
+
+
+def test_zero_step_and_zero_kappa_are_accepted():
+    # the closed ends of the nonnegative domains: h = 0, and kappa = 0
+    # wherever the scaled_noise form allows it
+    assert flow_drift(1j, 0.0) == 1j
+    assert flow_noise(1j, 0.1, 0.0) == 1j
+    assert nv_step(1j, 0.0, 0.1, 2.0) == flow_noise(1j, 0.1, 2.0)
+    assert nv_step(np.array([1j]), 0.0, 0.1, 2.0).tolist() == \
+        [flow_noise(1j, 0.1, 2.0)]
+    assert nv_step(1j, 0.1, 0.1, 0.0) == flow_drift(flow_drift(1j, 0.05),
+                                                    0.05)
+    assert euler_step(1j, 0.0, 0.1, 2.0) == 0.1 + 1j
+    trace = build_trace(BrownianPath.zeros(1.0, 4), 1.0, 0.0, tolerance=1.0)
+    assert trace.points[-1] == (1.0, flow_drift(0j, 1.0))
+    rows = moment_preservation(0.0, 1j, 1.0, 2, 10, 0).rows
+    assert [row["deviation_se"] for row in rows] == [0.0, 0.0]
 
 
 def test_taylor_zero_level_is_identity():

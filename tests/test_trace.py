@@ -7,8 +7,8 @@ import pytest
 from slesim.brownian import BrownianPath
 from slesim.cli import main
 from slesim.schemes import nv_step
-from slesim.trace import (TraceRefinementError, TraceResult, _eval_chain,
-                          build_trace, render_svg)
+from slesim.trace import (TraceRefinementError, TraceResult, build_trace,
+                          render_svg)
 
 
 def test_zero_noise_trace_is_the_square_root_curve():
@@ -35,14 +35,18 @@ def _build(kappa=8.0 / 3.0, seed=7, tolerance=0.1, T=1.0, n_init=16,
 
 def _assert_points_are_final_chains(result, path):
     # every accepted point is the full backward chain over the final
-    # partition, bit for bit, so a second evaluation pass changes nothing
+    # partition, bit for bit, so a second evaluation pass changes nothing;
+    # the chain is a loop of public nv_step calls, not the sweep's kernel
     tt = [t for t, _ in result.points]
     bb = [path.value_at(t) for t in tt]
-    sqkap = math.sqrt(result.kappa)
-    cc = [2.0 * (b - a) for a, b in zip(tt, tt[1:])]
-    dd = [sqkap * (a - b) for a, b in zip(bb, bb[1:])]
-    assert [z for _, z in result.points] == \
-        [_eval_chain(k, dd, cc) for k in range(len(tt))]
+    chains = []
+    for k in range(len(tt)):
+        z = 0j
+        for i in reversed(range(k)):
+            z = nv_step(z, tt[i + 1] - tt[i], bb[i] - bb[i + 1],
+                        result.kappa)
+        chains.append(z)
+    assert [z for _, z in result.points] == chains
 
 
 @pytest.mark.parametrize("kappa,seed,tolerance,n_init", [
