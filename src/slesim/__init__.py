@@ -15,16 +15,16 @@ from .brownian import BrownianPath, philox_stream
 from .halfplane import sqrt_h
 from .integrals import (IteratedIntegralTable, compute_table, derive_seeds,
                         iterated_integral, word_entries)
-from .schemes import (REFERENCE_RTOL, SCALED_NOISE, UNIT_NOISE, euler_step,
-                      flow_drift, flow_noise, nv_step, reference_solve,
-                      taylor_step)
+from .schemes import (SCALED_NOISE, UNIT_NOISE, euler_step, flow_drift,
+                      flow_noise, nv_step, reference_solve, taylor_step)
 from .trace import TraceRefinementError, TraceResult, build_trace, render_svg
 from .vfalgebra import (LEVEL_CAP, LaurentTerm, compose, deg, enumerate_level,
                         eval_term, format_word, parse_word)
-from .experiments import (ExperimentReport, ReferenceConvergenceError,
-                          divergence_probe, epsilon_scaling,
-                          moment_preservation, scheme_comparison,
-                          write_report_csv, write_report_sidecar)
+from .experiments import (REFERENCE_RTOL, ExperimentReport,
+                          ReferenceConvergenceError, divergence_probe,
+                          epsilon_scaling, moment_preservation,
+                          scheme_comparison, write_report_csv,
+                          write_report_sidecar)
 
 __version__ = "0.1.0"
 

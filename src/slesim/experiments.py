@@ -13,7 +13,8 @@ Ground truth for one-step error measurements is the fine-grid splitting
 solution, accepted only once one more dyadic refinement of the driver
 moves it by at most a small fraction of the error being measured (the
 flat REFERENCE_RTOL fallback covers the degenerate case of a vanishing
-error).
+error).  That acceptance rule is decided here; how the references are
+stepped is :func:`slesim.schemes._reference_rows`'s.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ import numpy as np
 
 from .brownian import _bisect, _uniform_block, _uniform_grid, philox_stream
 from .integrals import _BLOCK_ROWS, _tables, derive_seeds, word_entries
-from .schemes import (REFERENCE_RTOL, UNIT_NOISE, _nv_array_step, _nv_lanes,
-                      _nv_steps, _truncation_terms, euler_step, nv_step,
-                      taylor_step)
+from .schemes import (UNIT_NOISE, _nv_array_step, _reference_rows,
+                      _truncation_terms, euler_step, nv_step, taylor_step)
 from .vfalgebra import (_check_nonnegative, _check_positive, compose, deg,
                         eval_term, format_word)
 
 __all__ = [
     "ExperimentReport",
+    "REFERENCE_RTOL",
     "ReferenceConvergenceError",
     "epsilon_scaling",
     "divergence_probe",
@@ -48,15 +49,10 @@ __all__ = [
 # Reference must move by at most this fraction of the measured error when
 # the driver is refined once more; see the module docstring.
 REF_ERROR_FRACTION = 0.05
+# Relative floor of that budget, for an error that vanishes: "doubling
+# the substeps no longer moves the reference" to this relative size.
+REFERENCE_RTOL = 1e-8
 _MAX_DOUBLINGS = 10
-# Below this many unconverged lanes a doubling steps each reference on
-# its own with the scalar _nv_steps: one step of _nv_lanes makes ~23
-# numpy calls, 17-20 us at widths 24-96, and one scalar map costs
-# ~0.34 us (measured on a 2-vCPU Xeon VM), so the two break even near
-# 48-56 lanes.
-_LANE_CROSSOVER = 64
-# Steps per call of _nv_lanes: bounds its (steps, lanes) input arrays.
-_STEP_BLOCK = 32
 
 # Stream tag for experiments that draw increment matrices directly.
 _TAG_MATRIX = 0xE1
@@ -125,7 +121,8 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
 
     Every replica of every row is a lane, and all lanes double together.
     The drivers of a row share one grid at every doubling, so they are the
-    rows of one array; see :func:`_solve` for how the references step.
+    rows of one array; :func:`slesim.schemes._reference_rows` steps their
+    references.
 
     Returns ``(errors, doublings)``: ``errors[j]`` is an array of shape
     (replicas, number of probes) in replica order, and entry k of
@@ -141,7 +138,7 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
     # replica live[j][k] on grids[j]) and their references so far
     live = [list(range(replicas)) for _ in rows]
     values = [_uniform_block(horizons[j], substeps, seeds[j]) for j in rows]
-    refs = _solve(starts, grids, values, kappa)
+    refs = _reference_rows(starts, grids, values, kappa)
     errors = [[None] * replicas for _ in rows]
     accepted_at = [[0] * replicas for _ in rows]
     for doubling in range(1, _MAX_DOUBLINGS + 1):
@@ -149,7 +146,7 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
             if live[j]:
                 grids[j], values[j] = _bisect(
                     grids[j], values[j], [seeds[j][i] for i in live[j]])
-        finer = _solve(starts, grids, values, kappa)
+        finer = _reference_rows(starts, grids, values, kappa)
         moving = []
         for j in rows:
             keep = []
@@ -179,46 +176,6 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
             f"refinements (budget {budget:.3g})")
     return ([np.array(e) for e in errors],
             [np.bincount(d).tolist() for d in accepted_at])
-
-
-def _solve(starts, grids, values, kappa) -> list:
-    """Splitting solution on every driver, as lists of Python complex.
-
-    Row j's drivers are the rows of ``values[j]``, on ``grids[j]``; a row
-    may hold none.  Each solution steps the unit_noise map of
-    ``reference_solve`` across every interval of its row's grid, with the
-    drift times of the row computed once for all its drivers.  While
-    _LANE_CROSSOVER or more drivers are given, every solution is one lane
-    of ``_nv_lanes``; below that, each is its own ``_nv_steps`` on the
-    row's arrays.  Both are bit for bit ``reference_solve``.
-    """
-    used = [j for j, v in enumerate(values) if len(v)]
-    # drift time of each step in each used row: 2h/kappa, as reference_solve
-    drift = {j: 2.0 * np.diff(grids[j]) / kappa for j in used}
-    width = sum(len(values[j]) for j in used)
-    if width < _LANE_CROSSOVER:
-        # a row with no driver has no ds, so it looks up no cs
-        cs = {j: drift[j].tolist() for j in used}
-        return [[_nv_steps(starts[j], cs[j], ds)
-                 for ds in np.diff(v, axis=1).tolist()]
-                for j, v in enumerate(values)]
-    steps = len(drift[used[0]])
-    z = [starts[j] for j in used for _ in range(len(values[j]))]
-    # a block of steps at a time keeps the (steps, lanes) arrays small
-    for a in range(0, steps, _STEP_BLOCK):
-        b = min(a + _STEP_BLOCK, steps)
-        cs, ds = np.empty((b - a, width)), np.empty((b - a, width))
-        lane = 0
-        for j in used:
-            lanes = slice(lane, lane + len(values[j]))
-            cs[:, lanes] = drift[j][a:b, None]
-            # each driver's noise displacements, as np.diff
-            np.subtract(values[j][:, a + 1:b + 1].T, values[j][:, a:b].T,
-                        out=ds[:, lanes])
-            lane = lanes.stop
-        z = _nv_lanes(z, cs, ds)
-    flat = iter(z.tolist())
-    return [[next(flat) for _ in range(len(v))] for v in values]
 
 
 # ---------------------------------------------------------------------------

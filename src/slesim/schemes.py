@@ -14,6 +14,16 @@ to one closed form, ``nv_step``, which takes either form and is measure
 preserving in the sense that E[Z^2] moves exactly by (kappa - 4) h per
 step in the scaled_noise form.
 
+Every decision about how that closed form is stepped lives here, in three
+kernels: ``_nv_steps`` (one chain, scalar), ``_nv_lanes`` (many chains in
+lock step) and ``_nv_array_step`` (one step of many lanes, in place).
+``nv_step`` is one step of ``_nv_steps`` or of ``_nv_array_step``;
+``_reference_rows`` solves a block of references on ``_nv_steps`` or
+``_nv_lanes``, and ``reference_solve`` is its one-driver case.  The public
+flows stay an independent oracle for all of them.  A real-typed start x is
+read as complex(x, 0.0), whose square carries the -0.0 that puts x < 0 on
+its own side of the cut.
+
 ``euler_step``, ``taylor_step`` and ``reference_solve`` step the
 unit_noise form, the one in which :mod:`slesim.vfalgebra` writes the
 vector fields (drift strength a = 2/kappa).  ``taylor_step`` assembles the
@@ -39,7 +49,6 @@ from .vfalgebra import (_check_level, _check_nonnegative, _check_positive,
 __all__ = [
     "UNIT_NOISE",
     "SCALED_NOISE",
-    "REFERENCE_RTOL",
     "flow_drift",
     "flow_noise",
     "nv_step",
@@ -51,19 +60,16 @@ __all__ = [
 UNIT_NOISE = "unit_noise"
 SCALED_NOISE = "scaled_noise"
 
-# Default relative tolerance for "doubling the substeps no longer moves the
-# reference"; callers measuring a small error should tighten or rescale it
-# to the size of the quantity they resolve.
-REFERENCE_RTOL = 1e-8
-
 
 def flow_drift(z, t):
     """Exact drift flow exp(t V0) z = sqrt_h(z^2 - 4t) for V0 = -2/z.
 
     Maps the closed upper half plane into itself and never lowers the
-    imaginary part.  Accepts scalars or arrays.
+    imaginary part.  Accepts scalars or arrays; a real-typed z is read as
+    complex(z, 0.0) and squared in complex128.
     """
     _check_nonnegative("flow time t", t)
+    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, np.complex128)
     return sqrt_h(z * z - 4.0 * t)
 
 
@@ -85,10 +91,12 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
 
         sqrt_h((sqrt_h(z^2 - 2h/kappa) + dB)^2 - 2h/kappa).
 
-    Accepts scalars or arrays for z and dB.  When either is an array,
-    every element is a lane of ``_nv_array_step``, on complex128 buffers
-    of the broadcast shape made here; a scalar z is then squared once and
-    broadcast, so all its roots are numpy's.
+    Accepts scalars or arrays for z and dB; a real-typed z is read as
+    complex(z, 0.0).  Scalars take one step of ``_nv_steps``.  When either
+    is an array, every element is a lane of ``_nv_array_step``, on
+    complex128 buffers of the broadcast shape made here: z is broadcast
+    into them and squared there, so a scalar z gives the bits of the
+    array of its copies.
 
     Raises:
         ValueError: h is not finite and >= 0, or kappa is not finite and
@@ -105,11 +113,12 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
     else:
         raise ValueError(f"unknown convention {convention!r}")
     if np.ndim(z) == np.ndim(dB) == 0:
-        y = sqrt_h(z * z - c) + dB
-        return sqrt_h(y * y - c)
+        # a float noise keeps the kernel in CPython's complex arithmetic
+        return _nv_steps(complex(z), (c,), (float(dB),))
     square = np.empty(np.broadcast_shapes(np.shape(z), np.shape(dB)),
                       dtype=np.complex128)
-    square[...] = z * z
+    square[...] = z
+    np.multiply(square, square, out=square)
     out = np.empty_like(square)
     _nv_array_step(out, square, c, dB)
     return _flip_up(out)
@@ -170,10 +179,11 @@ def _nv_steps(z: complex, cs, ds) -> complex:
 
     Each step is z -> sqrt_h((sqrt_h(z^2 - c) + d)^2 - c), with c the
     drift time (2h, or 2h/kappa for unit_noise) and d the noise
-    displacement (sqrt(kappa) dB, or dB).  The same scalar operations as
-    ``nv_step``, without a call per step, and with the ``sqrt_h`` flip
+    displacement (sqrt(kappa) dB, or dB).  The scalar NV kernel: the
+    scalar path of ``nv_step`` is one of its steps, and a trace chain and
+    ``_reference_rows`` run it over many.  It takes the ``sqrt_h`` flip
     (negate the root exactly when the sign bit of its imaginary part is
-    set) taken once per root only where its result is read:
+    set) once per root, only where its result is read:
 
     - the first root's flip folds into the noise shift, as d - s is
       (-s) + d bit for bit;
@@ -181,10 +191,12 @@ def _nv_steps(z: complex, cs, ds) -> complex:
       (-z) * (-z) is z * z bit for bit, so it is flipped once, after the
       last step.
 
-    So the result equals a loop of ``nv_step`` calls bit for bit.  On the
-    way, only a NaN, which float64 overflow can make, may carry another
-    sign bit than in that loop, and the next root turns any NaN into
-    cmath's own, so the result keeps the loop's bits there too.
+    So the result equals a loop of one-step calls, each the formula above
+    through ``sqrt_h``, bit for bit.  On the way, only a NaN, which
+    float64 overflow can make, may carry another sign bit than in that
+    loop, and the next root turns any NaN into cmath's own, so the result
+    keeps the loop's bits there too.  ``z`` is a complex and each d a
+    float, so every operation is CPython's.
     """
     _sqrt, _copysign = cmath.sqrt, copysign
     c = None
@@ -262,6 +274,58 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
     return _flip_up(z) if len(cs) else z
 
 
+# Below this many drivers, _reference_rows steps each reference on its
+# own with the scalar _nv_steps: one step of _nv_lanes makes ~23 numpy
+# calls, 17-20 us at widths 24-96, and one scalar map costs ~0.34 us
+# (measured on a 2-vCPU Xeon VM), so the two break even near 48-56 lanes.
+_LANE_CROSSOVER = 64
+# Steps per call of _nv_lanes: bounds its (steps, lanes) input arrays.
+_STEP_BLOCK = 32
+
+
+def _reference_rows(starts, grids, values, kappa) -> list:
+    """Splitting solution of the unit_noise equation on every driver, as
+    lists of Python complex.
+
+    Row j's drivers start at ``starts[j]`` and are the rows of
+    ``values[j]``, sampled on ``grids[j]``; a row may hold none, and the
+    rows that hold any share one number of steps.  Each solution steps
+    the unit_noise map of ``nv_step`` across every interval of its row's
+    grid, with the drift times of the row computed once for all its
+    drivers.  While _LANE_CROSSOVER or more drivers are given, every
+    solution is one lane of ``_nv_lanes``; below that, each is its own
+    ``_nv_steps`` on the row's arrays.  Both give the bits of a loop of
+    ``nv_step`` calls.
+    """
+    used = [j for j, v in enumerate(values) if len(v)]
+    # drift time of each step in each used row: 2h/kappa, as nv_step
+    drift = {j: 2.0 * np.diff(grids[j]) / kappa for j in used}
+    width = sum(len(values[j]) for j in used)
+    if width < _LANE_CROSSOVER:
+        # a row with no driver has no ds, so it looks up no cs
+        cs = {j: drift[j].tolist() for j in used}
+        return [[_nv_steps(starts[j], cs[j], ds)
+                 for ds in np.diff(v, axis=1).tolist()]
+                for j, v in enumerate(values)]
+    steps = len(drift[used[0]])
+    z = [starts[j] for j in used for _ in range(len(values[j]))]
+    # a block of steps at a time keeps the (steps, lanes) arrays small
+    for a in range(0, steps, _STEP_BLOCK):
+        b = min(a + _STEP_BLOCK, steps)
+        cs, ds = np.empty((b - a, width)), np.empty((b - a, width))
+        lane = 0
+        for j in used:
+            lanes = slice(lane, lane + len(values[j]))
+            cs[:, lanes] = drift[j][a:b, None]
+            # each driver's noise displacements, as np.diff
+            np.subtract(values[j][:, a + 1:b + 1].T, values[j][:, a:b].T,
+                        out=ds[:, lanes])
+            lane = lanes.stop
+        z = _nv_lanes(z, cs, ds)
+    flat = iter(z.tolist())
+    return [[next(flat) for _ in range(len(v))] for v in values]
+
+
 def euler_step(z, h, dB, kappa: float):
     """One Euler-Maruyama step of the unit_noise equation; with constant
     diffusion this is also the Milstein step.  Has a pole at z = 0."""
@@ -330,13 +394,12 @@ def reference_solve(z0, path: BrownianPath, t: float, kappa: float) -> complex:
     ground truth.
 
     Steps the unit_noise splitting map of ``nv_step`` across every sample
-    interval of ``path`` inside [0, t].  Convergence is the caller's
-    check: refine the path (midpoint passes), solve again, and require
-    the two answers to agree, by default to REFERENCE_RTOL relative.
+    interval of ``path`` inside [0, t]: the one-driver case of
+    ``_reference_rows``.  Convergence is the caller's check: refine the
+    path (midpoint passes), solve again, and require the two answers to
+    agree, as :mod:`slesim.experiments` does for its references.
     """
     _check_positive("kappa", kappa)
-    stop = path.index_of(t)
-    # one float64 ufunc per scalar operation of nv_step: the same roundings
-    h = np.diff(path.times[:stop + 1])
-    dB = np.diff(path.values[:stop + 1])
-    return _nv_steps(complex(z0), (2.0 * h / kappa).tolist(), dB.tolist())
+    stop = path.index_of(t) + 1
+    return _reference_rows([complex(z0)], [path.times[:stop]],
+                           [path.values[None, :stop]], kappa)[0][0]

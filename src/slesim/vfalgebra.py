@@ -113,8 +113,6 @@ def compose(word) -> LaurentTerm:
     word = _check_word(word)
     term = _IDENTITY
     for letter in reversed(word):
-        if term.coeff == 0:
-            return _ZERO
         if term.z_power == 0:
             # derivative of a constant
             return _ZERO

@@ -369,6 +369,7 @@ def test_every_real_parameter_check_is_one_rule(monkeypatch, name, call, x):
     monkeypatch.setattr(brownian, "_normals", no_draws)
     monkeypatch.setattr(brownian, "_block_normals", no_draws)
     monkeypatch.setattr(experiments, "philox_stream", no_draws)
+    monkeypatch.setattr(experiments, "derive_seeds", no_draws)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
         call(x)
 
@@ -442,6 +443,71 @@ def _nv_step_loop(z0, path, t, kappa):
 def _bits(z):
     # == alone would let a -0.0 pass for +0.0
     return struct.pack("<dd", z.real, z.imag)
+
+
+@pytest.mark.parametrize("drivers", [schemes._LANE_CROSSOVER - 1,
+                                     schemes._LANE_CROSSOVER])
+def test_reference_rows_equal_nv_step_loops(monkeypatch, drivers):
+    # three rows, the middle one with no driver: below _LANE_CROSSOVER
+    # drivers in all every solution is its own scalar chain, from it on a
+    # lane; 40 steps make two blocks of _STEP_BLOCK, and the 0.25i start
+    # squares onto the real axis, out of the lane kernel's root box
+    lane_calls = []
+    lanes = schemes._nv_lanes
+
+    def counted(*args):
+        lane_calls.append(args)
+        return lanes(*args)
+
+    monkeypatch.setattr(schemes, "_nv_lanes", counted)
+    starts = [0.25j, 1j, complex(-0.4, 0.3)]
+    horizons = [0.5, 1.0, 0.125]
+    counts = [drivers // 2, 0, drivers - drivers // 2]
+    paths = [[BrownianPath.sample_uniform(t, 40, seed=100 * j + i)
+              for i in range(n)]
+             for j, (t, n) in enumerate(zip(horizons, counts))]
+    grids = [brownian._uniform_grid(t, 40) for t in horizons]
+    values = [np.array([p.values for p in row]).reshape(-1, 41)
+              for row in paths]
+    got = schemes._reference_rows(starts, grids, values, 2.0)
+    assert bool(lane_calls) == (drivers >= schemes._LANE_CROSSOVER)
+    assert [len(row) for row in got] == counts
+    for j, row in enumerate(paths):
+        for z, path in zip(got[j], row):
+            assert path.times.tolist() == grids[j].tolist()
+            want = _nv_step_loop(starts[j], path, horizons[j], 2.0)
+            assert _bits(z) == _bits(want)
+
+
+def _same_bits(got, want):
+    if isinstance(want, np.ndarray):
+        return got.dtype == want.dtype and _u64(got).tolist() == \
+            _u64(want).tolist()
+    return type(got) is complex and _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("x", [-3.0, -3, np.float64(-3.0),
+                               np.array([-3.0, -0.5, 2.0]),
+                               np.array([-3, 0, 2])],
+                         ids=["float", "int", "float64", "float_array",
+                              "int_array"])
+def test_real_starts_are_read_as_complex(x):
+    # (x + 0j)**2 has imaginary part -0.0 for x < 0, which keeps the
+    # maps on x's side of the cut; a real-typed x squared as a real lost
+    # it, so flow_drift(-3.0, 1.0) was +2.236... and not -2.236...
+    z = x + 0j
+    noise = np.array([0.0, -0.0, 0.3])
+    for step in (lambda s: flow_drift(s, 1.0),
+                 lambda s: nv_step(s, 0.1, 0.0, 2.0),
+                 lambda s: nv_step(s, 0.1, 0.0, 2.0, UNIT_NOISE),
+                 lambda s: nv_step(s, 0.1, noise, 2.0),
+                 lambda s: nv_step(s, 0.1, noise, 2.0, UNIT_NOISE)):
+        assert _same_bits(step(x), step(z))
+    assert np.ravel(flow_drift(x, 1.0))[0].real < 0.0
+    # a scalar start with array noise is the array of its copies
+    copies = np.broadcast_to(z, noise.shape).copy()
+    assert _same_bits(nv_step(x, 0.1, noise, 2.0),
+                      nv_step(copies, 0.1, noise, 2.0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -518,22 +584,6 @@ def test_step_validation():
         euler_step(1j, 0.1, 0.0, 0.0)
     with pytest.raises(ValueError, match="kappa"):
         reference_solve(1j, BrownianPath.zeros(1.0, 4), 1.0, -2.0)
-
-
-@pytest.mark.parametrize("name, args", [
-    ("nv_step", (1j, math.nan, 0.1, 2.0)),
-    ("nv_step", (1j, 0.1, 0.1, math.nan)),
-    ("nv_step", (np.array([1j]), math.nan, 0.1, 2.0)),
-    ("flow_drift", (1j, math.nan)),
-    ("flow_noise", (1j, 0.1, math.nan)),
-    ("euler_step", (1j, math.nan, 0.1, 2.0)),
-    ("euler_step", (1j, 0.1, 0.1, math.nan)),
-    ("reference_solve", (1j, BrownianPath.zeros(1.0, 4), 1.0, math.nan)),
-])
-def test_nan_step_and_kappa_are_refused(name, args):
-    # a NaN passed h < 0 and kappa <= 0 and came back as a NaN result
-    with pytest.raises(ValueError, match="step size|flow time|kappa"):
-        getattr(schemes, name)(*args)
 
 
 def test_root_box_premise():
@@ -709,6 +759,27 @@ def test_array_step_equals_the_flows_bit_for_bit(convention):
         assert got.shape == grid.shape
         want = _flows(grid, 0.17, noise, 6.0, convention)
         assert np.array_equal(_u64(got), _u64(want))
+
+
+@pytest.mark.parametrize("convention", [SCALED_NOISE, UNIT_NOISE])
+def test_scalar_step_equals_the_flows_bit_for_bit(convention):
+    # the scalar path is one step of _nv_steps; the flows take their roots
+    # through public sqrt_h, so they stay an independent oracle, on axis
+    # starts with either sign of zero, subnormal and huge parts too
+    rng = np.random.default_rng(37)
+    starts = [0j, complex(-0.0, 0.0), 1j, complex(-0.0, 1.0), -2.0 + 0j,
+              complex(-2.0, -0.0), 3.0 + 0j, complex(-1.0, 1e-200),
+              complex(5e-324, 1.5), complex(-1e-200, 0.0),
+              complex(1e300, 2.0)]
+    starts += (rng.uniform(-10, 10, 200)
+               + 1j * rng.uniform(0, 10, 200)).tolist()
+    for z in starts:
+        for kappa in [2.0, 6.0]:
+            for h in [0.0, 1e-300, 0.05, 1.3]:
+                for dB in [0.0, -0.0, 1e200, float(rng.normal())]:
+                    got = nv_step(z, h, dB, kappa, convention)
+                    want = _flows(z, h, dB, kappa, convention)
+                    assert _bits(got) == _bits(want)
 
 
 def test_lane_kernel_guard_catches_the_imaginary_axis():

@@ -6,7 +6,7 @@ import pytest
 
 from slesim.brownian import BrownianPath
 from slesim.cli import main
-from slesim.schemes import nv_step
+from slesim.schemes import flow_drift, flow_noise, nv_step
 from slesim.trace import (TraceRefinementError, TraceResult, build_trace,
                           render_svg)
 
@@ -36,15 +36,18 @@ def _build(kappa=8.0 / 3.0, seed=7, tolerance=0.1, T=1.0, n_init=16,
 def _assert_points_are_final_chains(result, path):
     # every accepted point is the full backward chain over the final
     # partition, bit for bit, so a second evaluation pass changes nothing;
-    # the chain is a loop of public nv_step calls, not the sweep's kernel
+    # the chain is a loop of the public flows, whose roots go through
+    # sqrt_h, not through the sweep's kernel (nv_step's scalar path is a
+    # step of that kernel)
     tt = [t for t, _ in result.points]
     bb = [path.value_at(t) for t in tt]
     chains = []
     for k in range(len(tt)):
         z = 0j
         for i in reversed(range(k)):
-            z = nv_step(z, tt[i + 1] - tt[i], bb[i] - bb[i + 1],
-                        result.kappa)
+            h = tt[i + 1] - tt[i]
+            z = flow_drift(flow_noise(flow_drift(z, h / 2),
+                                      bb[i] - bb[i + 1], result.kappa), h / 2)
         chains.append(z)
     assert [z for _, z in result.points] == chains
 
