@@ -107,6 +107,15 @@ def test_divergence_rejects_all_vanishing_words(monkeypatch):
         divergence_probe(0.125, 0.5, [(0, 1), (1, 1)], 50, seed=4)
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+def test_divergence_refuses_kappa_before_drawing(monkeypatch, kappa):
+    # kappa = 0 used to raise only once every driver was drawn and
+    # integrated, and NaN was not refused at all: its rows came out NaN
+    _forbid_draws(monkeypatch)
+    with pytest.raises(ValueError, match="kappa"):
+        divergence_probe(0.125, 0.5, [(0,), (1,)], 50, seed=4, kappa=kappa)
+
+
 def test_divergence_magnitudes_grow_with_degree():
     report = divergence_probe(2.0 ** -6, 0.5, [(1,), (0,), (1, 0), (0, 0)],
                               400, seed=5, resolution=64)
@@ -220,6 +229,18 @@ def test_moment_rows_do_not_depend_on_the_lane_block(monkeypatch, replicas):
     assert moment_preservation(*args).rows == want
     monkeypatch.setattr(schemes, "_LANE_BLOCK", 7)
     assert moment_preservation(*args).rows == want
+
+
+@pytest.mark.parametrize("kappa, T", [(2.0, math.inf), (math.inf, 1.0)])
+def test_moment_refuses_non_finite_horizon_and_kappa(monkeypatch, kappa, T):
+    # both used to give NaN rows with RuntimeWarnings; they are refused
+    # before any increment is drawn
+    def no_draws(*args):
+        raise AssertionError("increments were drawn")
+
+    monkeypatch.setattr(experiments, "philox_stream", no_draws)
+    with pytest.raises(ValueError, match="finite"):
+        moment_preservation(kappa, 1j, T, 4, 100, 0)
 
 
 def test_moment_validation(tmp_path, capsys):

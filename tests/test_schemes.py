@@ -586,6 +586,22 @@ def test_step_validation():
         reference_solve(1j, BrownianPath.zeros(1.0, 4), 1.0, -2.0)
 
 
+@pytest.mark.parametrize("name, args", [
+    ("nv_step", (1j, math.nan, 0.1, 2.0)),
+    ("nv_step", (1j, 0.1, 0.1, math.nan)),
+    ("nv_step", (np.array([1j]), math.nan, 0.1, 2.0)),
+    ("flow_drift", (1j, math.nan)),
+    ("flow_noise", (1j, 0.1, math.nan)),
+    ("euler_step", (1j, math.nan, 0.1, 2.0)),
+    ("euler_step", (1j, 0.1, 0.1, math.nan)),
+    ("reference_solve", (1j, BrownianPath.zeros(1.0, 4), 1.0, math.nan)),
+])
+def test_nan_step_and_kappa_are_refused(name, args):
+    # a NaN passed h < 0 and kappa <= 0 and came back as a NaN result
+    with pytest.raises(ValueError, match="step size|flow time|kappa"):
+        getattr(schemes, name)(*args)
+
+
 def test_root_box_premise():
     # _nv_lanes takes array roots with np.sqrt only inside _LANE_BOX; there
     # numpy's complex root must be cmath.sqrt bit for bit
