@@ -322,7 +322,10 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
 
     The splitting step preserves this second-moment recursion exactly in
     expectation, so deviations are pure Monte Carlo noise; each row
-    reports the deviation in standard errors.  Float64 overflow follows
+    reports the deviation in standard errors.  Only Z^2 is read, so the
+    lanes are stepped as W = Z^2 by ``schemes._nv_array_step``, one
+    complex root per lane and step; ``stats["complex_roots"]`` counts
+    them (n_steps * replicas).  Float64 overflow follows
     numpy's error state (the CLI makes it raise FloatingPointError); when
     it is ignored, an overflowed row has a NaN deviation.
     """
@@ -337,12 +340,13 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     times = _uniform_grid(T, n_steps).tolist()
     incs = _step_normals(philox_stream(seed, _TAG_MATRIX), n_steps, replicas)
 
-    # the lanes and their squares, stepped in place; the lanes are never
-    # flipped into the upper half plane, as only their squares are read
-    z = np.full(replicas, z0, dtype=np.complex128)
-    square = z * z
+    # only Z^2 is read, so the lanes are stepped as their squares, in
+    # place, one complex root per lane and step
+    square = np.full(replicas, z0, dtype=np.complex128)
+    square *= square
     root_kappa = sqrt(kappa)
     rows = []
+    roots = 0
     for k in range(n_steps):
         t = times[k + 1]
         h = t - times[k]
@@ -350,7 +354,7 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
         d = incs[k]
         d *= sqrt(h)
         d *= root_kappa
-        _nv_array_step(z, square, 2.0 * h, d)
+        roots += _nv_array_step(square, 2.0 * h, d)
         mean = complex(np.mean(square))
         target = z0 * z0 + (kappa - 4.0) * t
         se = sqrt((float(np.var(square.real))
@@ -368,7 +372,8 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
                      "stderr": se, "deviation_se": dev})
     config = {"kappa": kappa, "z0": [z0.real, z0.imag], "T": T,
               "n_steps": n_steps, "replicas": replicas}
-    return ExperimentReport("moment_preservation", rows, None, config, seed)
+    return ExperimentReport("moment_preservation", rows, None, config, seed,
+                            {"complex_roots": roots})
 
 
 def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,

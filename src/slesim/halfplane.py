@@ -9,10 +9,10 @@ extend continuously to the negative real axis.  The splitting kernels in
 ``schemes`` apply the same flip rule only where its result is read: the
 scalar kernel ``_nv_steps`` inlines it, the lane kernel ``_nv_lanes``
 shares its array form, ``_flip_up``, with ``sqrt_h``, and the array
-kernel ``_nv_array_step`` (the array path of ``nv_step``) folds it into
-the noise shift as copysign and abs of the root's parts, leaving the
-final ``_flip_up`` to its callers; a change to the branch must change
-them too.
+kernel ``_nv_array_step``, which steps squares with one root per step,
+folds it into the noise shift as copysign and abs of the root's parts;
+the array path of ``nv_step`` takes the step's second root and flips it
+with ``_flip_up``.  A change to the branch must change them too.
 """
 
 from __future__ import annotations

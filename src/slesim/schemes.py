@@ -16,8 +16,11 @@ step in the scaled_noise form.
 
 Every decision about how that closed form is stepped lives here, in three
 kernels: ``_nv_steps`` (one chain, scalar), ``_nv_lanes`` (many chains in
-lock step) and ``_nv_array_step`` (one step of many lanes, in place).
-``nv_step`` is one step of ``_nv_steps`` or of ``_nv_array_step``;
+lock step) and ``_nv_array_step`` (one step of many lanes, in place).  The
+drift flow is a translation of W = z^2 by -4t, so ``_nv_array_step``
+steps the lanes' squares, with one root per lane and step; the two chain
+kernels step z itself, with two.  ``nv_step`` is one step of ``_nv_steps``
+or of ``_nv_array_step`` followed by the second root;
 ``_reference_rows`` solves a block of references on ``_nv_steps`` or
 ``_nv_lanes``, and ``reference_solve`` is its one-driver case.  The public
 flows stay an independent oracle for all of them.  A real-typed start x is
@@ -93,10 +96,11 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
 
     Accepts scalars or arrays for z and dB; a real-typed z is read as
     complex(z, 0.0).  Scalars take one step of ``_nv_steps``.  When either
-    is an array, every element is a lane of ``_nv_array_step``, on
-    complex128 buffers of the broadcast shape made here: z is broadcast
-    into them and squared there, so a scalar z gives the bits of the
-    array of its copies.
+    is an array, every element is a lane of ``_nv_array_step``, which
+    steps the squares in a complex128 buffer of the broadcast shape made
+    here; z is broadcast into it and squared there, so a scalar z gives
+    the bits of the array of its copies.  The step's second root is then
+    taken and flipped here, once.
 
     Raises:
         ValueError: h is not finite and >= 0, or kappa is not finite and
@@ -119,59 +123,60 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
                       dtype=np.complex128)
     square[...] = z
     np.multiply(square, square, out=square)
-    out = np.empty_like(square)
-    _nv_array_step(out, square, c, dB)
-    return _flip_up(out)
+    _nv_array_step(square, c, dB)
+    # the root of y*y - c, the second root of the step
+    return _flip_up(np.sqrt(square, out=square))
 
 
-# Lanes per block of _nv_array_step: one block's slices of its two
-# buffers and of the noise, 40 bytes a lane, stay in cache through the
-# nine passes of a step.
+# Lanes per block of _nv_array_step: one block's slice of the squares,
+# of the root buffer and of the noise, 40 bytes a lane, stays in cache
+# through the seven passes of a step.
 _LANE_BLOCK = 8192
 
 
-def _nv_array_step(z, square, c, d) -> None:
-    """One ``nv_step`` of many lanes, in place on the caller's buffers.
+def _nv_array_step(square, c, d) -> int:
+    """One ``nv_step`` of many lanes, stepped as their squares, in place.
 
-    ``z`` and ``square`` are C-contiguous complex128 arrays of one shape;
-    on entry ``square`` holds the square of each lane's start.  ``c`` is
-    the drift time (2h, or 2h/kappa for unit_noise) and ``d`` the noise
-    displacements, real and broadcastable to that shape.  On return ``z``
-    holds each lane's result before its ``sqrt_h`` flip and ``square``
-    its square.  The flips follow ``_nv_steps``, taken only where read:
+    ``square`` is a C-contiguous complex128 array holding W = Z^2 for
+    each lane; ``c`` is the drift time (2h, or 2h/kappa for unit_noise)
+    and ``d`` the noise displacements, real and broadcastable to its
+    shape.  The drift flow of -2/z translates W by -4t and the noise flow
+    translates Z, so a step is w -> (sqrt_h(w - c) + d)^2 - c: one root
+    per lane.  The root's ``sqrt_h`` flip folds into the noise shift: the
+    real part copysign(re, im) + d and the imaginary part |im| are the
+    bits of (-s) + d when the sign bit of im is set and of s + d when
+    not, as a principal root's real part has a clear sign bit.
 
-    - the first root's flip folds into the noise shift: the real part
-      copysign(re, im) + d and the imaginary part |im| are the bits of
-      (-s) + d when the sign bit of im is set and of s + d when not, as a
-      principal root's real part has a clear sign bit;
-    - the second root is not flipped: (-z) * (-z) is z * z bit for bit,
-      under numpy's FMA complex product too, so ``square`` and the next
-      step read the same bits either way.  A caller that returns ``z``
-      flips it once, with ``_flip_up``.
+    On return ``square`` holds y*y - c, y being the shifted root: the
+    next step's W, and the argument of this step's second root in Z.  A
+    caller that wants the lanes takes that root itself,
+    ``_flip_up(np.sqrt(square))``, which equals the flows flow_drift(h/2),
+    flow_noise, flow_drift(h/2) on the same arrays bit for bit; only a
+    NaN, which float64 overflow can make, may carry another sign bit.
 
-    So a step, flipped, equals the flows flow_drift(h/2), flow_noise,
-    flow_drift(h/2) on the same arrays bit for bit; only a NaN, which
-    float64 overflow can make, may carry another sign bit.  The
-    elementwise passes run ``_LANE_BLOCK`` lanes at a time and allocate
-    nothing of the lanes' size; every element is rounded on its own, so
-    the block size changes no bit.
+    The roots go into one scratch buffer of ``_LANE_BLOCK`` lanes and the
+    elementwise passes run a block at a time, so nothing of the lanes'
+    size is allocated; every element is rounded on its own, so the block
+    size changes no bit.  Returns the number of lanes stepped, which is
+    the number of complex roots taken.
     """
-    zf, wf = z.reshape(-1), square.reshape(-1)
-    df = np.broadcast_to(d, z.shape).reshape(-1)
-    for a in range(0, len(zf), _LANE_BLOCK):
+    wf = square.reshape(-1)
+    df = np.broadcast_to(d, square.shape).reshape(-1)
+    root = np.empty(min(len(wf), _LANE_BLOCK), dtype=np.complex128)
+    for a in range(0, len(wf), _LANE_BLOCK):
         b = a + _LANE_BLOCK
-        s, w = zf[a:b], wf[a:b]
+        w = wf[a:b]
+        s = root[:len(w)]
         w_re = w.real
         np.subtract(w, c, out=w)
         np.sqrt(w, out=s)
-        # y = the flipped first root + d, written over w
+        # y = the flipped root + d, written over w
         np.copysign(s.real, s.imag, out=w_re)
         np.add(w_re, df[a:b], out=w_re)
         np.absolute(s.imag, out=w.imag)
         np.multiply(w, w, out=w)
         np.subtract(w, c, out=w)
-        np.sqrt(w, out=s)
-        np.multiply(s, s, out=w)
+    return len(wf)
 
 
 def _nv_steps(z: complex, cs, ds) -> complex:

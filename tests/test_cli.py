@@ -237,6 +237,17 @@ def test_moments_deterministic_bytes(tmp_path):
     assert (tmp_path / "c" / "moments.csv").read_bytes() != a
 
 
+def test_moments_sidecar_counts_complex_roots(tmp_path):
+    # one root per lane and step, the same on every run and seed
+    for sub, seed in (("a", "21"), ("b", "21"), ("c", "22")):
+        assert run("moments", "--replicas", "300", "--steps", "4",
+                   "--seed", seed, "--out", str(tmp_path / sub)) == 0
+        payload = json.loads((tmp_path / sub / "moments.json").read_text())
+        assert payload["stats"] == {"complex_roots": 4 * 300}
+    assert ((tmp_path / "a" / "moments.csv").read_bytes()
+            == (tmp_path / "b" / "moments.csv").read_bytes())
+
+
 def test_threads_flag_does_not_change_bytes(tmp_path):
     for sub, threads in (("t1", "1"), ("t8", "8")):
         assert run("divergence", "--replicas", "40", "--resolution", "32",

@@ -15,8 +15,9 @@ from slesim.experiments import (ReferenceConvergenceError,
                                 moment_preservation, scheme_comparison,
                                 write_report_csv, write_report_sidecar)
 from slesim.integrals import compute_table, derive_seeds
-from slesim.schemes import (SCALED_NOISE, flow_drift, flow_noise, nv_step,
-                            reference_solve, taylor_step)
+from slesim.halfplane import sqrt_h
+from slesim.schemes import (flow_drift, flow_noise, reference_solve,
+                            taylor_step)
 
 EPS3 = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
 
@@ -171,19 +172,23 @@ def test_step_normals_equal_one_matrix_draw(monkeypatch, block, replicas):
 
 
 def test_moment_rows_equal_stored_matrix_recomputation():
-    # reference: keep every step's Z^2 in one (steps, replicas) matrix,
-    # then reduce each row
+    # reference: keep every step's W = Z^2 in one (steps, replicas)
+    # matrix, then reduce each row; each step translates W by the drift
+    # flow, w -> (sqrt_h(w - 2h) + sqrt(kappa) dB)^2 - 2h, through public
+    # sqrt_h and flow_noise
     kappa, z0, T, n_steps, replicas, seed = 2.0, 0.5 + 1j, 1.0, 8, 2000, 3
     report = moment_preservation(kappa, z0, T, n_steps, replicas, seed)
     incs = philox_stream(seed, experiments._TAG_MATRIX).standard_normal(
         (replicas, n_steps))
     times = (T * (np.arange(n_steps + 1) / n_steps)).tolist()
     z = np.full(replicas, z0, dtype=np.complex128)
+    w = z * z
     squares = np.empty((n_steps, replicas), dtype=np.complex128)
     for k in range(n_steps):
         h = times[k + 1] - times[k]
-        z = nv_step(z, h, math.sqrt(h) * incs[:, k], kappa, SCALED_NOISE)
-        squares[k] = z * z
+        y = flow_noise(sqrt_h(w - 2.0 * h), math.sqrt(h) * incs[:, k], kappa)
+        w = y * y - 2.0 * h
+        squares[k] = w
     assert len(report.rows) == n_steps
     for k, row in enumerate(report.rows):
         mean = complex(np.mean(squares[k]))
@@ -196,19 +201,17 @@ def test_moment_rows_equal_stored_matrix_recomputation():
                        "deviation_se": abs(mean - target) / se}
 
 
-def _moment_rows_by_flows(kappa, z0, T, n_steps, replicas, seed):
-    # each step as nv_step's three flows, through public sqrt_h, on fresh
-    # arrays; the rows as moment_preservation forms them
+def _moment_rows_by(step, v, kappa, z0, T, n_steps, replicas, seed):
+    # v, square = step(v, h, noise) on fresh arrays from the start v, with
+    # square the Z^2 each row reads; the rows as moment_preservation
+    # forms them
     incs = philox_stream(seed, experiments._TAG_MATRIX).standard_normal(
         (replicas, n_steps))
     times = (T * (np.arange(n_steps + 1) / n_steps)).tolist()
-    z = np.full(replicas, z0, dtype=np.complex128)
     rows = []
     for k in range(n_steps):
         h = times[k + 1] - times[k]
-        z = flow_drift(flow_noise(flow_drift(z, h / 2),
-                                  math.sqrt(h) * incs[:, k], kappa), h / 2)
-        square = z * z
+        v, square = step(v, h, math.sqrt(h) * incs[:, k])
         mean = complex(np.mean(square))
         target = z0 * z0 + (kappa - 4.0) * times[k + 1]
         se = math.sqrt((float(np.var(square.real))
@@ -220,15 +223,55 @@ def _moment_rows_by_flows(kappa, z0, T, n_steps, replicas, seed):
     return rows
 
 
+def _moment_rows_by_flows(kappa, z0, T, n_steps, replicas, seed):
+    # each step as nv_step's three flows on Z, through public sqrt_h
+    def step(z, h, noise):
+        z = flow_drift(flow_noise(flow_drift(z, h / 2), noise, kappa), h / 2)
+        return z, z * z
+
+    z = np.full(replicas, z0, dtype=np.complex128)
+    return _moment_rows_by(step, z, kappa, z0, T, n_steps, replicas, seed)
+
+
+def _moment_rows_in_w(kappa, z0, T, n_steps, replicas, seed):
+    # each step on W = Z^2, from the numpy square of the z0 copies: the
+    # drift flow translates W by -4t, so a step is one public sqrt_h
+    # between two translations
+    def step(w, h, noise):
+        y = flow_noise(sqrt_h(w - 2.0 * h), noise, kappa)
+        w = y * y - 2.0 * h
+        return w, w
+
+    z = np.full(replicas, z0, dtype=np.complex128)
+    return _moment_rows_by(step, z * z, kappa, z0, T, n_steps, replicas,
+                           seed)
+
+
 @pytest.mark.parametrize("replicas", [30, 8197])
 def test_moment_rows_do_not_depend_on_the_lane_block(monkeypatch, replicas):
     # the kernel steps blocks of lanes; a block of 7 leaves a short last
-    # block at both replica counts, and the rows must still be the flows'
+    # block at both replica counts, and the rows must still be those
+    # stepped in W through the public maps
     args = (6.0, -0.3 + 0.7j, 0.5, 5, replicas, 12)
-    want = _moment_rows_by_flows(*args)
+    want = _moment_rows_in_w(*args)
     assert moment_preservation(*args).rows == want
     monkeypatch.setattr(schemes, "_LANE_BLOCK", 7)
     assert moment_preservation(*args).rows == want
+
+
+@pytest.mark.parametrize("args", [(6.0, -0.3 + 0.7j, 0.5, 5, 8197, 12),
+                                  (2.0, 0.5 + 1j, 1.0, 8, 2000, 3),
+                                  (0.5, -1.5 + 0.05j, 2.0, 16, 500, 7)])
+def test_moment_means_stay_with_the_flows_in_z(args):
+    # stepping W and not Z rounds differently, by a few ulps of each row
+    # mean; the NV flows in Z are the independent oracle
+    got = moment_preservation(*args).rows
+    want = _moment_rows_by_flows(*args)
+    assert len(got) == len(want) == args[3]
+    for a, b in zip(got, want):
+        mean = complex(a["mean_re"], a["mean_im"])
+        exact = complex(b["mean_re"], b["mean_im"])
+        assert abs(mean - exact) <= 1e-13 * abs(exact)
 
 
 @pytest.mark.parametrize("kappa, T", [(2.0, math.inf), (math.inf, 1.0)])

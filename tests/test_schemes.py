@@ -533,6 +533,12 @@ def test_reference_solve_equals_nv_step_loop(seed, T, n, bisect, refine,
     want = _nv_step_loop(z0, path, t, kappa)
     assert got == want
     assert _bits(got) == _bits(want)
+    times, values = path.times.tolist(), path.values.tolist()
+    steps = range(path.index_of(t))
+    cs, ds = _chain_args([times[k + 1] - times[k] for k in steps],
+                         [values[k + 1] - values[k] for k in steps],
+                         kappa, UNIT_NOISE)
+    assert _bits(got) == _bits(_chain_by_sqrt_h(z0, cs, ds))
 
 
 def test_splitting_converges_on_a_fixed_driver():
@@ -664,6 +670,15 @@ def _chain_args(h, dB, kappa, convention):
     return [2.0 * x / kappa for x in h], dB
 
 
+def _chain_by_sqrt_h(z, cs, ds):
+    # the per-step oracle of the scalar kernel, independent of it: each
+    # step's closed form with both roots through public sqrt_h
+    for c, d in zip(cs, ds):
+        y = sqrt_h(z * z - c) + d
+        z = sqrt_h(y * y - c)
+    return z
+
+
 _START_PART = st.one_of(st.floats(-20.0, 20.0),
                         st.sampled_from([0.0, -0.0, 5e-324, -1e-200, 1e300]))
 
@@ -691,8 +706,10 @@ def test_scalar_kernel_equals_nv_step_loop(data, steps, kappa, convention):
     want = z0
     for x, b in zip(h, dB):
         want = nv_step(want, x, b, kappa, convention)
-    got = schemes._nv_steps(z0, *_chain_args(h, dB, kappa, convention))
+    cs, ds = _chain_args(h, dB, kappa, convention)
+    got = schemes._nv_steps(z0, cs, ds)
     assert _bits(got) == _bits(want)
+    assert _bits(got) == _bits(_chain_by_sqrt_h(z0, cs, ds))
 
 
 @pytest.mark.parametrize("convention", [SCALED_NOISE, UNIT_NOISE])
@@ -709,7 +726,9 @@ def test_scalar_kernel_flips_inside_a_chain(convention):
     want = -1.0 + 0.5j
     for x, b in zip(h, dB):
         want = nv_step(want, x, b, 6.0, convention)
-    assert _bits(schemes._nv_steps(-1.0 + 0.5j, cs, ds)) == _bits(want)
+    got = schemes._nv_steps(-1.0 + 0.5j, cs, ds)
+    assert _bits(got) == _bits(want)
+    assert _bits(got) == _bits(_chain_by_sqrt_h(-1.0 + 0.5j, cs, ds))
     # no step leaves the start as it is, sign bits included
     assert _bits(schemes._nv_steps(complex(3.0, -0.0), [], [])) == \
         _bits(complex(3.0, -0.0))
