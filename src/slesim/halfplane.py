@@ -6,13 +6,13 @@ flows must send H = {im z >= 0} into itself.  ``sqrt_h`` is that branch.  On
 the nonnegative real axis it agrees with the ordinary real square root, and
 the sign of a zero imaginary part decides the side of the cut, so the maps
 extend continuously to the negative real axis.  The splitting kernels in
-``schemes`` apply the same flip rule only where its result is read: the
-scalar kernel ``_nv_steps`` inlines it, the lane kernel ``_nv_lanes``
-shares its array form, ``_flip_up``, with ``sqrt_h``, and the array
-kernel ``_nv_array_step``, which steps squares with one root per step,
-folds it into the noise shift as copysign and abs of the root's parts;
-the array path of ``nv_step`` takes the step's second root and flips it
-with ``_flip_up``.  A change to the branch must change them too.
+``schemes`` step squares, with one root per map, and apply the same flip
+rule to each root: the scalar kernel ``_nv_steps`` inlines it, the lane
+kernel ``_nv_lanes`` shares its array form, ``_flip_up``, with
+``sqrt_h``, and the array kernel ``_nv_array_step`` folds it into the
+noise shift as copysign and abs of the root's parts; the array path of
+``nv_step`` takes the step's second root and flips it with
+``_flip_up``.  A change to the branch must change them too.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ step in the scaled_noise form.
 Every decision about how that closed form is stepped lives here, in three
 kernels: ``_nv_steps`` (one chain, scalar), ``_nv_lanes`` (many chains in
 lock step) and ``_nv_array_step`` (one step of many lanes, in place).  The
-drift flow is a translation of W = z^2 by -4t, so ``_nv_array_step``
-steps the lanes' squares, with one root per lane and step; the two chain
-kernels step z itself, with two.  ``nv_step`` is one step of ``_nv_steps``
-or of ``_nv_array_step`` followed by the second root;
+drift flow is a translation of W = z^2 by -4t, so all three step squares,
+w -> (sqrt_h(w - c) + d)^2 - c, with one root per map; a chain takes one
+more root at its end.  ``nv_step`` is one step of ``_nv_steps``, or of
+``_nv_array_step`` followed by that last root;
 ``_reference_rows`` solves a block of references on ``_nv_steps`` or
 ``_nv_lanes``, and ``reference_solve`` is its one-driver case.  The public
 flows stay an independent oracle for all of them.  A real-typed start x is
@@ -180,46 +180,49 @@ def _nv_array_step(square, c, d) -> int:
 
 
 def _nv_steps(z: complex, cs, ds) -> complex:
-    """``nv_step`` applied once per pair of ``cs`` and ``ds``, in order.
+    """``nv_step`` applied once per pair of ``cs`` and ``ds``, in order,
+    stepped as the square W = z^2.
 
-    Each step is z -> sqrt_h((sqrt_h(z^2 - c) + d)^2 - c), with c the
-    drift time (2h, or 2h/kappa for unit_noise) and d the noise
-    displacement (sqrt(kappa) dB, or dB).  The scalar NV kernel: the
-    scalar path of ``nv_step`` is one of its steps, and a trace chain and
-    ``_reference_rows`` run it over many.  It takes the ``sqrt_h`` flip
-    (negate the root exactly when the sign bit of its imaginary part is
-    set) once per root, only where its result is read:
+    c is the drift time (2h, or 2h/kappa for unit_noise) and d the noise
+    displacement (sqrt(kappa) dB, or dB).  The drift flow of -2/z
+    translates W by -4t and the noise flow translates z, so each step is
+    w -> (sqrt_h(w - c) + d)^2 - c, one root, and the chain is
 
-    - the first root's flip folds into the noise shift, as d - s is
-      (-s) + d bit for bit;
-    - the second root enters the next step only through its square, and
-      (-z) * (-z) is z * z bit for bit, so it is flipped once, after the
-      last step.
+        w = z * z;  per step y = sqrt_h(w - c) + d, w = y * y - c;
+        then sqrt_h(w).
 
-    So the result equals a loop of one-step calls, each the formula above
-    through ``sqrt_h``, bit for bit.  On the way, only a NaN, which
-    float64 overflow can make, may carry another sign bit than in that
-    loop, and the next root turns any NaN into cmath's own, so the result
-    keeps the loop's bits there too.  ``z`` is a complex and each d a
-    float, so every operation is CPython's.
+    A chain of no steps returns ``z`` as it is.  The scalar NV kernel:
+    the scalar path of ``nv_step`` is one of its steps, whose operations
+    are those of the closed form in z, and a trace chain and
+    ``_reference_rows`` run it over many.  The ``sqrt_h`` flip (negate
+    the root exactly when the sign bit of its imaginary part is set) of
+    each step's root folds into the noise shift, as d - s is (-s) + d
+    bit for bit; the last root is flipped as it is.  So the result
+    equals that loop through public ``sqrt_h`` bit for bit; it rounds
+    differently from a loop of one-step calls, which takes a root of
+    each w and squares it again.  ``z`` is a complex and each d a float,
+    so every operation is CPython's.
     """
     _sqrt, _copysign = cmath.sqrt, copysign
+    w = z * z
     c = None
     for c, d in zip(cs, ds):
         # copysign is called only for a zero imaginary part, so the
         # common cases pay one or two comparisons and no call
-        s = _sqrt(z * z - c)
+        s = _sqrt(w - c)
         im = s.imag
         if im <= 0.0 and (im < 0.0 or _copysign(1.0, im) < 0.0):
             y = d - s
         else:
             y = s + d
-        z = _sqrt(y * y - c)
+        w = y * y - c
     # no step leaves the start as it is
-    if c is not None:
-        im = z.imag
-        if im <= 0.0 and (im < 0.0 or _copysign(1.0, im) < 0.0):
-            z = -z
+    if c is None:
+        return z
+    z = _sqrt(w)
+    im = z.imag
+    if im <= 0.0 and (im < 0.0 or _copysign(1.0, im) < 0.0):
+        z = -z
     return z
 
 
@@ -237,12 +240,16 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
 
     Lane k starts at ``z[k]`` and takes step j with ``cs[j][k]`` and
     ``ds[j][k]``; ``z`` is a sequence of complex starts, ``cs`` and
-    ``ds`` are (steps, lanes) arrays.  Each square is formed from real
-    float64 ufuncs in CPython's order for a complex product.  Each root
-    is ``np.sqrt`` of the whole lane array; a root whose argument leaves
-    the box ``_LANE_BOX`` in any lane is taken lane by lane with
-    ``cmath.sqrt``.  The flips follow ``_nv_steps``: the first root's
-    before the noise shift, the second root's once, after the last step.
+    ``ds`` are iterables of rows of lanes, one row a step, such as
+    (steps, lanes) arrays.  The lanes step their squares W as
+    ``_nv_steps`` does, from the first step to the last in one call.
+    Each square is formed from real float64 ufuncs in CPython's order
+    for a complex product, and c is taken from its real part alone, as
+    CPython's complex - float leaves the imaginary part's bits.  Each
+    root, sqrt(w - c) per step and sqrt(w) at the end, is ``np.sqrt`` of
+    the whole lane array, flipped with ``_flip_up``; a root whose
+    argument leaves the box ``_LANE_BOX`` in any lane is taken lane by
+    lane with ``cmath.sqrt``.
     """
     z = np.array(z, dtype=np.complex128)
     s, w = np.empty_like(z), np.empty_like(z)
@@ -250,41 +257,52 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
     square, size = np.empty(len(z)), np.empty(2 * len(z))
     lo, hi = _LANE_BOX
 
-    def root(x, c, out):
-        # w = x * x - c: (re*re - im*im) - c and re*im + im*re
+    def squared(x):
+        # w = x * x: re*re - im*im and re*im + im*re
         x_re, x_im = x.real, x.imag
         np.multiply(x_re, x_re, out=w_re)
         np.multiply(x_im, x_im, out=square)
         np.subtract(w_re, square, out=w_re)
-        np.subtract(w_re, c, out=w_re)
         np.multiply(x_re, x_im, out=w_im)
         np.add(w_im, w_im, out=w_im)
+
+    def root(out):
         np.absolute(w_parts, out=size)
         if lo <= size.min() and size.max() <= hi:
             np.sqrt(w, out=out)
         else:
             out[:] = [cmath.sqrt(v) for v in w.tolist()]
+        _flip_up(out)
 
     # overflow gives inf and nan silently, as in the scalar kernel
     with np.errstate(all="ignore"):
+        squared(z)
+        c = None
         for c, d in zip(cs, ds):
-            root(z, c, s)
+            np.subtract(w_re, c, out=w_re)
+            root(s)
             # after the flip, adding d to the real part gives the scalar
             # kernel's y: -re + d is d - re and -im is 0.0 - im bit for
             # bit, and an unflipped im has a clear sign bit, so the 0.0
             # that CPython's complex + float adds to it changes nothing
-            _flip_up(s)
             np.add(s_re, d, out=s_re)
-            root(s, c, z)
-    return _flip_up(z) if len(cs) else z
+            squared(s)
+            np.subtract(w_re, c, out=w_re)
+        # no step leaves the starts as they are
+        if c is not None:
+            root(z)
+    return z
 
 
 # Below this many drivers, _reference_rows steps each reference on its
-# own with the scalar _nv_steps: one step of _nv_lanes makes ~23 numpy
-# calls, 17-20 us at widths 24-96, and one scalar map costs ~0.34 us
-# (measured on a 2-vCPU Xeon VM), so the two break even near 48-56 lanes.
+# own with the scalar _nv_steps: one step of _nv_lanes makes ~15 numpy
+# calls, 11.5-15 us at widths 16-96, and one scalar map costs ~0.30 us
+# (measured on a 2-vCPU Xeon VM), so the two break even near 40 lanes;
+# 64 is the first power of two past that, as it was past the 48-56 of
+# the kernels that stepped z.
 _LANE_CROSSOVER = 64
-# Steps per call of _nv_lanes: bounds its (steps, lanes) input arrays.
+# Steps per block of the rows _reference_rows feeds to _nv_lanes: bounds
+# the (steps, lanes) arrays it builds.
 _STEP_BLOCK = 32
 
 
@@ -299,8 +317,9 @@ def _reference_rows(starts, grids, values, kappa) -> list:
     grid, with the drift times of the row computed once for all its
     drivers.  While _LANE_CROSSOVER or more drivers are given, every
     solution is one lane of ``_nv_lanes``; below that, each is its own
-    ``_nv_steps`` on the row's arrays.  Both give the bits of a loop of
-    ``nv_step`` calls.
+    ``_nv_steps`` on the row's arrays.  Both step the square W = z^2 and
+    give the bits of its loop through public ``sqrt_h``: w = z*z, per
+    step y = sqrt_h(w - c) + d and w = y*y - c, then sqrt_h(w).
     """
     used = [j for j, v in enumerate(values) if len(v)]
     # drift time of each step in each used row: 2h/kappa, as nv_step
@@ -313,20 +332,24 @@ def _reference_rows(starts, grids, values, kappa) -> list:
                  for ds in np.diff(v, axis=1).tolist()]
                 for j, v in enumerate(values)]
     steps = len(drift[used[0]])
+
+    def rows(part):
+        # a block of steps at a time keeps the (steps, lanes) arrays small
+        for a in range(0, steps, _STEP_BLOCK):
+            b = min(a + _STEP_BLOCK, steps)
+            block = np.empty((b - a, width))
+            lane = 0
+            for j in used:
+                lanes = slice(lane, lane + len(values[j]))
+                block[:, lanes] = part(j, a, b)
+                lane = lanes.stop
+            yield from block
+
     z = [starts[j] for j in used for _ in range(len(values[j]))]
-    # a block of steps at a time keeps the (steps, lanes) arrays small
-    for a in range(0, steps, _STEP_BLOCK):
-        b = min(a + _STEP_BLOCK, steps)
-        cs, ds = np.empty((b - a, width)), np.empty((b - a, width))
-        lane = 0
-        for j in used:
-            lanes = slice(lane, lane + len(values[j]))
-            cs[:, lanes] = drift[j][a:b, None]
-            # each driver's noise displacements, as np.diff
-            np.subtract(values[j][:, a + 1:b + 1].T, values[j][:, a:b].T,
-                        out=ds[:, lanes])
-            lane = lanes.stop
-        z = _nv_lanes(z, cs, ds)
+    # each driver's noise displacements are its np.diff
+    z = _nv_lanes(z, rows(lambda j, a, b: drift[j][a:b, None]),
+                  rows(lambda j, a, b: (values[j][:, a + 1:b + 1]
+                                        - values[j][:, a:b]).T))
     flat = iter(z.tolist())
     return [[next(flat) for _ in range(len(v))] for v in values]
 

@@ -17,8 +17,9 @@ Because an accepted point never depends on intervals to its right, the
 sweep's values are already the compositions over the final partition, and
 each gap is tested once, when its right point is accepted; no second pass
 recomputes the points or re-tests the gaps.  The stats report the maps
-the sweep spent on accepted points (sum_k k = N(N+1)/2) and all maps it
-applied, rejected candidates included.
+the sweep spent on accepted points (sum_k k = N(N+1)/2), all maps it
+applied, rejected candidates included, and the complex roots those maps
+took.
 """
 
 from __future__ import annotations
@@ -96,8 +97,10 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
         TraceResult; points[0] is (0, 0) and every consecutive gap is
         below tolerance.  stats holds ``refinement_depth_max``,
         ``map_evaluations`` (N(N+1)/2 for N intervals: the maps behind
-        the accepted points) and ``chain_map_applications`` (every map
-        the sweep applied, rejected candidates included).
+        the accepted points), ``chain_map_applications`` (every map
+        the sweep applied, rejected candidates included) and
+        ``complex_roots`` (one per map applied and one at the end of
+        each candidate chain, as ``_nv_steps`` steps W = z^2).
 
     Raises:
         ValueError: T, kappa or tolerance is outside its range, NaN or
@@ -124,11 +127,12 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
     dd = (sqkap * (values[:-1] - values[1:])).tolist()
     depth = [0] * end
     zz = [0j]
-    applications = 0
+    applications = chains = 0
     while len(zz) <= end:
         # points 0..i accepted; interval i is the first undecided one
         i = len(zz) - 1
         applications += i + 1
+        chains += 1
         # f_0 ... f_i applied to 0, rightmost (innermost) map first
         z_r = _nv_steps(0j, reversed(cc[:i + 1]), reversed(dd[:i + 1]))
         gap = abs(z_r - zz[i])
@@ -155,7 +159,8 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
                        shift_applied=bool(apply_shift),
                        stats={"refinement_depth_max": max(depth),
                               "map_evaluations": end * (end + 1) // 2,
-                              "chain_map_applications": applications})
+                              "chain_map_applications": applications,
+                              "complex_roots": applications + chains})
 
 
 def render_svg(result: TraceResult, width: int = 800, height: int = 600) -> str:

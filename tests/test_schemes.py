@@ -451,7 +451,9 @@ def test_reference_rows_equal_nv_step_loops(monkeypatch, drivers):
     # three rows, the middle one with no driver: below _LANE_CROSSOVER
     # drivers in all every solution is its own scalar chain, from it on a
     # lane; 40 steps make two blocks of _STEP_BLOCK, and the 0.25i start
-    # squares onto the real axis, out of the lane kernel's root box
+    # squares onto the real axis, out of the lane kernel's root box.
+    # Every solution is the W chain through public sqrt_h bit for bit,
+    # and agrees with the loop of nv_step calls to rounding
     lane_calls = []
     lanes = schemes._nv_lanes
 
@@ -475,8 +477,13 @@ def test_reference_rows_equal_nv_step_loops(monkeypatch, drivers):
     for j, row in enumerate(paths):
         for z, path in zip(got[j], row):
             assert path.times.tolist() == grids[j].tolist()
+            cs, ds = _chain_args(np.diff(path.times).tolist(),
+                                 np.diff(path.values).tolist(), 2.0,
+                                 UNIT_NOISE)
+            assert _bits(z) == _bits(_chain_in_w(starts[j], cs, ds))
+            assert _well_conditioned(starts[j], cs, ds)
             want = _nv_step_loop(starts[j], path, horizons[j], 2.0)
-            assert _bits(z) == _bits(want)
+            assert abs(z - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def _same_bits(got, want):
@@ -520,7 +527,10 @@ def test_real_starts_are_read_as_complex(x):
 def test_reference_solve_equals_nv_step_loop(seed, T, n, bisect, refine,
                                              kappa, re, im, where):
     # uneven grids (single bisections, then maybe a full pass) and
-    # starting points on or just above the real axis, either sign of zero
+    # starting points on or just above the real axis, either sign of zero;
+    # the solve is the W chain through public sqrt_h bit for bit, the
+    # loop of nv_step calls is the z chain through it bit for bit, and
+    # the two agree to rounding wherever no root argument cancels
     path = BrownianPath.sample_uniform(T, n, seed=seed)
     for i in bisect:
         path.insert_midpoint(i % path.n_intervals)
@@ -531,14 +541,15 @@ def test_reference_solve_equals_nv_step_loop(seed, T, n, bisect, refine,
     z0 = complex(re, im)
     got = reference_solve(z0, path, t, kappa)
     want = _nv_step_loop(z0, path, t, kappa)
-    assert got == want
-    assert _bits(got) == _bits(want)
     times, values = path.times.tolist(), path.values.tolist()
     steps = range(path.index_of(t))
     cs, ds = _chain_args([times[k + 1] - times[k] for k in steps],
                          [values[k + 1] - values[k] for k in steps],
                          kappa, UNIT_NOISE)
-    assert _bits(got) == _bits(_chain_by_sqrt_h(z0, cs, ds))
+    assert _bits(got) == _bits(_chain_in_w(z0, cs, ds))
+    assert _bits(want) == _bits(_chain_by_sqrt_h(z0, cs, ds))
+    if _well_conditioned(z0, cs, ds):
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_splitting_converges_on_a_fixed_driver():
@@ -650,17 +661,15 @@ def test_lane_kernel_equals_scalar_kernel(data, lanes, steps):
 
 
 def _flipped_roots(z, cs, ds):
-    # how many roots of an nv_step chain sqrt_h negates: those whose
-    # principal root has the sign bit of its imaginary part set
-    count = 0
+    # how many roots of a W chain sqrt_h negates: those whose principal
+    # root has the sign bit of its imaginary part set
+    w, args = z * z, []
     for c, d in zip(cs, ds):
-        w = z * z - c
-        y = sqrt_h(w) + d
-        v = y * y - c
-        z = sqrt_h(v)
-        count += sum(math.copysign(1.0, cmath.sqrt(x).imag) < 0.0
-                     for x in (w, v))
-    return count
+        args.append(w - c)
+        y = sqrt_h(w - c) + d
+        w = y * y - c
+    args.append(w)
+    return sum(math.copysign(1.0, cmath.sqrt(x).imag) < 0.0 for x in args)
 
 
 def _chain_args(h, dB, kappa, convention):
@@ -671,12 +680,38 @@ def _chain_args(h, dB, kappa, convention):
 
 
 def _chain_by_sqrt_h(z, cs, ds):
-    # the per-step oracle of the scalar kernel, independent of it: each
-    # step's closed form with both roots through public sqrt_h
+    # the per-step oracle of a loop of nv_step calls: each step's closed
+    # form in z, with both roots through public sqrt_h
     for c, d in zip(cs, ds):
         y = sqrt_h(z * z - c) + d
         z = sqrt_h(y * y - c)
     return z
+
+
+def _chain_in_w(z, cs, ds):
+    # the oracle of both chain kernels, independent of them: the drift
+    # flow translates W = z^2, so each map steps W with one root through
+    # public sqrt_h, and one more root ends the chain
+    w = z * z
+    for c, d in zip(cs, ds):
+        y = sqrt_h(w - c) + d
+        w = y * y - c
+    return sqrt_h(w)
+
+
+def _well_conditioned(z, cs, ds, ratio=1e-2):
+    # whether no root argument of the W chain cancels: each keeps at least
+    # ``ratio`` of the size of the terms it is the sum of.  Stepping z
+    # rounds every square anew, and a cancelling argument magnifies that
+    # rounding, so only then may the W and z chains part by more than
+    # rounding
+    w, y, prev = z * z, z, 0.0
+    for c, d in zip(cs, ds):
+        if not abs(w - c) >= ratio * (abs(y * y) + prev + c):
+            return False
+        y = sqrt_h(w - c) + d
+        w, prev = y * y - c, c
+    return cmath.isfinite(w) and abs(w) >= ratio * (abs(y * y) + prev)
 
 
 _START_PART = st.one_of(st.floats(-20.0, 20.0),
@@ -689,9 +724,11 @@ _START_PART = st.one_of(st.floats(-20.0, 20.0),
        convention=st.sampled_from([SCALED_NOISE, UNIT_NOISE]))
 def test_scalar_kernel_equals_nv_step_loop(data, steps, kappa, convention):
     # starts on and off both axes, with signed zeros and z0 = 0, on chains
-    # whose roots, first and second, often get flipped (a start left of
-    # the imaginary axis squares below the real axis); huge parts
-    # overflow, and the bits must agree there too
+    # whose roots often get flipped (a start left of the imaginary axis
+    # squares below the real axis); huge parts overflow, and the bits
+    # must agree there too.  The kernel is the W chain through public
+    # sqrt_h, the nv_step loop is the z chain through it, and the two
+    # agree to rounding wherever no root argument cancels
     z0 = data.draw(st.one_of(
         st.builds(complex, _START_PART, _START_PART),
         st.sampled_from([0j, complex(-0.0, 0.0), complex(-2.0, 0.0),
@@ -708,16 +745,19 @@ def test_scalar_kernel_equals_nv_step_loop(data, steps, kappa, convention):
         want = nv_step(want, x, b, kappa, convention)
     cs, ds = _chain_args(h, dB, kappa, convention)
     got = schemes._nv_steps(z0, cs, ds)
-    assert _bits(got) == _bits(want)
-    assert _bits(got) == _bits(_chain_by_sqrt_h(z0, cs, ds))
+    assert _bits(got) == _bits(_chain_in_w(z0, cs, ds))
+    assert _bits(want) == _bits(_chain_by_sqrt_h(z0, cs, ds))
+    if _well_conditioned(z0, cs, ds):
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("convention", [SCALED_NOISE, UNIT_NOISE])
 def test_scalar_kernel_flips_inside_a_chain(convention):
-    # a chain that wanders left of the imaginary axis, so that both of
-    # its roots get flipped on many steps: the kernel takes the first
-    # root's flip as d - s and the second root's only after the last
-    # step, and must still give nv_step's bits
+    # a chain that wanders left of the imaginary axis, so that its roots
+    # get flipped on many steps: the kernel takes each step's flip as
+    # d - s and the last root's as a negation, and must still give the
+    # bits of the W chain through sqrt_h; the nv_step loop is the z chain
+    # through sqrt_h bit for bit and agrees with the kernel to rounding
     rng = np.random.default_rng(9)
     h = rng.uniform(0.0, 0.05, 40).tolist()
     dB = (rng.normal(-0.3, 0.5, 40)).tolist()
@@ -727,8 +767,10 @@ def test_scalar_kernel_flips_inside_a_chain(convention):
     for x, b in zip(h, dB):
         want = nv_step(want, x, b, 6.0, convention)
     got = schemes._nv_steps(-1.0 + 0.5j, cs, ds)
-    assert _bits(got) == _bits(want)
-    assert _bits(got) == _bits(_chain_by_sqrt_h(-1.0 + 0.5j, cs, ds))
+    assert _bits(got) == _bits(_chain_in_w(-1.0 + 0.5j, cs, ds))
+    assert _bits(want) == _bits(_chain_by_sqrt_h(-1.0 + 0.5j, cs, ds))
+    assert _well_conditioned(-1.0 + 0.5j, cs, ds)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
     # no step leaves the start as it is, sign bits included
     assert _bits(schemes._nv_steps(complex(3.0, -0.0), [], [])) == \
         _bits(complex(3.0, -0.0))

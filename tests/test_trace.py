@@ -1,11 +1,14 @@
 """Adaptive trace builder: exactness, gap control, determinism."""
 
 import math
+import statistics
 
 import pytest
 
+from slesim import trace
 from slesim.brownian import BrownianPath
 from slesim.cli import main
+from slesim.halfplane import sqrt_h
 from slesim.schemes import flow_drift, flow_noise, nv_step
 from slesim.trace import (TraceRefinementError, TraceResult, build_trace,
                           render_svg)
@@ -35,21 +38,26 @@ def _build(kappa=8.0 / 3.0, seed=7, tolerance=0.1, T=1.0, n_init=16,
 
 def _assert_points_are_final_chains(result, path):
     # every accepted point is the full backward chain over the final
-    # partition, bit for bit, so a second evaluation pass changes nothing;
-    # the chain is a loop of the public flows, whose roots go through
-    # sqrt_h, not through the sweep's kernel (nv_step's scalar path is a
-    # step of that kernel)
+    # partition, bit for bit, so a second evaluation pass changes nothing.
+    # The chain steps W = z^2 with public functions, not through the
+    # sweep's kernel: the drift flow for time h/2 translates W by -2h, the
+    # noise flow translates z, and each root goes through sqrt_h.  The
+    # loop of the three flows in z, two roots a map, agrees to rounding
     tt = [t for t, _ in result.points]
     bb = [path.value_at(t) for t in tt]
-    chains = []
+    chains, flows = [], []
     for k in range(len(tt)):
-        z = 0j
+        w = z = 0j
         for i in reversed(range(k)):
-            h = tt[i + 1] - tt[i]
-            z = flow_drift(flow_noise(flow_drift(z, h / 2),
-                                      bb[i] - bb[i + 1], result.kappa), h / 2)
-        chains.append(z)
+            h, du = tt[i + 1] - tt[i], bb[i] - bb[i + 1]
+            y = flow_noise(sqrt_h(w - 2.0 * h), du, result.kappa)
+            w = y * y - 2.0 * h
+            z = flow_drift(flow_noise(flow_drift(z, h / 2), du,
+                                      result.kappa), h / 2)
+        chains.append(sqrt_h(w))
+        flows.append(z)
     assert [z for _, z in result.points] == chains
+    assert max(abs(a - b) for a, b in zip(chains, flows)) <= 1e-12
 
 
 @pytest.mark.parametrize("kappa,seed,tolerance,n_init", [
@@ -77,6 +85,72 @@ def test_chain_map_applications_count_rejected_candidates():
     result = _build(seed=11)
     assert (result.stats["chain_map_applications"]
             > result.stats["map_evaluations"])
+
+
+def test_complex_roots_are_one_per_map_and_one_per_chain(monkeypatch):
+    # each candidate chain steps W = z^2: one root per map, one at its end
+    lengths = []
+    kernel = trace._nv_steps
+
+    def counted(z, cs, ds):
+        cs, ds = list(cs), list(ds)
+        lengths.append(len(cs))
+        return kernel(z, cs, ds)
+
+    monkeypatch.setattr(trace, "_nv_steps", counted)
+    for kw in ({"seed": 11}, {"kappa": 6.0, "seed": 3, "tolerance": 0.05}):
+        lengths.clear()
+        stats = _build(**kw).stats
+        assert stats["chain_map_applications"] == sum(lengths)
+        assert stats["complex_roots"] == sum(lengths) + len(lengths)
+        assert stats["complex_roots"] == \
+            stats["chain_map_applications"] + len(lengths)
+
+
+def _exact_chain(mpmath, cs, ds):
+    # f_0(...f_{k-1}(0)) in the working precision of mpmath, each map in
+    # z with sqrt_h read as "negate the root when its im < 0"
+    def sqrt_h_exact(w):
+        s = mpmath.sqrt(w)
+        return -s if s.imag < 0 else s
+
+    z = mpmath.mpc(0)
+    for c, d in zip(reversed(cs), reversed(ds)):
+        c, d = mpmath.mpf(c), mpmath.mpf(d)
+        z = sqrt_h_exact((sqrt_h_exact(z * z - c) + d) ** 2 - c)
+    return z
+
+
+def test_trace_points_match_a_50_digit_chain():
+    # the final partitions of seeds 8-15 at the benchmark's kappa 6,
+    # tolerance 0.16 and 64 intervals, 6 prefixes each: 48 chains,
+    # against the same maps in 50 digits, whose float64 drift times and
+    # displacements are read exactly.  The sweep's W chains must be
+    # accurate to 1e-13, and in the median no less accurate than the loop
+    # of nv_step calls, which steps z with two roots a map
+    mpmath = pytest.importorskip("mpmath")
+    kappa = 6.0
+    sweep, z_loop = [], []
+    with mpmath.workdps(50):
+        for seed in range(8, 16):
+            path = BrownianPath.sample_uniform(1.0, 64, seed=seed)
+            result = build_trace(path, 1.0, kappa=kappa, tolerance=0.16)
+            tt, bb = path.times.tolist(), path.values.tolist()
+            n = len(tt) - 1
+            for k in (round(n * j / 6) for j in range(1, 7)):
+                cs = [2.0 * (tt[i + 1] - tt[i]) for i in range(k)]
+                ds = [math.sqrt(kappa) * (bb[i] - bb[i + 1])
+                      for i in range(k)]
+                exact = _exact_chain(mpmath, cs, ds)
+                z = 0j
+                for i in reversed(range(k)):
+                    z = nv_step(z, tt[i + 1] - tt[i], bb[i] - bb[i + 1],
+                                kappa)
+                sweep.append(float(abs(result.points[k][1] - exact)))
+                z_loop.append(float(abs(z - exact)))
+    assert len(sweep) == 48
+    assert max(sweep) <= 1e-13
+    assert statistics.median(sweep) <= statistics.median(z_loop)
 
 
 def test_gap_bound_holds_everywhere():
