@@ -27,6 +27,14 @@ flows stay an independent oracle for all of them.  A real-typed start x is
 read as complex(x, 0.0), whose square carries the -0.0 that puts x < 0 on
 its own side of the cut.
 
+The branch every root takes lives here too: ``sqrt_h`` negates the
+principal root exactly when the sign bit of its imaginary part is set.
+Each form of that flip is written once: the scalar flip in ``sqrt_h``,
+the array flip in ``_flip_up``, the scalar fold into the noise shift
+(d - s is (-s) + d bit for bit) inline in ``_nv_steps``' loop, and the
+array fold in ``_shift_up``, which ``_nv_array_step`` and ``_nv_lanes``
+share.
+
 ``euler_step``, ``taylor_step`` and ``reference_solve`` step the
 unit_noise form, the one in which :mod:`slesim.vfalgebra` writes the
 vector fields (drift strength a = 2/kappa).  ``taylor_step`` assembles the
@@ -44,12 +52,12 @@ from math import copysign, sqrt
 import numpy as np
 
 from .brownian import BrownianPath
-from .halfplane import _flip_up, sqrt_h
 from .integrals import IteratedIntegralTable
 from .vfalgebra import (_check_level, _check_nonnegative, _check_positive,
                         enumerate_level, eval_term)
 
 __all__ = [
+    "sqrt_h",
     "UNIT_NOISE",
     "SCALED_NOISE",
     "flow_drift",
@@ -62,6 +70,66 @@ __all__ = [
 
 UNIT_NOISE = "unit_noise"
 SCALED_NOISE = "scaled_noise"
+
+
+def sqrt_h(w):
+    """Square root of ``w`` with nonnegative imaginary part.
+
+    Accepts a scalar (returns ``complex``) or a numpy array (elementwise).
+    The principal root is computed stably by the C library and negated
+    exactly when the sign bit of its imaginary part is set, which is when
+    ``w`` lies below the real axis or carries a ``-0.0`` imaginary part.
+    The flip is exact, so ``sqrt_h(w) ** 2`` recovers ``w`` to the same
+    rounding as the principal root.
+
+    The ``-0.0`` rule is what keeps the maps continuous up to the negative
+    real axis: for real ``x < 0``, ``(x + 0j) ** 2`` has imaginary part
+    ``-0.0``, and the root of ``(x + 0j) ** 2 - c`` must then be the limit
+    from the upper half plane, which is ``x``'s side of the axis.  An
+    argument ``w`` whose imaginary part is ``-0.0`` is out of scope as a
+    point in its own right: it is read as a limit from below the axis, so
+    ``sqrt_h(complex(4.0, -0.0))`` is ``-2``, not ``2``.
+
+    Args:
+        w: complex scalar or array.
+
+    Returns:
+        Root ``s`` with ``s*s == w`` (to rounding) and ``im(s) >= 0``;
+        for real ``w >= 0`` with a ``+0.0`` imaginary part the
+        nonnegative real root.
+    """
+    if isinstance(w, np.ndarray):
+        # a fresh array even for a 0-d or complex128 ``w``, so the root
+        # and the flip can work in place
+        s = w.astype(np.complex128)
+        return _flip_up(np.sqrt(s, out=s))
+    s = cmath.sqrt(w)
+    if s.imag <= 0.0 and copysign(1.0, s.imag) < 0.0:
+        s = -s
+    return s
+
+
+def _flip_up(s: np.ndarray) -> np.ndarray:
+    """Negate in place each root of complex array ``s`` whose imaginary
+    part has its sign bit set; returns ``s``.  The array form of the
+    ``sqrt_h`` flip."""
+    np.negative(s, out=s, where=np.signbit(s.imag))
+    return s
+
+
+def _shift_up(s: np.ndarray, d, out: np.ndarray) -> None:
+    """Write ``sqrt_h``'s flip of the principal roots ``s``, plus ``d``,
+    into ``out``, which may be ``s``.
+
+    The array fold of the flip: the real part copysign(re, im) + d and the
+    imaginary part |im| are the bits of (-s) + d when the sign bit of im
+    is set and of s + d when not, as a principal root's real part has a
+    clear sign bit.
+    """
+    out_re = out.real
+    np.copysign(s.real, s.imag, out=out_re)
+    np.add(out_re, d, out=out_re)
+    np.absolute(s.imag, out=out.imag)
 
 
 def flow_drift(z, t):
@@ -142,10 +210,8 @@ def _nv_array_step(square, c, d) -> int:
     and ``d`` the noise displacements, real and broadcastable to its
     shape.  The drift flow of -2/z translates W by -4t and the noise flow
     translates Z, so a step is w -> (sqrt_h(w - c) + d)^2 - c: one root
-    per lane.  The root's ``sqrt_h`` flip folds into the noise shift: the
-    real part copysign(re, im) + d and the imaginary part |im| are the
-    bits of (-s) + d when the sign bit of im is set and of s + d when
-    not, as a principal root's real part has a clear sign bit.
+    per lane.  The root's ``sqrt_h`` flip folds into the noise shift,
+    ``_shift_up``.
 
     On return ``square`` holds y*y - c, y being the shifted root: the
     next step's W, and the argument of this step's second root in Z.  A
@@ -167,13 +233,10 @@ def _nv_array_step(square, c, d) -> int:
         b = a + _LANE_BLOCK
         w = wf[a:b]
         s = root[:len(w)]
-        w_re = w.real
         np.subtract(w, c, out=w)
         np.sqrt(w, out=s)
         # y = the flipped root + d, written over w
-        np.copysign(s.real, s.imag, out=w_re)
-        np.add(w_re, df[a:b], out=w_re)
-        np.absolute(s.imag, out=w.imag)
+        _shift_up(s, df[a:b], w)
         np.multiply(w, w, out=w)
         np.subtract(w, c, out=w)
     return len(wf)
@@ -197,7 +260,7 @@ def _nv_steps(z: complex, cs, ds) -> complex:
     ``_reference_rows`` run it over many.  The ``sqrt_h`` flip (negate
     the root exactly when the sign bit of its imaginary part is set) of
     each step's root folds into the noise shift, as d - s is (-s) + d
-    bit for bit; the last root is flipped as it is.  So the result
+    bit for bit; the last root is ``sqrt_h(w)`` itself.  So the result
     equals that loop through public ``sqrt_h`` bit for bit; it rounds
     differently from a loop of one-step calls, which takes a root of
     each w and squares it again.  ``z`` is a complex and each d a float,
@@ -207,6 +270,8 @@ def _nv_steps(z: complex, cs, ds) -> complex:
     w = z * z
     c = None
     for c, d in zip(cs, ds):
+        # the flip stays inline: a call per map made a 76-map chain about
+        # 10% slower as a fold helper and 80% as sqrt_h (2-vCPU Xeon VM);
         # copysign is called only for a zero imaginary part, so the
         # common cases pay one or two comparisons and no call
         s = _sqrt(w - c)
@@ -217,13 +282,7 @@ def _nv_steps(z: complex, cs, ds) -> complex:
             y = s + d
         w = y * y - c
     # no step leaves the start as it is
-    if c is None:
-        return z
-    z = _sqrt(w)
-    im = z.imag
-    if im <= 0.0 and (im < 0.0 or _copysign(1.0, im) < 0.0):
-        z = -z
-    return z
+    return z if c is None else sqrt_h(w)
 
 
 # Lane roots are taken by np.sqrt only while both parts of every argument
@@ -246,14 +305,15 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
     Each square is formed from real float64 ufuncs in CPython's order
     for a complex product, and c is taken from its real part alone, as
     CPython's complex - float leaves the imaginary part's bits.  Each
-    root, sqrt(w - c) per step and sqrt(w) at the end, is ``np.sqrt`` of
-    the whole lane array, flipped with ``_flip_up``; a root whose
-    argument leaves the box ``_LANE_BOX`` in any lane is taken lane by
-    lane with ``cmath.sqrt``.
+    principal root, sqrt(w - c) per step and sqrt(w) at the end, is
+    ``np.sqrt`` of the whole lane array; a root whose argument leaves the
+    box ``_LANE_BOX`` in any lane is taken lane by lane with
+    ``cmath.sqrt``.  A step's root is flipped and shifted by d with
+    ``_shift_up``, the last root flipped with ``_flip_up``.
     """
     z = np.array(z, dtype=np.complex128)
     s, w = np.empty_like(z), np.empty_like(z)
-    s_re, w_re, w_im, w_parts = s.real, w.real, w.imag, w.view(np.float64)
+    w_re, w_im, w_parts = w.real, w.imag, w.view(np.float64)
     square, size = np.empty(len(z)), np.empty(2 * len(z))
     lo, hi = _LANE_BOX
 
@@ -272,7 +332,6 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
             np.sqrt(w, out=out)
         else:
             out[:] = [cmath.sqrt(v) for v in w.tolist()]
-        _flip_up(out)
 
     # overflow gives inf and nan silently, as in the scalar kernel
     with np.errstate(all="ignore"):
@@ -281,16 +340,16 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
         for c, d in zip(cs, ds):
             np.subtract(w_re, c, out=w_re)
             root(s)
-            # after the flip, adding d to the real part gives the scalar
-            # kernel's y: -re + d is d - re and -im is 0.0 - im bit for
-            # bit, and an unflipped im has a clear sign bit, so the 0.0
-            # that CPython's complex + float adds to it changes nothing
-            np.add(s_re, d, out=s_re)
+            # the scalar kernel's y bit for bit: d - s when the sign bit of
+            # im is set, else s + d, whose 0.0 added to that im (CPython's
+            # complex + float) changes nothing
+            _shift_up(s, d, s)
             squared(s)
             np.subtract(w_re, c, out=w_re)
         # no step leaves the starts as they are
         if c is not None:
             root(z)
+            _flip_up(z)
     return z
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import nextafter, sqrt
+from numbers import Integral
 
 from .brownian import BrownianPath
 from .schemes import _nv_steps
@@ -88,7 +89,7 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
         kappa: noise strength, finite and >= 0 (0 gives the
             deterministic slit).
         tolerance: accepted spatial gap bound, finite and > 0.
-        max_depth: bisection budget per initial interval.
+        max_depth: bisection budget per initial interval, an integer >= 0.
         apply_shift: translate all points by sqrt(kappa) B(T) (maps the
             picture to the coordinate frame anchored at the driver's
             endpoint).
@@ -104,7 +105,8 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
 
     Raises:
         ValueError: T, kappa or tolerance is outside its range, NaN or
-            infinite; max_depth is negative; or the path ends before T.
+            infinite; max_depth is not an integer >= 0; or the path ends
+            before T.
         TraceRefinementError: some interval cannot meet the gap bound
             within max_depth bisections, or reaches adjacent float64
             times (no midpoint left to bisect at) before it does.
@@ -112,8 +114,9 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
     _check_positive("horizon T", T)
     _check_nonnegative("kappa", kappa)
     _check_positive("tolerance", tolerance)
-    if max_depth < 0:
-        raise ValueError("max_depth must be nonnegative")
+    if not (isinstance(max_depth, Integral) and max_depth >= 0):
+        raise ValueError(
+            f"max_depth must be an integer >= 0, got {max_depth!r}")
     if path.horizon < T:
         raise ValueError(f"path horizon {path.horizon} is shorter than {T}")
 
@@ -163,16 +166,19 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
                               "complex_roots": applications + chains})
 
 
-def render_svg(result: TraceResult, width: int = 800, height: int = 600) -> str:
-    """Standalone SVG of the trace polyline with the real axis drawn.
+# size of the SVG canvas in pixels
+_WIDTH, _HEIGHT = 800, 600
+
+
+def render_svg(result: TraceResult) -> str:
+    """Standalone SVG, 800 by 600 pixels, of the trace polyline with the
+    real axis drawn.
 
     Output is a deterministic function of the input (fixed formatting,
     no timestamps), so renders of equal traces are byte-identical.
     """
     if len(result.points) == 0:
         raise ValueError("empty trace")
-    if width < 10 or height < 10:
-        raise ValueError("canvas too small")
     xs = [z.real for _, z in result.points]
     ys = [z.imag for _, z in result.points]
     xmin, xmax = min(xs), max(xs)
@@ -180,19 +186,20 @@ def render_svg(result: TraceResult, width: int = 800, height: int = 600) -> str:
     pad = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)
     xmin, xmax = xmin - pad, xmax + pad
     ymin, ymax = ymin - pad, ymax + pad
-    sx = (width - 20) / (xmax - xmin)
-    sy = (height - 20) / (ymax - ymin)
+    sx = (_WIDTH - 20) / (xmax - xmin)
+    sy = (_HEIGHT - 20) / (ymax - ymin)
 
     def to_px(x: float, y: float) -> str:
-        return f"{10 + (x - xmin) * sx:.3f},{height - 10 - (y - ymin) * sy:.3f}"
+        return (f"{10 + (x - xmin) * sx:.3f},"
+                f"{_HEIGHT - 10 - (y - ymin) * sy:.3f}")
 
-    axis_y = f"{height - 10 - (0.0 - ymin) * sy:.3f}"
+    axis_y = f"{_HEIGHT - 10 - (0.0 - ymin) * sy:.3f}"
     pts = " ".join(to_px(x, y) for x, y in zip(xs, ys))
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n'
-        f'<rect width="{width}" height="{height}" fill="white"/>\n'
-        f'<line x1="0" y1="{axis_y}" x2="{width}" y2="{axis_y}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n'
+        f'<line x1="0" y1="{axis_y}" x2="{_WIDTH}" y2="{axis_y}" '
         f'stroke="#999999" stroke-width="1"/>\n'
         f'<polyline points="{pts}" fill="none" stroke="#1f4e8c" '
         f'stroke-width="1"/>\n'

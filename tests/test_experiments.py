@@ -15,8 +15,7 @@ from slesim.experiments import (ReferenceConvergenceError,
                                 moment_preservation, scheme_comparison,
                                 write_report_csv, write_report_sidecar)
 from slesim.integrals import compute_table, derive_seeds
-from slesim.halfplane import sqrt_h
-from slesim.schemes import (flow_drift, flow_noise, reference_solve,
+from slesim.schemes import (flow_drift, flow_noise, reference_solve, sqrt_h,
                             taylor_step)
 
 EPS3 = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slesim.halfplane import sqrt_h
+from slesim.schemes import sqrt_h
 
 
 def test_principal_branch_untouched():

@@ -13,10 +13,10 @@ from slesim import brownian, experiments, schemes, vfalgebra
 from slesim.brownian import BrownianPath
 from slesim.experiments import (divergence_probe, epsilon_scaling,
                                 moment_preservation, scheme_comparison)
-from slesim.halfplane import sqrt_h
 from slesim.integrals import compute_table
 from slesim.schemes import (SCALED_NOISE, UNIT_NOISE, euler_step, flow_drift,
-                            flow_noise, nv_step, reference_solve, taylor_step)
+                            flow_noise, nv_step, reference_solve, sqrt_h,
+                            taylor_step)
 from slesim.trace import build_trace
 from slesim.vfalgebra import compose, enumerate_level, eval_term
 
@@ -857,6 +857,66 @@ def test_scalar_step_equals_the_flows_bit_for_bit(convention):
                     got = nv_step(z, h, dB, kappa, convention)
                     want = _flows(z, h, dB, kappa, convention)
                     assert _bits(got) == _bits(want)
+
+
+def _relative_error(mpmath, got, z0, cs, ds):
+    # |got - z| / |z| for the chain z of maps in z from z0 at 50 digits,
+    # with sqrt_h read as "negate the root when its im < 0"; the float64
+    # drift times and displacements are read exactly
+    def sqrt_h_exact(w):
+        s = mpmath.sqrt(w)
+        return -s if s.imag < 0 else s
+
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z0)
+        for c, d in zip(cs, ds):
+            c, d = mpmath.mpf(c), mpmath.mpf(d)
+            z = sqrt_h_exact((sqrt_h_exact(z * z - c) + d) ** 2 - c)
+        return float(abs(got - z) / abs(z))
+
+
+def test_kernels_match_a_50_digit_chain_near_the_axis_and_at_small_h(
+        monkeypatch):
+    # 48-map chains at kappa 6 from real starts x + 0j, from x + i eta
+    # just above the axis, and from x + i with tiny steps h, through the
+    # scalar kernel and as the lanes of one lane-kernel call.  A real
+    # start is checked against the chain from x + 1e-40 i, its limit from
+    # above; its roots lie on the axis, so the lane kernel takes them
+    # with its cmath fallback
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    kappa, n = 6.0, 48
+    starts, limits, cs, ds = [], [], [], []
+
+    def chain(z0, limit, h):
+        starts.append(z0)
+        limits.append(limit)
+        cs.append(np.full(n, 2.0 * h))
+        ds.append(math.sqrt(kappa * h) * rng.normal(size=n))
+
+    for x in (0.5, -0.5, 2.0, -2.0, 3.0, -3.0):
+        chain(complex(x, 0.0), mpmath.mpc(x, mpmath.mpf("1e-40")), 1.0 / n)
+        for eta in (1e-3, 1e-8, 1e-14):
+            chain(complex(x, eta), complex(x, eta), 1.0 / n)
+        for h in (1e-8, 1e-12, 1e-16):
+            chain(complex(x, 1.0), complex(x, 1.0), h)
+    cs, ds = np.array(cs).T, np.array(ds).T
+    fallback = []
+    root = cmath.sqrt
+
+    def counted(w):
+        fallback.append(w)
+        return root(w)
+
+    with monkeypatch.context() as m:
+        m.setattr(cmath, "sqrt", counted)
+        lanes = schemes._nv_lanes(starts, cs, ds).tolist()
+    assert fallback
+    for k, z0 in enumerate(starts):
+        got = schemes._nv_steps(z0, cs[:, k].tolist(), ds[:, k].tolist())
+        assert _bits(lanes[k]) == _bits(got)
+        assert _relative_error(mpmath, got, limits[k], cs[:, k].tolist(),
+                               ds[:, k].tolist()) <= 1e-12
 
 
 def test_lane_kernel_guard_catches_the_imaginary_axis():
