@@ -34,7 +34,7 @@ from math import sqrt
 
 import numpy as np
 
-from .vfalgebra import _check_nonnegative, _check_positive
+from .vfalgebra import _check_count, _check_nonnegative, _check_positive
 
 __all__ = ["BrownianPath", "philox_stream"]
 
@@ -280,8 +280,7 @@ def _uniform_grid(T: float, n: int) -> np.ndarray:
     checked here, before anything divides by ``n``.
     """
     _check_positive("horizon T", T)
-    if n < 1:
-        raise ValueError("need at least one interval")
+    _check_count("interval count n", n, 1)
     return T * (np.arange(n + 1) / n)
 
 

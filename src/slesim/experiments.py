@@ -5,9 +5,11 @@ deterministic function of (config, seed): every random draw is keyed by
 seed and replica index, every replica's arithmetic is independent of the
 others (also where replicas step together as the lanes of one array),
 results are collected in replica order, and reductions use numpy's
-fixed-order pairwise summation.  Reports are
-written as CSV plus a JSON sidecar; only the sidecar carries wall-clock
-metadata.
+fixed-order pairwise summation.  ``moment_preservation`` reduces a fixed
+block of replicas at a time, in order: pairwise sums within a block, and
+the blocks' sums and squared deviations merged one after another by the
+rule of Chan, Golub & LeVeque.  Reports are written as CSV plus a JSON
+sidecar; only the sidecar carries wall-clock metadata.
 
 Ground truth for one-step error measurements is the fine-grid splitting
 solution, accepted only once one more dyadic refinement of the driver
@@ -31,8 +33,8 @@ from .brownian import _bisect, _uniform_block, _uniform_grid, philox_stream
 from .integrals import _BLOCK_ROWS, _tables, derive_seeds, word_entries
 from .schemes import (UNIT_NOISE, _nv_array_step, _reference_rows,
                       _truncation_terms, euler_step, nv_step, taylor_step)
-from .vfalgebra import (_check_nonnegative, _check_positive, compose, deg,
-                        eval_term, format_word)
+from .vfalgebra import (_check_count, _check_nonnegative, _check_positive,
+                        compose, deg, eval_term, format_word)
 
 __all__ = [
     "ExperimentReport",
@@ -56,9 +58,10 @@ _MAX_DOUBLINGS = 10
 
 # Stream tag for experiments that draw increment matrices directly.
 _TAG_MATRIX = 0xE1
-# Replicas per draw of an increment matrix: bounds the (replicas, steps)
-# block that each draw makes before it is stored step-major.
-_NOISE_BLOCK = 4096
+# Replicas per block of moment_preservation: each block of the increment
+# matrix is drawn, stepped and reduced while it stays in cache, and the
+# next block reuses its buffers.
+_NOISE_BLOCK = 8192
 
 
 class ReferenceConvergenceError(RuntimeError):
@@ -193,8 +196,9 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
     least three eps values are given.
     """
     _check_positive("delta", delta)
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    # one replica would report a standard error of 0, an exact answer
+    _check_count("replicas", replicas, 2)
+    _check_count("substeps", substeps, 1)
     eps_list = [float(e) for e in eps_list]
     if not all(0.0 < e < 1.0 for e in eps_list):
         raise ValueError("eps values must lie in (0, 1)")
@@ -244,8 +248,8 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
         raise ValueError("eps must lie in (0, 1)")
     if not 0.0 < delta < 2.0:
         raise ValueError("delta must lie in (0, 2)")
-    if replicas < 2:
-        raise ValueError("replicas must be >= 2")
+    _check_count("replicas", replicas, 2)
+    _check_count("resolution", resolution, 1)
     _check_positive("kappa", kappa)
     words = [tuple(w) for w in words]
     terms = {w: compose(w) for w in words}
@@ -301,21 +305,6 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
     return ExperimentReport("divergence_probe", rows, None, config, seed)
 
 
-def _step_normals(gen: np.random.Generator, n_steps: int,
-                  replicas: int) -> np.ndarray:
-    """``gen.standard_normal((replicas, n_steps)).T``, stored C-contiguous.
-
-    Row k holds step k's noise for every replica, so a step reads it
-    contiguously.  The draws are made _NOISE_BLOCK replicas at a time;
-    the generator fills each block in order, so the values are the same.
-    """
-    incs = np.empty((n_steps, replicas))
-    for a in range(0, replicas, _NOISE_BLOCK):
-        b = min(a + _NOISE_BLOCK, replicas)
-        incs[:, a:b] = gen.standard_normal((b - a, n_steps)).T
-    return incs
-
-
 def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
                         replicas: int, seed: int) -> ExperimentReport:
     """Sample mean of Z^2 under splitting steps against z0^2 + (kappa-4) t.
@@ -325,40 +314,84 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     reports the deviation in standard errors.  Only Z^2 is read, so the
     lanes are stepped as W = Z^2 by ``schemes._nv_array_step``, one
     complex root per lane and step; ``stats["complex_roots"]`` counts
-    them (n_steps * replicas).  Float64 overflow follows
-    numpy's error state (the CLI makes it raise FloatingPointError); when
-    it is ignored, an overflowed row has a NaN deviation.
+    them (n_steps * replicas).
+
+    The replicas run ``_NOISE_BLOCK`` at a time, in order, so memory does
+    not grow with their count.  A block of n replicas draws its rows of
+    the one ``(replicas, n_steps)`` standard normal matrix and steps them
+    through every step.  After each step it keeps two numbers: its sum of
+    W (``np.sum`` of the real parts and of the imaginary parts) and its
+    spread, ``np.sum`` of ``np.square`` of the float64 view of W minus
+    the block's mean (each sum over n).  The spreads merge block by
+    block, in order, by the rule of Chan, Golub & LeVeque (1983).  A
+    row's mean is the merged sum over ``replicas``, each part on its own,
+    and its standard error sqrt(spread / replicas / replicas).  Float64
+    overflow follows numpy's error state (the CLI makes it raise
+    FloatingPointError); when it is ignored, an overflowed row has a NaN
+    deviation.
     """
     _check_positive("horizon T", T)
     _check_nonnegative("kappa", kappa)
-    if n_steps < 1 or replicas < 2:
-        raise ValueError("need n_steps >= 1, replicas >= 2")
+    _check_count("n_steps", n_steps, 1)
+    _check_count("replicas", replicas, 2)
     z0 = complex(z0)
     # Python complex arithmetic: no numpy overflow warning comes first
     if not cmath.isfinite(z0 * z0):
         raise ValueError("z0 and its square must be finite")
     times = _uniform_grid(T, n_steps).tolist()
-    incs = _step_normals(philox_stream(seed, _TAG_MATRIX), n_steps, replicas)
-
-    # only Z^2 is read, so the lanes are stepped as their squares, in
-    # place, one complex root per lane and step
-    square = np.full(replicas, z0, dtype=np.complex128)
-    square *= square
+    gen = philox_stream(seed, _TAG_MATRIX)
     root_kappa = sqrt(kappa)
-    rows = []
+    sizes = [min(_NOISE_BLOCK, replicas - a)
+             for a in range(0, replicas, _NOISE_BLOCK)]
+    # sums[k, j] and spreads[k, j]: block j's sum of W after step k, and
+    # its sum of squared deviations from the block's mean
+    sums = np.empty((n_steps, len(sizes)), dtype=np.complex128)
+    spreads = np.empty((n_steps, len(sizes)))
+    square = np.empty(sizes[0], dtype=np.complex128)
+    deviation = np.empty_like(square)
     roots = 0
+    for j, n in enumerate(sizes):
+        incs = gen.standard_normal((n, n_steps))
+        # only Z^2 is read, so the lanes are stepped as their squares, in
+        # place, one complex root per lane and step
+        w = square[:n]
+        w.fill(z0)
+        w *= w
+        centred = deviation[:n]
+        parts = centred.view(np.float64)
+        for k in range(n_steps):
+            h = times[k + 1] - times[k]
+            # sqrt(kappa) * (sqrt(h) * incs[:, k]), the displacement of
+            # nv_step
+            d = incs[:, k]
+            d *= sqrt(h)
+            d *= root_kappa
+            roots += _nv_array_step(w, 2.0 * h, d)
+            re, im = w.real.sum(), w.imag.sum()
+            sums[k, j] = complex(re, im)
+            np.subtract(w, complex(re / n, im / n), out=centred)
+            np.square(parts, out=parts)
+            spreads[k, j] = parts.sum()
+
+    # Chan, Golub & LeVeque: m lanes of sum S and spread Q followed by n
+    # lanes of sum s and spread q have spread
+    # Q + q + |(n/m) S - s|^2 m / (n (m + n))
+    total, spread = sums[:, 0].copy(), spreads[:, 0].copy()
+    m = sizes[0]
+    for j, n in enumerate(sizes[1:], 1):
+        gap = total * (n / m) - sums[:, j]
+        spread += spreads[:, j]
+        spread += (gap.real * gap.real + gap.imag * gap.imag) * (
+            m / (n * (m + n)))
+        total += sums[:, j]
+        m += n
+
+    rows = []
     for k in range(n_steps):
         t = times[k + 1]
-        h = t - times[k]
-        # sqrt(kappa) * (sqrt(h) * incs[k]), the displacement of nv_step
-        d = incs[k]
-        d *= sqrt(h)
-        d *= root_kappa
-        roots += _nv_array_step(square, 2.0 * h, d)
-        mean = complex(np.mean(square))
+        mean = complex(total[k].real / replicas, total[k].imag / replicas)
+        se = sqrt(spread[k] / replicas / replicas)
         target = z0 * z0 + (kappa - 4.0) * t
-        se = sqrt((float(np.var(square.real))
-                   + float(np.var(square.imag))) / replicas)
         # only an exact 0 (no spread at all) gives 0; a NaN or overflowed
         # se gives NaN, never a deviation that reads as a pass
         if se == 0.0:
@@ -382,8 +415,8 @@ def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
     splitting step from z0 = i eps, per horizon."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if replicas < 2:
-        raise ValueError("replicas must be >= 2")
+    _check_count("replicas", replicas, 2)
+    _check_count("substeps", substeps, 1)
     horizons = [float(t) for t in horizons]
     for t in horizons:
         _check_positive("horizon", t)

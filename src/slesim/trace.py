@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import nextafter, sqrt
-from numbers import Integral
 
 from .brownian import BrownianPath
 from .schemes import _nv_steps
-from .vfalgebra import _check_nonnegative, _check_positive
+from .vfalgebra import _check_count, _check_nonnegative, _check_positive
 
 __all__ = [
     "TraceRefinementError",
@@ -114,9 +113,7 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
     _check_positive("horizon T", T)
     _check_nonnegative("kappa", kappa)
     _check_positive("tolerance", tolerance)
-    if not (isinstance(max_depth, Integral) and max_depth >= 0):
-        raise ValueError(
-            f"max_depth must be an integer >= 0, got {max_depth!r}")
+    _check_count("max_depth", max_depth, 0)
     if path.horizon < T:
         raise ValueError(f"path horizon {path.horizon} is shorter than {T}")
 

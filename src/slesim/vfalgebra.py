@@ -9,9 +9,10 @@ is what makes closed-form Taylor stepping possible.  Letters act right to
 left: the rightmost letter differentiates first.
 
 The module imports only the standard library, so every other module can
-import its parameter checks: ``_check_level`` for truncation levels, and
-``_check_positive`` and ``_check_nonnegative`` for real parameters, each
-rule stated once and refusing NaN and infinities.
+import its parameter checks: ``_check_level`` for truncation levels,
+``_check_count`` for integer counts, and ``_check_positive`` and
+``_check_nonnegative`` for real parameters, each rule stated once; the
+real checks refuse NaN and infinities.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 __all__ = [
     "LaurentTerm",
@@ -67,11 +69,21 @@ def _check_word(word) -> Word:
 
 
 def _check_level(r: int) -> None:
-    """Refuse a truncation level (a word length) outside [0, LEVEL_CAP]."""
+    """Refuse a truncation level (a word length) outside [0, LEVEL_CAP],
+    or one that is not an integer."""
     if r < 0:
         raise ValueError(f"truncation level {r} is negative")
     if r > LEVEL_CAP:
         raise ValueError(f"truncation level {r} above cap {LEVEL_CAP}")
+    _check_count("truncation level", r, 0)
+
+
+def _check_count(name: str, n, minimum: int) -> None:
+    """Refuse a count that is not an integer >= minimum; a bool is not a
+    count, and neither is a float with an integer value."""
+    if not (isinstance(n, Integral) and not isinstance(n, bool)
+            and n >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
 
 
 def _check_positive(name: str, x) -> None:

@@ -237,6 +237,15 @@ def test_moments_deterministic_bytes(tmp_path):
     assert (tmp_path / "c" / "moments.csv").read_bytes() != a
 
 
+def test_moments_bytes_repeat_with_a_short_last_block(tmp_path):
+    # 8197 replicas: one full block of replicas and a last block of 5
+    for sub in ("a", "b"):
+        assert run("moments", "--replicas", "8197", "--steps", "4",
+                   "--seed", "5", "--out", str(tmp_path / sub)) == 0
+    assert ((tmp_path / "a" / "moments.csv").read_bytes()
+            == (tmp_path / "b" / "moments.csv").read_bytes())
+
+
 def test_moments_sidecar_counts_complex_roots(tmp_path):
     # one root per lane and step, the same on every run and seed
     for sub, seed in (("a", "21"), ("b", "21"), ("c", "22")):
@@ -293,6 +302,15 @@ def test_nonpositive_kappa_exits_one(command, tmp_path, capsys):
     assert run(command, "--kappa", "0", "--replicas", "2",
                "--out", str(out)) == 1
     assert "kappa" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_single_replica_scaling_exits_one(tmp_path, capsys):
+    # one replica has a standard error of 0, which reads as exact
+    out = tmp_path / "new" / "dir"
+    assert run("scaling", "--replicas", "1", "--eps", "0.25", "0.125",
+               "--substeps", "8", "--out", str(out)) == 1
+    assert "replicas" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
 
 

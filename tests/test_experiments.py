@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -134,6 +135,18 @@ def test_divergence_validation():
         divergence_probe(0.1, 0.5, [(0,)], 1, seed=0)
 
 
+def test_moment_memory_does_not_grow_with_replicas():
+    # a block of replicas is drawn, stepped and reduced at a time: 200k
+    # replicas over 16 steps would hold 25.6 MB of increments at once
+    tracemalloc.start()
+    try:
+        moment_preservation(2.0, 1j, 1.0, 16, 200_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_moment_targets_and_deviations():
     report = moment_preservation(2.0, 1j, 1.0, 8, 4000, seed=6)
     assert len(report.rows) == 8
@@ -155,28 +168,94 @@ def test_moment_stderr_scales_like_inverse_root_replicas():
 
 
 @pytest.mark.parametrize("block, replicas", [(7, 30), (None, 8197)])
-def test_step_normals_equal_one_matrix_draw(monkeypatch, block, replicas):
-    # drawn a block of replicas at a time and stored step-major, yet
-    # column for column the one (replicas, steps) draw; neither replica
-    # count is a multiple of the block
+def test_block_increments_equal_one_matrix_draw(monkeypatch, block,
+                                                replicas):
+    # each block of replicas draws its rows of the one (replicas, steps)
+    # matrix; at kappa 1 and steps of 1/4 the kernel's displacements are
+    # the draws times 0.5 exactly.  Neither replica count is a multiple of
+    # the block, so the last block is short
     if block is not None:
         monkeypatch.setattr(experiments, "_NOISE_BLOCK", block)
-    assert replicas % experiments._NOISE_BLOCK != 0
-    got = experiments._step_normals(philox_stream(4, 9), 5, replicas)
-    want = philox_stream(4, 9).standard_normal((replicas, 5))
-    assert got.flags.c_contiguous
-    assert got.shape == (5, replicas)
-    for k in range(5):
-        assert got[k].tobytes() == want[:, k].tobytes()
+    block = experiments._NOISE_BLOCK
+    assert replicas % block != 0
+    kernel = experiments._nv_array_step
+    seen = []
+
+    def record(square, c, d):
+        seen.append(2.0 * d)
+        return kernel(square, c, d)
+
+    monkeypatch.setattr(experiments, "_nv_array_step", record)
+    moment_preservation(1.0, 1j, 1.0, 4, replicas, 9)
+    want = philox_stream(9, experiments._TAG_MATRIX).standard_normal(
+        (replicas, 4))
+    starts = range(0, replicas, block)
+    assert len(seen) == 4 * len(starts)
+    for j, a in enumerate(starts):
+        for k in range(4):
+            assert seen[4 * j + k].tobytes() == want[a:a + block, k].tobytes()
 
 
-def test_moment_rows_equal_stored_matrix_recomputation():
+def _rows_by_block_rule(squares, kappa, z0, times):
+    # the reduction moment_preservation documents, over a (steps,
+    # replicas) matrix of W: per block of _NOISE_BLOCK lanes its sum and
+    # its spread about its mean, merged in block order by the rule of
+    # Chan, Golub & LeVeque
+    block = experiments._NOISE_BLOCK
+    replicas = squares.shape[1]
+    rows = []
+    for k, w_k in enumerate(squares):
+        m = 0
+        for a in range(0, replicas, block):
+            w = w_k[a:a + block]
+            n = len(w)
+            re, im = w.real.sum(), w.imag.sum()
+            spread_n = np.square((w - complex(re / n, im / n))
+                                 .view(np.float64)).sum()
+            if m == 0:
+                total, spread = complex(re, im), spread_n
+            else:
+                gap = total * (n / m) - complex(re, im)
+                spread += spread_n
+                spread += (gap.real * gap.real + gap.imag * gap.imag) * (
+                    m / (n * (m + n)))
+                total += complex(re, im)
+            m += n
+        mean = complex(total.real / replicas, total.imag / replicas)
+        target = z0 * z0 + (kappa - 4.0) * times[k + 1]
+        se = math.sqrt(spread / replicas / replicas)
+        rows.append({"t": times[k + 1], "mean_re": mean.real,
+                     "mean_im": mean.imag, "target_re": target.real,
+                     "target_im": target.imag, "stderr": se,
+                     "deviation_se": abs(mean - target) / se})
+    return rows
+
+
+def _assert_rows_near_full_row_reduction(rows, squares, kappa, z0, times):
+    # the block rule rounds apart from np.mean and np.var over the full
+    # row only in the last bits; the deviation's numerator is a small
+    # difference, so it gets the looser bound
+    replicas = squares.shape[1]
+    assert len(rows) == len(squares)
+    for k, (row, w) in enumerate(zip(rows, squares)):
+        mean = complex(np.mean(w))
+        se = math.sqrt((float(np.var(w.real))
+                        + float(np.var(w.imag))) / replicas)
+        target = z0 * z0 + (kappa - 4.0) * times[k + 1]
+        got = complex(row["mean_re"], row["mean_im"])
+        assert abs(got - mean) <= 1e-13 * abs(mean)
+        assert abs(row["stderr"] - se) <= 1e-13 * se
+        dev = abs(mean - target) / se
+        assert abs(row["deviation_se"] - dev) <= 1e-9 * dev
+
+
+def test_moment_rows_equal_stored_matrix_recomputation(monkeypatch):
     # reference: keep every step's W = Z^2 in one (steps, replicas)
-    # matrix, then reduce each row; each step translates W by the drift
-    # flow, w -> (sqrt_h(w - 2h) + sqrt(kappa) dB)^2 - 2h, through public
-    # sqrt_h and flow_noise
+    # matrix, then reduce each row by the documented block rule; each
+    # step translates W by the drift flow, w -> (sqrt_h(w - 2h) +
+    # sqrt(kappa) dB)^2 - 2h, through public sqrt_h and flow_noise.  The
+    # default block holds all 2000 replicas; blocks of 7 and 300 merge
     kappa, z0, T, n_steps, replicas, seed = 2.0, 0.5 + 1j, 1.0, 8, 2000, 3
-    report = moment_preservation(kappa, z0, T, n_steps, replicas, seed)
     incs = philox_stream(seed, experiments._TAG_MATRIX).standard_normal(
         (replicas, n_steps))
     times = (T * (np.arange(n_steps + 1) / n_steps)).tolist()
@@ -188,51 +267,40 @@ def test_moment_rows_equal_stored_matrix_recomputation():
         y = flow_noise(sqrt_h(w - 2.0 * h), math.sqrt(h) * incs[:, k], kappa)
         w = y * y - 2.0 * h
         squares[k] = w
-    assert len(report.rows) == n_steps
-    for k, row in enumerate(report.rows):
-        mean = complex(np.mean(squares[k]))
-        target = z0 * z0 + (kappa - 4.0) * times[k + 1]
-        se = math.sqrt((float(np.var(squares[k].real))
-                        + float(np.var(squares[k].imag))) / replicas)
-        assert row == {"t": times[k + 1], "mean_re": mean.real,
-                       "mean_im": mean.imag, "target_re": target.real,
-                       "target_im": target.imag, "stderr": se,
-                       "deviation_se": abs(mean - target) / se}
+    for block in (experiments._NOISE_BLOCK, 7, 300):
+        monkeypatch.setattr(experiments, "_NOISE_BLOCK", block)
+        report = moment_preservation(kappa, z0, T, n_steps, replicas, seed)
+        assert len(report.rows) == n_steps
+        assert report.rows == _rows_by_block_rule(squares, kappa, z0, times)
+        _assert_rows_near_full_row_reduction(report.rows, squares, kappa,
+                                             z0, times)
 
 
-def _moment_rows_by(step, v, kappa, z0, T, n_steps, replicas, seed):
+def _moment_squares_by(step, v, T, n_steps, replicas, seed):
     # v, square = step(v, h, noise) on fresh arrays from the start v, with
-    # square the Z^2 each row reads; the rows as moment_preservation
-    # forms them
+    # square the Z^2 each row reads; returns the grid and the (steps,
+    # replicas) matrix of those squares
     incs = philox_stream(seed, experiments._TAG_MATRIX).standard_normal(
         (replicas, n_steps))
     times = (T * (np.arange(n_steps + 1) / n_steps)).tolist()
-    rows = []
+    squares = np.empty((n_steps, replicas), dtype=np.complex128)
     for k in range(n_steps):
         h = times[k + 1] - times[k]
-        v, square = step(v, h, math.sqrt(h) * incs[:, k])
-        mean = complex(np.mean(square))
-        target = z0 * z0 + (kappa - 4.0) * times[k + 1]
-        se = math.sqrt((float(np.var(square.real))
-                        + float(np.var(square.imag))) / replicas)
-        rows.append({"t": times[k + 1], "mean_re": mean.real,
-                     "mean_im": mean.imag, "target_re": target.real,
-                     "target_im": target.imag, "stderr": se,
-                     "deviation_se": abs(mean - target) / se})
-    return rows
+        v, squares[k] = step(v, h, math.sqrt(h) * incs[:, k])
+    return times, squares
 
 
-def _moment_rows_by_flows(kappa, z0, T, n_steps, replicas, seed):
+def _moment_squares_by_flows(kappa, z0, T, n_steps, replicas, seed):
     # each step as nv_step's three flows on Z, through public sqrt_h
     def step(z, h, noise):
         z = flow_drift(flow_noise(flow_drift(z, h / 2), noise, kappa), h / 2)
         return z, z * z
 
     z = np.full(replicas, z0, dtype=np.complex128)
-    return _moment_rows_by(step, z, kappa, z0, T, n_steps, replicas, seed)
+    return _moment_squares_by(step, z, T, n_steps, replicas, seed)
 
 
-def _moment_rows_in_w(kappa, z0, T, n_steps, replicas, seed):
+def _moment_squares_in_w(kappa, z0, T, n_steps, replicas, seed):
     # each step on W = Z^2, from the numpy square of the z0 copies: the
     # drift flow translates W by -4t, so a step is one public sqrt_h
     # between two translations
@@ -242,20 +310,23 @@ def _moment_rows_in_w(kappa, z0, T, n_steps, replicas, seed):
         return w, w
 
     z = np.full(replicas, z0, dtype=np.complex128)
-    return _moment_rows_by(step, z * z, kappa, z0, T, n_steps, replicas,
-                           seed)
+    return _moment_squares_by(step, z * z, T, n_steps, replicas, seed)
 
 
 @pytest.mark.parametrize("replicas", [30, 8197])
 def test_moment_rows_do_not_depend_on_the_lane_block(monkeypatch, replicas):
     # the kernel steps blocks of lanes; a block of 7 leaves a short last
     # block at both replica counts, and the rows must still be those
-    # stepped in W through the public maps
-    args = (6.0, -0.3 + 0.7j, 0.5, 5, replicas, 12)
-    want = _moment_rows_in_w(*args)
+    # stepped in W through the public maps and reduced by the block rule
+    # (8197 replicas merge a block of 5 into the default block)
+    kappa, z0, T, n_steps, seed = 6.0, -0.3 + 0.7j, 0.5, 5, 12
+    args = (kappa, z0, T, n_steps, replicas, seed)
+    times, squares = _moment_squares_in_w(*args)
+    want = _rows_by_block_rule(squares, kappa, z0, times)
     assert moment_preservation(*args).rows == want
     monkeypatch.setattr(schemes, "_LANE_BLOCK", 7)
     assert moment_preservation(*args).rows == want
+    _assert_rows_near_full_row_reduction(want, squares, kappa, z0, times)
 
 
 @pytest.mark.parametrize("args", [(6.0, -0.3 + 0.7j, 0.5, 5, 8197, 12),
@@ -264,8 +335,9 @@ def test_moment_rows_do_not_depend_on_the_lane_block(monkeypatch, replicas):
 def test_moment_means_stay_with_the_flows_in_z(args):
     # stepping W and not Z rounds differently, by a few ulps of each row
     # mean; the NV flows in Z are the independent oracle
+    times, squares = _moment_squares_by_flows(*args)
     got = moment_preservation(*args).rows
-    want = _moment_rows_by_flows(*args)
+    want = _rows_by_block_rule(squares, args[0], args[1], times)
     assert len(got) == len(want) == args[3]
     for a, b in zip(got, want):
         mean = complex(a["mean_re"], a["mean_im"])

@@ -374,6 +374,71 @@ def test_every_real_parameter_check_is_one_rule(monkeypatch, name, call, x):
         call(x)
 
 
+# Every integer count of every public entry: (entry, the count as its
+# message names it, its minimum, the entry called with that count set to
+# n and every other argument valid).
+_COUNT_PARAMETERS = [
+    ("epsilon_scaling", "replicas", 2,
+     lambda n: epsilon_scaling([0.25, 0.125], 0.5, 2, 2.0, n, 0, 8)),
+    ("epsilon_scaling", "substeps", 1,
+     lambda n: epsilon_scaling([0.25, 0.125], 0.5, 2, 2.0, 4, 0, n)),
+    ("epsilon_scaling", "truncation level", 0,
+     lambda n: epsilon_scaling([0.25, 0.125], 0.5, n, 2.0, 4, 0, 8)),
+    ("divergence_probe", "replicas", 2,
+     lambda n: divergence_probe(0.125, 0.5, [(0,), (1,)], n, 4)),
+    ("divergence_probe", "resolution", 1,
+     lambda n: divergence_probe(0.125, 0.5, [(0,), (1,)], 50, 4,
+                                resolution=n)),
+    ("moment_preservation", "n_steps", 1,
+     lambda n: moment_preservation(2.0, 1j, 1.0, n, 100, 0)),
+    ("moment_preservation", "replicas", 2,
+     lambda n: moment_preservation(2.0, 1j, 1.0, 4, n, 0)),
+    ("scheme_comparison", "replicas", 2,
+     lambda n: scheme_comparison(2.0, 0.25, [1e-3], n, 0, 8)),
+    ("scheme_comparison", "substeps", 1,
+     lambda n: scheme_comparison(2.0, 0.25, [1e-3], 4, 0, n)),
+    ("sample_uniform", "interval count n", 1,
+     lambda n: BrownianPath.sample_uniform(1.0, n, 0)),
+    ("zeros", "interval count n", 1, lambda n: BrownianPath.zeros(1.0, n)),
+    ("build_trace", "max_depth", 0,
+     lambda n: build_trace(BrownianPath.zeros(1.0, 4), 1.0, 2.0,
+                           max_depth=n)),
+]
+# below the minimum; a float, integer-valued or not; a bool, which is an
+# int to Python but never a count
+_COUNT_REFUSALS = [(entry, name, call, n)
+                   for (entry, name, minimum, call) in _COUNT_PARAMETERS
+                   for n in (minimum - 1, float(minimum + 2), 2.5, True)]
+
+
+@pytest.mark.parametrize(
+    "name, call, n", [case[1:] for case in _COUNT_REFUSALS],
+    ids=[f"{entry}-{name}-{n!r}" for entry, name, _, n in _COUNT_REFUSALS])
+def test_every_count_check_is_one_rule(monkeypatch, name, call, n):
+    # a count that is not an integer >= its minimum is refused with a
+    # ValueError that names it, before any random draw, through
+    # vfalgebra._check_count
+    def no_draws(*args):
+        raise AssertionError("a random draw was made")
+
+    monkeypatch.setattr(brownian, "_normals", no_draws)
+    monkeypatch.setattr(brownian, "_block_normals", no_draws)
+    monkeypatch.setattr(experiments, "philox_stream", no_draws)
+    monkeypatch.setattr(experiments, "derive_seeds", no_draws)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
+        call(n)
+
+
+def test_numpy_integers_are_counts():
+    # numpy registers its integer types as numbers.Integral
+    rows = moment_preservation(2.0, 1j, 1.0, np.int64(2), np.int32(10),
+                               0).rows
+    assert rows == moment_preservation(2.0, 1j, 1.0, 2, 10, 0).rows
+    path = BrownianPath.sample_uniform(1.0, np.int64(4), 0)
+    assert path.values.tolist() == \
+        BrownianPath.sample_uniform(1.0, 4, 0).values.tolist()
+
+
 def test_zero_step_and_zero_kappa_are_accepted():
     # the closed ends of the nonnegative domains: h = 0, and kappa = 0
     # wherever the scaled_noise form allows it
