@@ -34,7 +34,8 @@ from math import sqrt
 
 import numpy as np
 
-from .vfalgebra import _check_count, _check_nonnegative, _check_positive
+from .vfalgebra import (_check_count, _check_nonnegative, _check_positive,
+                        _check_seed)
 
 __all__ = ["BrownianPath", "philox_stream"]
 
@@ -59,8 +60,11 @@ _TAG_INCREMENTS = 0
 
 
 def philox_stream(seed: int, tag: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, tag), not by call order."""
-    key = np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64)
+    """Counter-based generator keyed by (seed, tag), not by call order.
+
+    ``seed`` is any integer but a bool (``vfalgebra._check_seed``); only
+    its low 64 bits count."""
+    key = np.array([_check_seed(seed), tag & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -343,7 +347,8 @@ class BrownianPath:
 
     Construct from existing samples with ``BrownianPath(times, values,
     seed)``, or with :meth:`sample_uniform` or :meth:`zeros`.  ``seed``
-    keys the bridge draws of later refinements.  The samples are kept
+    keys the bridge draws of later refinements: any integer but a bool,
+    of which only the low 64 bits count.  The samples are kept
     once, as lists; :attr:`times` and :attr:`values` build arrays from
     them.
     """
@@ -359,7 +364,7 @@ class BrownianPath:
         _check_nonnegative("bridge_scale", bridge_scale)
         self._times = t.tolist()
         self._values = v.tolist()
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
         self._bridge_scale = float(bridge_scale)
 
     # ------------------------------------------------------------------
@@ -375,7 +380,7 @@ class BrownianPath:
             seed: stream key; equal seeds give bitwise-equal paths.
         """
         times = _uniform_grid(T, n)
-        return cls(times, _uniform_block(T, n, [seed])[0], seed)
+        return cls(times, _uniform_block(T, n, [_check_seed(seed)])[0], seed)
 
     @classmethod
     def zeros(cls, T: float, n: int) -> "BrownianPath":

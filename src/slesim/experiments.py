@@ -58,9 +58,10 @@ _MAX_DOUBLINGS = 10
 
 # Stream tag for experiments that draw increment matrices directly.
 _TAG_MATRIX = 0xE1
-# Replicas per block of moment_preservation: each block of the increment
-# matrix is drawn, stepped and reduced while it stays in cache, and the
-# next block reuses its buffers.
+# Replicas per block of moment_preservation, the one place lanes are
+# blocked: a block's increments, squares and deviations (about 1.3 MB at
+# 16 steps) are drawn, stepped and reduced while they stay in cache, and
+# the next block draws and steps in the same buffers.
 _NOISE_BLOCK = 8192
 
 
@@ -318,8 +319,9 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
 
     The replicas run ``_NOISE_BLOCK`` at a time, in order, so memory does
     not grow with their count.  A block of n replicas draws its rows of
-    the one ``(replicas, n_steps)`` standard normal matrix and steps them
-    through every step.  After each step it keeps two numbers: its sum of
+    the one ``(replicas, n_steps)`` standard normal matrix into the one
+    noise buffer, and each step is one ``_nv_array_step`` call over the
+    block's squares.  After each step it keeps two numbers: its sum of
     W (``np.sum`` of the real parts and of the imaginary parts) and its
     spread, ``np.sum`` of ``np.square`` of the float64 view of W minus
     the block's mean (each sum over n).  The spreads merge block by
@@ -347,11 +349,12 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     # its sum of squared deviations from the block's mean
     sums = np.empty((n_steps, len(sizes)), dtype=np.complex128)
     spreads = np.empty((n_steps, len(sizes)))
+    noise = np.empty((sizes[0], n_steps))
     square = np.empty(sizes[0], dtype=np.complex128)
     deviation = np.empty_like(square)
     roots = 0
     for j, n in enumerate(sizes):
-        incs = gen.standard_normal((n, n_steps))
+        incs = gen.standard_normal(out=noise[:n])
         # only Z^2 is read, so the lanes are stepped as their squares, in
         # place, one complex root per lane and step
         w = square[:n]

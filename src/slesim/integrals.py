@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brownian import BrownianPath, _check_samples
-from .vfalgebra import _check_level, _check_positive, _check_word
+from .vfalgebra import _check_level, _check_positive, _check_seed, _check_word
 
 __all__ = [
     "IteratedIntegralTable",
@@ -236,17 +236,18 @@ def derive_seeds(seed: int, indices) -> np.ndarray:
     the hash runs for the whole block at once in uint32 array arithmetic.
 
     Args:
-        seed: any int; only its low 64 bits count.
+        seed: any integer but a bool (``vfalgebra._check_seed``); only
+            its low 64 bits count.
         indices: ints in [0, 2**64).
 
     Returns:
         uint64 array, one sub-seed per index.
     """
+    seed = _check_seed(seed)
     idx = [operator.index(i) for i in indices]
     if idx and (min(idx) < 0 or max(idx) >= 1 << 64):
         raise ValueError("indices must lie in [0, 2**64)")
     idx = np.array(idx, dtype=np.uint64)
-    seed &= (1 << 64) - 1
     # The seed sequence writes the seed and the index as 1 or 2 uint32
     # words each (1 below 2**32) and hashes 0 into the pool words past
     # them.  So the index as 2 words, the high one 0 below 2**32, padded

@@ -164,11 +164,11 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
 
     Accepts scalars or arrays for z and dB; a real-typed z is read as
     complex(z, 0.0).  Scalars take one step of ``_nv_steps``.  When either
-    is an array, every element is a lane of ``_nv_array_step``, which
-    steps the squares in a complex128 buffer of the broadcast shape made
-    here; z is broadcast into it and squared there, so a scalar z gives
-    the bits of the array of its copies.  The step's second root is then
-    taken and flipped here, once.
+    is an array, every element is a lane of one ``_nv_array_step`` call
+    over a complex128 buffer of the broadcast shape made here; z is
+    broadcast into it and squared there, so a scalar z gives the bits of
+    the array of its copies.  The step's second root is then taken and
+    flipped in the same buffer, once.
 
     Raises:
         ValueError: h is not finite and >= 0, or kappa is not finite and
@@ -196,22 +196,15 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
     return _flip_up(np.sqrt(square, out=square))
 
 
-# Lanes per block of _nv_array_step: one block's slice of the squares,
-# of the root buffer and of the noise, 40 bytes a lane, stays in cache
-# through the seven passes of a step.
-_LANE_BLOCK = 8192
-
-
 def _nv_array_step(square, c, d) -> int:
     """One ``nv_step`` of many lanes, stepped as their squares, in place.
 
-    ``square`` is a C-contiguous complex128 array holding W = Z^2 for
-    each lane; ``c`` is the drift time (2h, or 2h/kappa for unit_noise)
-    and ``d`` the noise displacements, real and broadcastable to its
-    shape.  The drift flow of -2/z translates W by -4t and the noise flow
-    translates Z, so a step is w -> (sqrt_h(w - c) + d)^2 - c: one root
-    per lane.  The root's ``sqrt_h`` flip folds into the noise shift,
-    ``_shift_up``.
+    ``square`` is a complex128 array holding W = Z^2 for each lane; ``c``
+    is the drift time (2h, or 2h/kappa for unit_noise) and ``d`` the
+    noise displacements, real and broadcastable to its shape.  The drift
+    flow of -2/z translates W by -4t and the noise flow translates Z, so
+    a step is w -> (sqrt_h(w - c) + d)^2 - c: one root per lane.  The
+    root's ``sqrt_h`` flip folds into the noise shift, ``_shift_up``.
 
     On return ``square`` holds y*y - c, y being the shifted root: the
     next step's W, and the argument of this step's second root in Z.  A
@@ -220,26 +213,18 @@ def _nv_array_step(square, c, d) -> int:
     flow_noise, flow_drift(h/2) on the same arrays bit for bit; only a
     NaN, which float64 overflow can make, may carry another sign bit.
 
-    The roots go into one scratch buffer of ``_LANE_BLOCK`` lanes and the
-    elementwise passes run a block at a time, so nothing of the lanes'
-    size is allocated; every element is rounded on its own, so the block
-    size changes no bit.  Returns the number of lanes stepped, which is
-    the number of complex roots taken.
+    Every pass writes over ``square``, so nothing is allocated; a caller
+    that wants the lanes in cache hands over a block of them.  Returns
+    the number of lanes stepped, which is the number of complex roots
+    taken.
     """
-    wf = square.reshape(-1)
-    df = np.broadcast_to(d, square.shape).reshape(-1)
-    root = np.empty(min(len(wf), _LANE_BLOCK), dtype=np.complex128)
-    for a in range(0, len(wf), _LANE_BLOCK):
-        b = a + _LANE_BLOCK
-        w = wf[a:b]
-        s = root[:len(w)]
-        np.subtract(w, c, out=w)
-        np.sqrt(w, out=s)
-        # y = the flipped root + d, written over w
-        _shift_up(s, df[a:b], w)
-        np.multiply(w, w, out=w)
-        np.subtract(w, c, out=w)
-    return len(wf)
+    np.subtract(square, c, out=square)
+    np.sqrt(square, out=square)
+    # y = the flipped root + d
+    _shift_up(square, d, square)
+    np.multiply(square, square, out=square)
+    np.subtract(square, c, out=square)
+    return square.size
 
 
 def _nv_steps(z: complex, cs, ds) -> complex:

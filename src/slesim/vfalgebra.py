@@ -10,9 +10,9 @@ left: the rightmost letter differentiates first.
 
 The module imports only the standard library, so every other module can
 import its parameter checks: ``_check_level`` for truncation levels,
-``_check_count`` for integer counts, and ``_check_positive`` and
-``_check_nonnegative`` for real parameters, each rule stated once; the
-real checks refuse NaN and infinities.
+``_check_count`` for integer counts, ``_check_seed`` for seeds, and
+``_check_positive`` and ``_check_nonnegative`` for real parameters, each
+rule stated once; the real checks refuse NaN and infinities.
 """
 
 from __future__ import annotations
@@ -84,6 +84,15 @@ def _check_count(name: str, n, minimum: int) -> None:
     if not (isinstance(n, Integral) and not isinstance(n, bool)
             and n >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+
+
+def _check_seed(seed) -> int:
+    """Refuse a seed that is not an integer; a bool is not a seed, and
+    neither is a float with an integer value.  Any sign and size is a
+    seed, as only its low 64 bits count: returns them as an int."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed) & ((1 << 64) - 1)
 
 
 def _check_positive(name: str, x) -> None:

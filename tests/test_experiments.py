@@ -137,14 +137,16 @@ def test_divergence_validation():
 
 def test_moment_memory_does_not_grow_with_replicas():
     # a block of replicas is drawn, stepped and reduced at a time: 200k
-    # replicas over 16 steps would hold 25.6 MB of increments at once
+    # replicas over 16 steps would hold 25.6 MB of increments at once.
+    # One block's buffers and a first call's setup trace about 2.1 MB; a
+    # second live block of increments (1 MB) would break the bound
     tracemalloc.start()
     try:
         moment_preservation(2.0, 1j, 1.0, 16, 200_000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 2.6e6
 
 
 def test_moment_targets_and_deviations():
@@ -314,17 +316,14 @@ def _moment_squares_in_w(kappa, z0, T, n_steps, replicas, seed):
 
 
 @pytest.mark.parametrize("replicas", [30, 8197])
-def test_moment_rows_do_not_depend_on_the_lane_block(monkeypatch, replicas):
-    # the kernel steps blocks of lanes; a block of 7 leaves a short last
-    # block at both replica counts, and the rows must still be those
-    # stepped in W through the public maps and reduced by the block rule
-    # (8197 replicas merge a block of 5 into the default block)
+def test_moment_rows_follow_the_block_rule(replicas):
+    # the rows are those stepped in W through the public maps and reduced
+    # by the block rule, one block at 30 replicas; 8197 replicas merge a
+    # block of 5 into the default block
     kappa, z0, T, n_steps, seed = 6.0, -0.3 + 0.7j, 0.5, 5, 12
     args = (kappa, z0, T, n_steps, replicas, seed)
     times, squares = _moment_squares_in_w(*args)
     want = _rows_by_block_rule(squares, kappa, z0, times)
-    assert moment_preservation(*args).rows == want
-    monkeypatch.setattr(schemes, "_LANE_BLOCK", 7)
     assert moment_preservation(*args).rows == want
     _assert_rows_near_full_row_reduction(want, squares, kappa, z0, times)
 
@@ -389,19 +388,27 @@ def test_moment_nan_stderr_is_not_a_pass():
 
 
 def test_moment_overflowed_stderr_is_not_a_pass():
-    # z0 = 1e150 i passes the finite-square check, but the variance of
-    # Z^2 overflows: an infinite standard error must not turn into a
-    # deviation of 0 standard errors
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = moment_preservation(2.0, 1e150j, 1.0, 2, 100, seed=0).rows[0]
-    assert row["stderr"] == math.inf
-    assert math.isnan(row["deviation_se"])
+    # both starts pass the finite-square check, and the spread of Z^2
+    # overflows: an infinite standard error must not turn into a
+    # deviation of 0 standard errors.  At 1e153 i the exact spread, about
+    # 4e308, is past the float64 maximum.  At 1e150 i it is only 4e302;
+    # there the 100 equal real parts of W sum pairwise to a mean one ulp
+    # off, and that deviation, about 1.5e284, overflows when squared
+    for z0 in (1e150j, 1e153j):
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = moment_preservation(2.0, z0, 1.0, 2, 100, seed=0).rows[0]
+        assert row["stderr"] == math.inf
+        assert math.isnan(row["deviation_se"])
 
 
 @pytest.mark.parametrize("flags,cause", [
+    # the squared one-ulp deviation of a rounded mean, not the spread of
+    # Z^2 (see test_moment_overflowed_stderr_is_not_a_pass)
     (["--z0-im", "1e150"], "overflow encountered in square"),
     (["--kappa", "1e308"], "overflow encountered in multiply"),
     (["--T", "1e308"], "overflow encountered in multiply"),
+    # the spread of Z^2 itself is past the float64 maximum
+    (["--z0-im", "1e153"], "overflow encountered in square"),
 ])
 def test_moment_overflow_exits_two(tmp_path, capsys, flags, cause):
     # finite flags whose run leaves float64: a numerical failure with no

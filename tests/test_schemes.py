@@ -4,16 +4,17 @@ import cmath
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slesim import brownian, experiments, schemes, vfalgebra
-from slesim.brownian import BrownianPath
+from slesim.brownian import BrownianPath, philox_stream
 from slesim.experiments import (divergence_probe, epsilon_scaling,
                                 moment_preservation, scheme_comparison)
-from slesim.integrals import compute_table
+from slesim.integrals import compute_table, derive_seeds
 from slesim.schemes import (SCALED_NOISE, UNIT_NOISE, euler_step, flow_drift,
                             flow_noise, nv_step, reference_solve, sqrt_h,
                             taylor_step)
@@ -172,6 +173,27 @@ def test_array_step_one_step_moments(kappa, z, h):
     assert abs(got[1] - want[1]) <= 1e-12
     defect = -16.0 * kappa ** 2 * h ** 3
     assert abs((got[2] - want[2]) - defect) <= 1e-9 * abs(defect)
+
+
+@pytest.mark.parametrize("d", [np.linspace(-1.0, 1.0, 100_000), 0.3],
+                         ids=["array", "scalar"])
+def test_array_step_allocates_nothing(d):
+    # every pass of the kernel writes over the squares, so one step of
+    # 100k lanes (1.6 MB of squares) makes no scratch root buffer and no
+    # broadcast copy of d; its W is one public sqrt_h between two
+    # translations, bit for bit
+    w = np.full(100_000, (0.4 + 1.1j) ** 2)
+    square = w.copy()
+    tracemalloc.start()
+    try:
+        roots = schemes._nv_array_step(square, 0.1, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    assert roots == 100_000
+    y = sqrt_h(w - 0.1) + d
+    assert square.tobytes() == (y * y - 0.1).tobytes()
 
 
 def test_euler_second_moment_carries_h_squared_defect():
@@ -437,6 +459,64 @@ def test_numpy_integers_are_counts():
     path = BrownianPath.sample_uniform(1.0, np.int64(4), 0)
     assert path.values.tolist() == \
         BrownianPath.sample_uniform(1.0, 4, 0).values.tolist()
+
+
+# Every public entry keyed by a seed: the four that read it and the four
+# experiments that reach them, each called with every other argument
+# valid.
+_SEED_ENTRIES = {
+    "philox_stream": lambda s: philox_stream(s, 0),
+    "derive_seeds": lambda s: derive_seeds(s, [0]),
+    "BrownianPath": lambda s: BrownianPath([0.0, 0.5, 1.0],
+                                           [0.0, 0.3, -0.1], s),
+    "sample_uniform": lambda s: BrownianPath.sample_uniform(1.0, 4, s),
+    "epsilon_scaling":
+        lambda s: epsilon_scaling([0.25, 0.125], 0.5, 2, 2.0, 4, s, 8),
+    "divergence_probe":
+        lambda s: divergence_probe(0.125, 0.5, [(0,), (1,)], 50, s),
+    "moment_preservation":
+        lambda s: moment_preservation(2.0, 1j, 1.0, 4, 100, s),
+    "scheme_comparison":
+        lambda s: scheme_comparison(2.0, 0.25, [1e-3], 4, s, 8),
+}
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.0, True, "3"])
+@pytest.mark.parametrize("entry", sorted(_SEED_ENTRIES))
+def test_every_seed_check_is_one_rule(monkeypatch, entry, seed):
+    # a seed that is not an integer, or is a bool, is refused with a
+    # ValueError that names it, before any random draw, through
+    # vfalgebra._check_seed: read as int(seed), 2.5 and True would draw
+    # the paths of seeds 2 and 1
+    def no_draws(*args):
+        raise AssertionError("a random draw was made")
+
+    monkeypatch.setattr(brownian, "_normals", no_draws)
+    monkeypatch.setattr(brownian, "_block_normals", no_draws)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        _SEED_ENTRIES[entry](seed)
+
+
+def test_integer_seeds_keep_their_bits():
+    # any integer is a seed and only its low 64 bits count: numpy
+    # integers key as the Python int of their value, -1 as 2**64 - 1 and
+    # 2**64 + 5 as 5
+    def keyed(seed):
+        path = BrownianPath([0.0, 0.5, 1.0], [0.0, 0.3, -0.1], seed)
+        return (philox_stream(seed, 3).standard_normal(2).tolist(),
+                derive_seeds(seed, [0, 1]).tolist(),
+                path.refine().values.tolist(),
+                BrownianPath.sample_uniform(1.0, 4, seed).values.tolist())
+
+    assert derive_seeds(5, [0, 1]).tolist() == [12631478326263854183,
+                                                17996766564426832300]
+    assert derive_seeds(-1, [0, 1]).tolist() == [12591116029944179981,
+                                                 14914632929012847982]
+    for same in (np.int64(5), np.uint64(5), np.int8(5), 2 ** 64 + 5):
+        assert keyed(same) == keyed(5)
+    for same in (np.int32(-1), 2 ** 64 - 1):
+        assert keyed(same) == keyed(-1)
+    assert keyed(6) != keyed(5)
 
 
 def test_zero_step_and_zero_kappa_are_accepted():
