@@ -32,9 +32,9 @@ import numpy as np
 from .brownian import _bisect, _uniform_block, _uniform_grid, philox_stream
 from .integrals import _BLOCK_ROWS, _tables, derive_seeds, word_entries
 from .schemes import (UNIT_NOISE, _nv_array_step, _reference_rows,
-                      _truncation_terms, euler_step, nv_step, taylor_step)
-from .vfalgebra import (_check_count, _check_nonnegative, _check_positive,
-                        compose, deg, eval_term, format_word)
+                      euler_step, nv_step, taylor_step)
+from .vfalgebra import (_check_count, _check_level, _check_nonnegative,
+                        _check_positive, compose, deg, eval_term, format_word)
 
 __all__ = [
     "ExperimentReport",
@@ -208,7 +208,7 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
         raise ValueError("eps values must be distinct")
     _check_positive("kappa", kappa)
     # refuses a level no Taylor step takes, before any driver is drawn
-    _truncation_terms(r)
+    _check_level(r)
 
     def probes(z0, t, table, b) -> tuple:
         return (taylor_step(z0, table, r, kappa),)
@@ -269,10 +269,10 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
                                          (lvl + 1) * replicas)).tolist()
         times = _uniform_grid(t, resolution)
         entries = np.empty((replicas, len(live)))
-        # a bounded block of drivers at a time, as integrals._tables.  Each
-        # block stays bound until the next one is drawn: freeing it first
-        # had the allocator return and refetch its memory per block, ~10%
-        # slower at 2000 replicas (2-vCPU Xeon VM).
+        # drawn a bounded block of drivers at a time, the rows word_entries
+        # walks together.  Each block stays bound until the next one is
+        # drawn: freeing it first had the allocator return and refetch its
+        # memory per block, ~10% slower at 2000 replicas (2-vCPU Xeon VM).
         for a in range(0, replicas, _BLOCK_ROWS):
             values = _uniform_block(t, resolution, seeds[a:a + _BLOCK_ROWS])
             entries[a:a + len(values)] = word_entries(times, values, live)

@@ -11,11 +11,12 @@ exact whenever the integrand is linear there - in particular every entry
 up to length 2 is exact for the piecewise-linear path, e.g. the (1, 1)
 entry telescopes to B(t)^2 / 2.
 
-One prefix walk serves both the table builder behind
-:func:`compute_table` (every word up to a length, on each of a block of
-drivers that share one grid) and :func:`word_entries` (chosen words on
-such a block, one row per driver): it integrates each
-distinct word prefix once, parents before children.  The quadrature is
+One prefix walk, behind :func:`word_entries`, integrates chosen words
+on any number of drivers that share one grid, one row per driver: it
+walks the rows a bounded block at a time and integrates each distinct
+word prefix once per block, parents before children.  The table builder
+behind :func:`compute_table` lists every word up to a length and only
+formats the rows :func:`word_entries` returns.  The quadrature is
 made of separate real float64 ufuncs and a sequential cumsum along each
 row, so every row rounds exactly as :func:`iterated_integral`, the
 prefix chain of one word on one driver, which stays apart as the
@@ -41,10 +42,11 @@ __all__ = [
     "derive_seeds",
 ]
 
-# Drivers per block of :func:`_tables`, and per call of :func:`word_entries`
-# in ``divergence_probe``.  The prefix walk keeps a few arrays of one
-# block's shape alive (one per word prefix still to extend), so memory
-# stays near 1 MB at 256 intervals whatever the replica count.
+# Rows per block of the prefix walk: :func:`word_entries` alone blocks
+# the rows it integrates, and ``divergence_probe`` draws its drivers this
+# many at a time.  The walk keeps a few arrays of one block's shape alive
+# (one per word prefix still to extend), so memory stays near 1 MB at 256
+# intervals whatever the number of rows.
 _BLOCK_ROWS = 64
 
 
@@ -132,22 +134,16 @@ def _grid(path: BrownianPath, t: float) -> tuple[np.ndarray, np.ndarray]:
 def _tables(times: np.ndarray, values: np.ndarray, r: int):
     """One :class:`IteratedIntegralTable` per row of ``values``, in order.
 
-    Row ``i`` is a driver on grid ``times`` (already checked); its table
-    holds every word of length <= r over [0, times[-1]].  Rows are
-    integrated a bounded block at a time, each rounded as on its own.
+    Row ``i`` is a driver on grid ``times``; its table holds every word
+    of length <= r over [0, times[-1]], by length and lexicographically
+    within a length.  The entries are the rows of :func:`word_entries`,
+    which walks the drivers a bounded block at a time; this only formats
+    them.
     """
-    # the prefixes of the words of length r are all words of length <= r
-    plan = _plan(itertools.product((0, 1), repeat=r))
-    legs = np.diff(times)
-    for a in range(0, len(values), _BLOCK_ROWS):
-        block = values[a:a + _BLOCK_ROWS]
-        ends = _walk((legs, np.diff(block, axis=-1)), plan)
-        # a prefix made only of 0s is flat: its entry is every row's
-        columns = [np.broadcast_to(e, len(block)).tolist()
-                   for e in ends.values()]
-        for row in zip(*columns):
-            yield IteratedIntegralTable(dict(zip(ends, row)),
-                                        len(times) - 1)
+    words = [w for n in range(r + 1)
+             for w in itertools.product((0, 1), repeat=n)]
+    for row in word_entries(times, values, words).tolist():
+        yield IteratedIntegralTable(dict(zip(words, row)), len(times) - 1)
 
 
 def compute_table(path: BrownianPath, t: float,
@@ -185,7 +181,7 @@ def iterated_integral(path: BrownianPath, t: float, word) -> float:
 
 
 def word_entries(times, values, words) -> np.ndarray:
-    """Stratonovich entries over [0, times[-1]] for a block of drivers.
+    """Stratonovich entries over [0, times[-1]] for any number of drivers.
 
     Args:
         times: grid shared by every driver: flat, finite, strictly
@@ -197,8 +193,10 @@ def word_entries(times, values, words) -> np.ndarray:
     Returns:
         Array of shape (rows, len(words)); row ``i`` equals
         ``iterated_integral`` of each word on driver ``i`` bit for bit.
-        Each distinct word prefix is integrated once for the whole block;
-        prefixes made only of 0s depend on the grid alone and stay flat.
+        Rows are walked _BLOCK_ROWS at a time, so memory stays bounded
+        whatever their number.  Each distinct word prefix is integrated
+        once per block; prefixes made only of 0s depend on the grid alone
+        and stay flat.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -206,10 +204,14 @@ def word_entries(times, values, words) -> np.ndarray:
         raise ValueError("values must hold one driver per row")
     _check_samples(times, values)
     words = [_check_word(w) for w in words]
-    ends = _walk((np.diff(times), np.diff(values, axis=-1)), _plan(words))
+    legs, plan = np.diff(times), _plan(words)
     entries = np.empty((len(values), len(words)))
-    for k, w in enumerate(words):
-        entries[:, k] = ends[w]
+    for a in range(0, len(values), _BLOCK_ROWS):
+        block = values[a:a + _BLOCK_ROWS]
+        ends = _walk((legs, np.diff(block, axis=-1)), plan)
+        # a flat prefix's end is one scalar: it broadcasts to every row
+        for k, w in enumerate(words):
+            entries[a:a + len(block), k] = ends[w]
     return entries
 
 

@@ -406,20 +406,23 @@ def euler_step(z, h, dB, kappa: float):
     return z - (2.0 / kappa) / z * h + dB
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def _truncation_terms(r: int) -> tuple:
     """The nonzero (word, composed term) pairs of length <= r, composed once.
 
     Words are in deterministic (lexicographic within length) order.  No
     table holds a word longer than LEVEL_CAP, so a cutoff past it is
-    refused before any word is composed, as is a negative one.
+    refused before any word is composed, as are a negative one and one
+    that is not an integer.  The cache is typed, so a level that only
+    equals an integer, such as 2.0 or True, is checked and never served
+    that integer's entry.
     """
     _check_level(r)
     return tuple((word, term) for n in range(r + 1)
                  for word, term in enumerate_level(n) if not term.is_zero())
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def _taylor_coefficients(z: complex, re_sign: float, im_sign: float, r: int,
                          kappa: float) -> tuple:
     """(word, (V_I Id)(z)) for every pair of ``_truncation_terms(r)``.
@@ -427,7 +430,8 @@ def _taylor_coefficients(z: complex, re_sign: float, im_sign: float, r: int,
     They depend on (z, kappa, r) alone, while a Monte Carlo study sums
     them against the tables of many drivers.  The signs of z's parts
     are part of the key: complex keys treat -0.0 and 0.0 as equal, yet
-    a term's value at z can carry that sign.
+    a term's value at z can carry that sign.  Typed, as
+    ``_truncation_terms``, so a level such as 2.0 reaches its check.
     """
     return tuple((word, eval_term(term, z, kappa))
                  for word, term in _truncation_terms(r))

@@ -111,12 +111,23 @@ def test_every_sidecar_has_the_same_keys(tmp_path, capsys):
     }
     keys = {"name", "seed", "config", "fit", "stats", "runtime_seconds",
             "created_unix"}
+    stats = {
+        "trace": {"points", "refinement_depth_max", "map_evaluations",
+                  "chain_map_applications", "complex_roots"},
+        "scaling": {"reference_doublings"},
+        "compare": {"reference_doublings"},
+        "moments": {"complex_roots"},
+        "divergence": set(),
+        "taylor-terms": set(),
+        "integrals": set(),
+    }
     for command, argv in tiny.items():
         name = command.replace("-", "_")
         assert run(command, *argv, "--out", str(tmp_path)) == 0
         payload = json.loads((tmp_path / f"{name}.json").read_text())
         assert set(payload) == keys, command
         assert (payload["fit"] is not None) == (command == "scaling")
+        assert set(payload["stats"]) == stats[command], command
     rows = (tmp_path / "trace.csv").read_text().count("\n") - 1
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["stats"]["points"] == rows

@@ -12,7 +12,7 @@ from slesim import integrals
 from slesim.brownian import BrownianPath, _uniform_block, _uniform_grid
 from slesim.integrals import (compute_table, derive_seeds, iterated_integral,
                               word_entries)
-from slesim.vfalgebra import deg
+from slesim.vfalgebra import LEVEL_CAP, deg
 
 
 def _path(n=128, seed=5, T=1.0):
@@ -155,6 +155,39 @@ def test_table_block_keeps_only_live_prefix_arrays():
     assert len(tables) == 64
     assert len(tables[0].entries) == 15
     assert peak <= 8 * values.nbytes
+
+
+def test_word_entries_memory_does_not_grow_with_rows():
+    # word_entries walks its rows a bounded block at a time: on 5,000
+    # drivers of 256 intervals with the default divergence words it holds
+    # the boolean mask of its input check (1/8 of the input) and one
+    # block's arrays, not 4 arrays of the whole input
+    words = [(1,), (0,), (1, 0), (0, 0), (1, 0, 0), (0, 0, 0),
+             (1, 0, 0, 0), (0, 0, 0, 0)]
+    times = _uniform_grid(1.0, 256)
+    values = _uniform_block(1.0, 256, list(range(5000)))
+    tracemalloc.start()
+    try:
+        entries = word_entries(times, values, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entries.shape == (5000, len(words))
+    assert peak < values.nbytes / 4
+
+
+def test_table_at_the_level_cap():
+    # the largest table any entry accepts: 2^13 - 1 words, by length then
+    # lexicographically, each entry the bits of its own prefix chain
+    p = _path(n=16, seed=3)
+    tab = compute_table(p, 1.0, LEVEL_CAP)
+    words = _words_up_to(LEVEL_CAP)
+    assert len(words) == 2 ** (LEVEL_CAP + 1) - 1
+    assert list(tab.entries) == words
+    sample = [(0,) * LEVEL_CAP, (1,) * LEVEL_CAP]
+    sample += [words[k] for k in range(1, len(words), 97)]
+    for word in sample:
+        assert iterated_integral(p, 1.0, word) == tab.entries[word]
 
 
 def test_word_entries_validation():

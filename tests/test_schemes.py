@@ -396,6 +396,9 @@ def test_every_real_parameter_check_is_one_rule(monkeypatch, name, call, x):
         call(x)
 
 
+# A table that needs no draw, for the truncation level of taylor_step.
+_FLAT_TABLE = compute_table(BrownianPath.zeros(1.0, 4), 1.0, 2)
+
 # Every integer count of every public entry: (entry, the count as its
 # message names it, its minimum, the entry called with that count set to
 # n and every other argument valid).
@@ -406,6 +409,11 @@ _COUNT_PARAMETERS = [
      lambda n: epsilon_scaling([0.25, 0.125], 0.5, 2, 2.0, 4, 0, n)),
     ("epsilon_scaling", "truncation level", 0,
      lambda n: epsilon_scaling([0.25, 0.125], 0.5, n, 2.0, 4, 0, 8)),
+    ("compute_table", "truncation level", 0,
+     lambda n: compute_table(BrownianPath.zeros(1.0, 4), 1.0, n)),
+    ("enumerate_level", "truncation level", 0, enumerate_level),
+    ("taylor_step", "truncation level", 0,
+     lambda n: taylor_step(1j, _FLAT_TABLE, n, 2.0)),
     ("divergence_probe", "replicas", 2,
      lambda n: divergence_probe(0.125, 0.5, [(0,), (1,)], n, 4)),
     ("divergence_probe", "resolution", 1,
@@ -427,10 +435,14 @@ _COUNT_PARAMETERS = [
                            max_depth=n)),
 ]
 # below the minimum; a float, integer-valued or not; a bool, which is an
-# int to Python but never a count
+# int to Python but never a count; a string, None and a list.  The list is
+# left out for taylor_step, whose lru_cache refuses an unhashable argument
+# before its level is checked.
 _COUNT_REFUSALS = [(entry, name, call, n)
                    for (entry, name, minimum, call) in _COUNT_PARAMETERS
-                   for n in (minimum - 1, float(minimum + 2), 2.5, True)]
+                   for n in (minimum - 1, float(minimum + 2), 2.5, True,
+                             "3", None, [2])
+                   if not (entry == "taylor_step" and isinstance(n, list))]
 
 
 @pytest.mark.parametrize(
@@ -449,6 +461,23 @@ def test_every_count_check_is_one_rule(monkeypatch, name, call, n):
     monkeypatch.setattr(experiments, "derive_seeds", no_draws)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
         call(n)
+
+
+@pytest.mark.parametrize("entry, r", [("taylor_step", 2.0),
+                                      ("taylor_step", True),
+                                      ("epsilon_scaling", 2.0)])
+def test_level_refusals_do_not_depend_on_the_cache(entry, r):
+    # the level caches are typed: after integer levels 1 and 2 are cached,
+    # 2.0 and True, which equal and hash as 2 and 1, still reach the level
+    # check instead of being served the integer's entry
+    for level in (1, 2):
+        taylor_step(1j, _FLAT_TABLE, level, 2.0)
+    schemes._truncation_terms(np.int64(2))
+    with pytest.raises(ValueError, match="^truncation level "):
+        if entry == "taylor_step":
+            taylor_step(1j, _FLAT_TABLE, r, 2.0)
+        else:
+            epsilon_scaling([0.25, 0.125], 0.5, r, 2.0, 4, 0, 8)
 
 
 def test_numpy_integers_are_counts():
