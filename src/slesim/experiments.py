@@ -320,7 +320,8 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     The replicas run ``_NOISE_BLOCK`` at a time, in order, so memory does
     not grow with their count.  A block of n replicas draws its rows of
     the one ``(replicas, n_steps)`` standard normal matrix into the one
-    noise buffer, and each step is one ``_nv_array_step`` call over the
+    noise buffer and scales it by the row of each step's sqrt(h), then
+    by sqrt(kappa); each step is one ``_nv_array_step`` call over the
     block's squares.  After each step it keeps two numbers: its sum of
     W (``np.sum`` of the real parts and of the imaginary parts) and its
     spread, ``np.sum`` of ``np.square`` of the float64 view of W minus
@@ -341,8 +342,9 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     if not cmath.isfinite(z0 * z0):
         raise ValueError("z0 and its square must be finite")
     times = _uniform_grid(T, n_steps).tolist()
+    hs = [b - a for a, b in zip(times, times[1:])]
     gen = philox_stream(seed, _TAG_MATRIX)
-    root_kappa = sqrt(kappa)
+    root_h, root_kappa = np.sqrt(hs), sqrt(kappa)
     sizes = [min(_NOISE_BLOCK, replicas - a)
              for a in range(0, replicas, _NOISE_BLOCK)]
     # sums[k, j] and spreads[k, j]: block j's sum of W after step k, and
@@ -355,6 +357,10 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     roots = 0
     for j, n in enumerate(sizes):
         incs = gen.standard_normal(out=noise[:n])
+        # sqrt(kappa) * (sqrt(h) * x), the displacements of nv_step: the
+        # two roundings of a step's scaling, one contiguous pass each
+        incs *= root_h
+        incs *= root_kappa
         # only Z^2 is read, so the lanes are stepped as their squares, in
         # place, one complex root per lane and step
         w = square[:n]
@@ -362,14 +368,8 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
         w *= w
         centred = deviation[:n]
         parts = centred.view(np.float64)
-        for k in range(n_steps):
-            h = times[k + 1] - times[k]
-            # sqrt(kappa) * (sqrt(h) * incs[:, k]), the displacement of
-            # nv_step
-            d = incs[:, k]
-            d *= sqrt(h)
-            d *= root_kappa
-            roots += _nv_array_step(w, 2.0 * h, d)
+        for k, h in enumerate(hs):
+            roots += _nv_array_step(w, 2.0 * h, incs[:, k])
             re, im = w.real.sum(), w.imag.sum()
             sums[k, j] = complex(re, im)
             np.subtract(w, complex(re / n, im / n), out=centred)

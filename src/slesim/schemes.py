@@ -163,12 +163,13 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
         sqrt_h((sqrt_h(z^2 - 2h/kappa) + dB)^2 - 2h/kappa).
 
     Accepts scalars or arrays for z and dB; a real-typed z is read as
-    complex(z, 0.0).  Scalars take one step of ``_nv_steps``.  When either
-    is an array, every element is a lane of one ``_nv_array_step`` call
-    over a complex128 buffer of the broadcast shape made here; z is
-    broadcast into it and squared there, so a scalar z gives the bits of
-    the array of its copies.  The step's second root is then taken and
-    flipped in the same buffer, once.
+    complex(z, 0.0).  Scalars take ``_nv_steps`` over the one step
+    ``(c, d)``, c the drift time and d the noise displacement.  When
+    either is an array, every element is a lane of one
+    ``_nv_array_step`` call over a complex128 buffer of the broadcast
+    shape made here; z is broadcast into it and squared there, so a
+    scalar z gives the bits of the array of its copies.  The step's
+    second root is then taken and flipped in the same buffer, once.
 
     Raises:
         ValueError: h is not finite and >= 0, or kappa is not finite and
@@ -186,7 +187,7 @@ def nv_step(z, h, dB, kappa, convention: str = SCALED_NOISE):
         raise ValueError(f"unknown convention {convention!r}")
     if np.ndim(z) == np.ndim(dB) == 0:
         # a float noise keeps the kernel in CPython's complex arithmetic
-        return _nv_steps(complex(z), (c,), (float(dB),))
+        return _nv_steps(complex(z), ((c, float(dB)),))
     square = np.empty(np.broadcast_shapes(np.shape(z), np.shape(dB)),
                       dtype=np.complex128)
     square[...] = z
@@ -227,9 +228,9 @@ def _nv_array_step(square, c, d) -> int:
     return square.size
 
 
-def _nv_steps(z: complex, cs, ds) -> complex:
-    """``nv_step`` applied once per pair of ``cs`` and ``ds``, in order,
-    stepped as the square W = z^2.
+def _nv_steps(z: complex, steps) -> complex:
+    """``nv_step`` applied once per ``(c, d)`` pair of ``steps``, in
+    order, stepped as the square W = z^2.
 
     c is the drift time (2h, or 2h/kappa for unit_noise) and d the noise
     displacement (sqrt(kappa) dB, or dB).  The drift flow of -2/z
@@ -242,10 +243,12 @@ def _nv_steps(z: complex, cs, ds) -> complex:
     A chain of no steps returns ``z`` as it is.  The scalar NV kernel:
     the scalar path of ``nv_step`` is one of its steps, whose operations
     are those of the closed form in z, and a trace chain and
-    ``_reference_rows`` run it over many.  The ``sqrt_h`` flip (negate
-    the root exactly when the sign bit of its imaginary part is set) of
-    each step's root folds into the noise shift, as d - s is (-s) + d
-    bit for bit; the last root is ``sqrt_h(w)`` itself.  So the result
+    ``_reference_rows`` run it over many.  ``steps`` is any iterable of
+    pairs, walked once, so a trace hands over its own list of steps,
+    reversed.  The ``sqrt_h`` flip (negate the root exactly when the
+    sign bit of its imaginary part is set) of each step's root folds
+    into the noise shift, as d - s is (-s) + d bit for bit; the last
+    root is ``sqrt_h(w)`` itself.  So the result
     equals that loop through public ``sqrt_h`` bit for bit; it rounds
     differently from a loop of one-step calls, which takes a root of
     each w and squares it again.  ``z`` is a complex and each d a float,
@@ -254,7 +257,7 @@ def _nv_steps(z: complex, cs, ds) -> complex:
     _sqrt, _copysign = cmath.sqrt, copysign
     w = z * z
     c = None
-    for c, d in zip(cs, ds):
+    for c, d in steps:
         # the flip stays inline: a call per map made a 76-map chain about
         # 10% slower as a fold helper and 80% as sqrt_h (2-vCPU Xeon VM);
         # copysign is called only for a zero imaginary part, so the
@@ -361,9 +364,10 @@ def _reference_rows(starts, grids, values, kappa) -> list:
     grid, with the drift times of the row computed once for all its
     drivers.  While _LANE_CROSSOVER or more drivers are given, every
     solution is one lane of ``_nv_lanes``; below that, each is its own
-    ``_nv_steps`` on the row's arrays.  Both step the square W = z^2 and
-    give the bits of its loop through public ``sqrt_h``: w = z*z, per
-    step y = sqrt_h(w - c) + d and w = y*y - c, then sqrt_h(w).
+    ``_nv_steps`` over the row's drift times zipped with its driver's
+    displacements.  Both step the square W = z^2 and give the bits of
+    its loop through public ``sqrt_h``: w = z*z, per step
+    y = sqrt_h(w - c) + d and w = y*y - c, then sqrt_h(w).
     """
     used = [j for j, v in enumerate(values) if len(v)]
     # drift time of each step in each used row: 2h/kappa, as nv_step
@@ -372,7 +376,7 @@ def _reference_rows(starts, grids, values, kappa) -> list:
     if width < _LANE_CROSSOVER:
         # a row with no driver has no ds, so it looks up no cs
         cs = {j: drift[j].tolist() for j in used}
-        return [[_nv_steps(starts[j], cs[j], ds)
+        return [[_nv_steps(starts[j], zip(cs[j], ds))
                  for ds in np.diff(v, axis=1).tolist()]
                 for j, v in enumerate(values)]
     steps = len(drift[used[0]])

@@ -118,13 +118,13 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
         raise ValueError(f"path horizon {path.horizon} is shorter than {T}")
 
     end = path.index_of(T)
-    # cc[i] = 2 h_i and dd[i] = sqrt(kappa) (B_i - B_{i+1}) for interval i
-    # of the partition, which is the path's grid on [0, T]; depth[i] counts
-    # the bisections behind interval i.
+    # steps[i] = (2 h_i, sqrt(kappa) (B_i - B_{i+1})), the (c, d) step of
+    # _nv_steps for interval i of the partition, which is the path's grid
+    # on [0, T]; depth[i] counts the bisections behind interval i.
     sqkap = sqrt(kappa)
     times, values = path.times[:end + 1], path.values[:end + 1]
-    cc = (2.0 * (times[1:] - times[:-1])).tolist()
-    dd = (sqkap * (values[:-1] - values[1:])).tolist()
+    steps = list(zip((2.0 * (times[1:] - times[:-1])).tolist(),
+                     (sqkap * (values[:-1] - values[1:])).tolist()))
     depth = [0] * end
     zz = [0j]
     applications = chains = 0
@@ -134,7 +134,7 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
         applications += i + 1
         chains += 1
         # f_0 ... f_i applied to 0, rightmost (innermost) map first
-        z_r = _nv_steps(0j, reversed(cc[:i + 1]), reversed(dd[:i + 1]))
+        z_r = _nv_steps(0j, reversed(steps[:i + 1]))
         gap = abs(z_r - zz[i])
         if gap < tolerance:
             zz.append(z_r)
@@ -147,8 +147,8 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
         except ValueError as exc:
             raise TraceRefinementError((t0, t1), depth[i], gap) from exc
         tm, bm = path.sample(i + 1)
-        cc[i:i + 1] = [2.0 * (tm - t0), 2.0 * (t1 - tm)]
-        dd[i:i + 1] = [sqkap * (b0 - bm), sqkap * (bm - b1)]
+        steps[i:i + 1] = [(2.0 * (tm - t0), sqkap * (b0 - bm)),
+                          (2.0 * (t1 - tm), sqkap * (bm - b1))]
         depth[i:i + 1] = [depth[i] + 1] * 2
         end += 1
 

@@ -198,6 +198,41 @@ def test_block_increments_equal_one_matrix_draw(monkeypatch, block,
             assert seen[4 * j + k].tobytes() == want[a:a + block, k].tobytes()
 
 
+def test_block_displacements_round_sqrt_h_then_sqrt_kappa(monkeypatch):
+    # every displacement the kernel gets is sqrt(kappa) * (sqrt(h) * x),
+    # two roundings in that order.  At kappa 2 and steps of about 1/3
+    # neither factor scales exactly, so one product sqrt(h) * sqrt(kappa)
+    # rounds some lanes differently; 8197 replicas leave a short last block
+    replicas, steps = 8197, 3
+    kernel = experiments._nv_array_step
+    seen = []
+
+    def record(square, c, d):
+        seen.append(d.copy())
+        return kernel(square, c, d)
+
+    monkeypatch.setattr(experiments, "_nv_array_step", record)
+    moment_preservation(2.0, 1j, 1.0, steps, replicas, 9)
+    draws = philox_stream(9, experiments._TAG_MATRIX).standard_normal(
+        (replicas, steps))
+    times = experiments._uniform_grid(1.0, steps).tolist()
+    block = experiments._NOISE_BLOCK
+    starts = range(0, replicas, block)
+    assert len(starts) == 2
+    assert len(seen) == steps * len(starts)
+    merged = 0
+    for j, a in enumerate(starts):
+        for k in range(steps):
+            root_h = math.sqrt(times[k + 1] - times[k])
+            x = draws[a:a + block, k]
+            assert seen[steps * j + k].tobytes() == \
+                ((x * root_h) * math.sqrt(2.0)).tobytes()
+            merged += int(np.sum(x * (root_h * math.sqrt(2.0))
+                                 != (x * root_h) * math.sqrt(2.0)))
+    # the configuration tells the two orders apart
+    assert merged > 0
+
+
 def _rows_by_block_rule(squares, kappa, z0, times):
     # the reduction moment_preservation documents, over a (steps,
     # replicas) matrix of W: per block of _NOISE_BLOCK lanes its sum and

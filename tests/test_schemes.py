@@ -830,7 +830,8 @@ def test_lane_kernel_equals_scalar_kernel(data, lanes, steps):
     cs, ds = cs.reshape(steps, lanes), ds.reshape(steps, lanes)
     got = schemes._nv_lanes(starts, cs, ds).tolist()
     for k, z0 in enumerate(starts):
-        want = schemes._nv_steps(z0, cs[:, k].tolist(), ds[:, k].tolist())
+        want = schemes._nv_steps(z0, zip(cs[:, k].tolist(),
+                                         ds[:, k].tolist()))
         assert _bits(got[k]) == _bits(want)
 
 
@@ -918,7 +919,7 @@ def test_scalar_kernel_equals_nv_step_loop(data, steps, kappa, convention):
     for x, b in zip(h, dB):
         want = nv_step(want, x, b, kappa, convention)
     cs, ds = _chain_args(h, dB, kappa, convention)
-    got = schemes._nv_steps(z0, cs, ds)
+    got = schemes._nv_steps(z0, zip(cs, ds))
     assert _bits(got) == _bits(_chain_in_w(z0, cs, ds))
     assert _bits(want) == _bits(_chain_by_sqrt_h(z0, cs, ds))
     if _well_conditioned(z0, cs, ds):
@@ -940,13 +941,13 @@ def test_scalar_kernel_flips_inside_a_chain(convention):
     want = -1.0 + 0.5j
     for x, b in zip(h, dB):
         want = nv_step(want, x, b, 6.0, convention)
-    got = schemes._nv_steps(-1.0 + 0.5j, cs, ds)
+    got = schemes._nv_steps(-1.0 + 0.5j, zip(cs, ds))
     assert _bits(got) == _bits(_chain_in_w(-1.0 + 0.5j, cs, ds))
     assert _bits(want) == _bits(_chain_by_sqrt_h(-1.0 + 0.5j, cs, ds))
     assert _well_conditioned(-1.0 + 0.5j, cs, ds)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
     # no step leaves the start as it is, sign bits included
-    assert _bits(schemes._nv_steps(complex(3.0, -0.0), [], [])) == \
+    assert _bits(schemes._nv_steps(complex(3.0, -0.0), [])) == \
         _bits(complex(3.0, -0.0))
     empty = np.empty((0, 1))
     assert _bits(schemes._nv_lanes([complex(3.0, -0.0)], empty,
@@ -1087,7 +1088,8 @@ def test_kernels_match_a_50_digit_chain_near_the_axis_and_at_small_h(
         lanes = schemes._nv_lanes(starts, cs, ds).tolist()
     assert fallback
     for k, z0 in enumerate(starts):
-        got = schemes._nv_steps(z0, cs[:, k].tolist(), ds[:, k].tolist())
+        got = schemes._nv_steps(z0, zip(cs[:, k].tolist(),
+                                        ds[:, k].tolist()))
         assert _bits(lanes[k]) == _bits(got)
         assert _relative_error(mpmath, got, limits[k], cs[:, k].tolist(),
                                ds[:, k].tolist()) <= 1e-12
@@ -1108,5 +1110,6 @@ def test_lane_kernel_guard_catches_the_imaginary_axis():
     ds[0, 9] = 0.0
     got = schemes._nv_lanes(starts, cs, ds).tolist()
     for k, z0 in enumerate(starts):
-        want = schemes._nv_steps(z0, cs[:, k].tolist(), ds[:, k].tolist())
+        want = schemes._nv_steps(z0, zip(cs[:, k].tolist(),
+                                         ds[:, k].tolist()))
         assert _bits(got[k]) == _bits(want)

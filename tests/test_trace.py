@@ -91,10 +91,10 @@ def test_complex_roots_are_one_per_map_and_one_per_chain(monkeypatch):
     lengths = []
     kernel = trace._nv_steps
 
-    def counted(z, cs, ds):
-        cs, ds = list(cs), list(ds)
-        lengths.append(len(cs))
-        return kernel(z, cs, ds)
+    def counted(z, steps):
+        steps = list(steps)
+        lengths.append(len(steps))
+        return kernel(z, steps)
 
     monkeypatch.setattr(trace, "_nv_steps", counted)
     for kw in ({"seed": 11}, {"kappa": 6.0, "seed": 3, "tolerance": 0.05}):
