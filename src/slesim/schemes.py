@@ -251,8 +251,17 @@ def _nv_steps(z: complex, steps) -> complex:
     root is ``sqrt_h(w)`` itself.  So the result
     equals that loop through public ``sqrt_h`` bit for bit; it rounds
     differently from a loop of one-step calls, which takes a root of
-    each w and squares it again.  ``z`` is a complex and each d a float,
-    so every operation is CPython's.
+    each w and squares it again.
+
+    ``z`` is a complex, and a trace chain and ``_reference_rows`` hand
+    over c and d as complex with a +0.0 imaginary part, so that each of
+    w - c, s + d (or d - s) and y*y - c is complex-complex.  CPython
+    3.10-3.13 reads a float operand x as complex(x, 0.0) and then does
+    the same complex arithmetic, so the float steps of ``nv_step``'s
+    one-step path give the same bits, only with that conversion in each
+    of those operations.  The +0.0 is the condition: a c whose
+    imaginary part is -0.0 would turn a w.imag of -0.0 into +0.0, and
+    take the root on the other side of the cut.
     """
     _sqrt, _copysign = cmath.sqrt, copysign
     w = z * z
@@ -343,10 +352,12 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
 
 # Below this many drivers, _reference_rows steps each reference on its
 # own with the scalar _nv_steps: one step of _nv_lanes makes ~15 numpy
-# calls, 11.5-15 us at widths 16-96, and one scalar map costs ~0.30 us
-# (measured on a 2-vCPU Xeon VM), so the two break even near 40 lanes;
-# 64 is the first power of two past that, as it was past the 48-56 of
-# the kernels that stepped z.
+# calls, 9.5-12.5 us at widths 16-96, and one scalar map on complex
+# steps costs ~0.23 us (~0.25 us on float steps), measured through
+# _reference_rows on rows of 256 and 1024 steps on a 2-vCPU Xeon VM, so
+# the two break even near 44 lanes (near 40 on float steps); 64 is still
+# the first power of two past that, as it was past the 48-56 of the
+# kernels that stepped z.
 _LANE_CROSSOVER = 64
 # Steps per block of the rows _reference_rows feeds to _nv_lanes: bounds
 # the (steps, lanes) arrays it builds.
@@ -365,8 +376,10 @@ def _reference_rows(starts, grids, values, kappa) -> list:
     drivers.  While _LANE_CROSSOVER or more drivers are given, every
     solution is one lane of ``_nv_lanes``; below that, each is its own
     ``_nv_steps`` over the row's drift times zipped with its driver's
-    displacements.  Both step the square W = z^2 and give the bits of
-    its loop through public ``sqrt_h``: w = z*z, per step
+    displacements, both converted to complex with a +0.0 imaginary part
+    (``_nv_steps``' operand rule: the same bits, with no float-to-complex
+    conversion inside the loop).  Both step the square W = z^2 and give
+    the bits of its loop through public ``sqrt_h``: w = z*z, per step
     y = sqrt_h(w - c) + d and w = y*y - c, then sqrt_h(w).
     """
     used = [j for j, v in enumerate(values) if len(v)]
@@ -374,10 +387,11 @@ def _reference_rows(starts, grids, values, kappa) -> list:
     drift = {j: 2.0 * np.diff(grids[j]) / kappa for j in used}
     width = sum(len(values[j]) for j in used)
     if width < _LANE_CROSSOVER:
-        # a row with no driver has no ds, so it looks up no cs
-        cs = {j: drift[j].tolist() for j in used}
+        # complex steps, as _nv_steps wants them; a row with no driver has
+        # no ds, so it looks up no cs
+        cs = {j: drift[j].astype(complex).tolist() for j in used}
         return [[_nv_steps(starts[j], zip(cs[j], ds))
-                 for ds in np.diff(v, axis=1).tolist()]
+                 for ds in np.diff(v, axis=1).astype(complex).tolist()]
                 for j, v in enumerate(values)]
     steps = len(drift[used[0]])
 

@@ -120,11 +120,15 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
     end = path.index_of(T)
     # steps[i] = (2 h_i, sqrt(kappa) (B_i - B_{i+1})), the (c, d) step of
     # _nv_steps for interval i of the partition, which is the path's grid
-    # on [0, T]; depth[i] counts the bisections behind interval i.
+    # on [0, T], each part a complex with a +0.0 imaginary part, so every
+    # operation of the kernel is complex-complex; depth[i] counts the
+    # bisections behind interval i.
     sqkap = sqrt(kappa)
     times, values = path.times[:end + 1], path.values[:end + 1]
-    steps = list(zip((2.0 * (times[1:] - times[:-1])).tolist(),
-                     (sqkap * (values[:-1] - values[1:])).tolist()))
+    drift = 2.0 * (times[1:] - times[:-1])
+    noise = sqkap * (values[:-1] - values[1:])
+    steps = list(zip(drift.astype(complex).tolist(),
+                     noise.astype(complex).tolist()))
     depth = [0] * end
     zz = [0j]
     applications = chains = 0
@@ -147,8 +151,9 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
         except ValueError as exc:
             raise TraceRefinementError((t0, t1), depth[i], gap) from exc
         tm, bm = path.sample(i + 1)
-        steps[i:i + 1] = [(2.0 * (tm - t0), sqkap * (b0 - bm)),
-                          (2.0 * (t1 - tm), sqkap * (bm - b1))]
+        steps[i:i + 1] = [
+            (complex(2.0 * (tm - t0)), complex(sqkap * (b0 - bm))),
+            (complex(2.0 * (t1 - tm)), complex(sqkap * (bm - b1)))]
         depth[i:i + 1] = [depth[i] + 1] * 2
         end += 1
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slesim import brownian, experiments, schemes, vfalgebra
+from slesim import brownian, experiments, schemes, trace, vfalgebra
 from slesim.brownian import BrownianPath, philox_stream
 from slesim.experiments import (divergence_probe, epsilon_scaling,
                                 moment_preservation, scheme_comparison)
@@ -952,6 +952,85 @@ def test_scalar_kernel_flips_inside_a_chain(convention):
     empty = np.empty((0, 1))
     assert _bits(schemes._nv_lanes([complex(3.0, -0.0)], empty,
                                    empty)[0]) == _bits(complex(3.0, -0.0))
+
+
+def _same_result(got, want):
+    # bits, part by part; a NaN part only has to be a NaN on both sides
+    for x, y in ((got.real, want.real), (got.imag, want.imag)):
+        if math.isnan(x) or math.isnan(y):
+            if not (math.isnan(x) and math.isnan(y)):
+                return False
+        elif struct.pack("<d", x) != struct.pack("<d", y):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(z0=st.builds(complex,
+                    st.one_of(st.floats(-20.0, -0.0),
+                              st.sampled_from([-0.0, -5e-324, -1e300])),
+                    st.one_of(st.floats(0.0, 20.0),
+                              st.sampled_from([0.0, -0.0, 5e-324, 1e-300,
+                                               1e300]))),
+       steps=st.lists(st.tuples(
+           st.one_of(st.floats(0.0, 4.0),
+                     st.sampled_from([0.0, 5e-324, 1e-300, 1e300])),
+           st.one_of(st.floats(-4.0, 4.0),
+                     st.sampled_from([0.0, -0.0, 5e-324, -1e300, 1e300]))),
+           max_size=40))
+def test_scalar_kernel_reads_float_steps_as_complex(z0, steps):
+    # the trace sweep and the reference tail hand _nv_steps complex steps
+    # with a +0.0 imaginary part, so that every operation of its loop is
+    # complex-complex; a float step is read as exactly that complex, so
+    # the results are the same bits.  Starts left of the imaginary axis
+    # square below the real axis and get their roots flipped; d = -0.0 is
+    # the noise of kappa = 0, and huge parts overflow to inf and NaN
+    as_complex = [(complex(c), complex(d)) for c, d in steps]
+    assert _same_result(schemes._nv_steps(z0, as_complex),
+                        schemes._nv_steps(z0, steps))
+
+
+def test_scalar_kernel_sees_the_sign_of_a_step_s_imaginary_zero():
+    # -3 squares to 9 - 0j, the limit from above the axis left of 0; a c
+    # whose imaginary part is -0.0 would clear that sign bit, take the
+    # root on the other side of the cut and land on the other side of
+    # the imaginary axis, so the +0.0 of complex(c) is what keeps the bits
+    z0, c = complex(-3.0, 0.0), 1.0
+    want = schemes._nv_steps(z0, [(c, 0.0)])
+    assert _bits(schemes._nv_steps(z0, [(complex(c), 0j)])) == _bits(want)
+    assert want.real < 0.0
+    assert _bits(schemes._nv_steps(z0, [(complex(c, -0.0), 0j)])) != \
+        _bits(want)
+
+
+def test_kernel_steps_are_complex_with_a_positive_zero_imaginary_part(
+        monkeypatch):
+    # the trace sweep (bisections included) and the scalar reference tail
+    # below _LANE_CROSSOVER lanes hand _nv_steps complex c and d only,
+    # each with a +0.0 imaginary part
+    seen = []
+    kernel = schemes._nv_steps
+
+    def recorded(z, steps):
+        steps = list(steps)
+        seen.extend(x for step in steps for x in step)
+        return kernel(z, steps)
+
+    monkeypatch.setattr(trace, "_nv_steps", recorded)
+    monkeypatch.setattr(schemes, "_nv_steps", recorded)
+    for kappa in (0.0, 8.0 / 3.0):
+        path = BrownianPath.sample_uniform(1.0, 16, seed=11)
+        result = build_trace(path, 1.0, kappa=kappa, tolerance=0.1)
+        assert result.stats["refinement_depth_max"] > 0
+    traced = len(seen)
+    assert traced
+    report = epsilon_scaling([0.3, 0.2], 0.5, 2, 2.0, replicas=4, seed=1,
+                             substeps=8)
+    assert 2 * 4 < schemes._LANE_CROSSOVER
+    assert report.stats["reference_doublings"] and len(seen) > traced
+    zero = struct.pack("<d", 0.0)
+    assert all(type(x) is complex and struct.pack("<d", x.imag) == zero
+               for x in seen)
 
 
 @pytest.mark.parametrize("convention", [SCALED_NOISE, UNIT_NOISE])

@@ -251,6 +251,43 @@ def test_float64_limit_is_a_refinement_error():
     assert path.times.tolist() == [0.0, 5e-324, 1.0]  # nothing inserted
 
 
+def test_seed_2_failure_is_not_round_off():
+    # at the README configuration with a budget of 60, seed 2 bisects one
+    # interval down to adjacent float64 times.  The accepted point at its
+    # left end a and the last six rejected candidates, each one map from a
+    # to a later midpoint, are float chains within 1e-12 of the same maps
+    # in 50 digits, and every exact gap is still at least the tolerance:
+    # the failure is the trace's, not float64 round-off's
+    mpmath = pytest.importorskip("mpmath")
+    kappa, tolerance = 6.0, 0.02
+    path = BrownianPath.sample_uniform(1.0, 64, seed=2)
+    with pytest.raises(TraceRefinementError) as info:
+        build_trace(path, 1.0, kappa=kappa, tolerance=tolerance,
+                    max_depth=60)
+    a, b = info.value.interval
+    assert (a, b) == (0.6506828813559679, 0.650682881355968)
+    i = path.index_of(a)
+    tt, bb = path.times.tolist(), path.values.tolist()
+    assert tt[i + 1] == b
+    root = math.sqrt(kappa)
+    cs = [2.0 * (tt[k + 1] - tt[k]) for k in range(i)]
+    ds = [root * (bb[k] - bb[k + 1]) for k in range(i)]
+
+    def chains(cs, ds):
+        # the sweep's float chain and the 50-digit one over the same maps
+        return (trace._nv_steps(0j, zip(reversed(cs), reversed(ds))),
+                _exact_chain(mpmath, cs, ds))
+
+    with mpmath.workdps(50):
+        point, exact_point = chains(cs, ds)
+        assert abs(point - exact_point) <= 1e-12
+        for j in range(6):
+            z, exact = chains(cs + [2.0 * (tt[i + 1 + j] - a)],
+                              ds + [root * (bb[i] - bb[i + 1 + j])])
+            assert abs(z - exact) <= 1e-12
+            assert abs(exact - exact_point) >= tolerance
+
+
 @pytest.mark.parametrize("max_depth", [math.nan, math.inf, -math.inf, 2.5,
                                        -1])
 def test_max_depth_must_be_a_nonnegative_integer(max_depth):
