@@ -2,10 +2,12 @@
 
 Each experiment returns an :class:`ExperimentReport` that is a bitwise
 deterministic function of (config, seed): every random draw is keyed by
-seed and replica index, every replica's arithmetic is independent of the
-others (also where replicas step together as the lanes of one array),
-results are collected in replica order, and reductions use numpy's
-fixed-order pairwise summation.  ``moment_preservation`` reduces a fixed
+seed and replica index, except ``moment_preservation``'s increment
+matrix, which is read in order from one SFC64 stream seeded by seed;
+every replica's arithmetic is independent of the others (also where
+replicas step together as the lanes of one array), results are
+collected in replica order, and reductions use numpy's fixed-order
+pairwise summation.  ``moment_preservation`` reduces a fixed
 block of replicas at a time, in order: pairwise sums within a block, and
 the blocks' sums and squared deviations merged one after another by the
 rule of Chan, Golub & LeVeque.  Reports are written as CSV plus a JSON
@@ -29,7 +31,7 @@ from math import isfinite, log, nan, sqrt
 
 import numpy as np
 
-from .brownian import _bisect, _uniform_block, _uniform_grid, philox_stream
+from .brownian import _bisect, _sfc64_stream, _uniform_block, _uniform_grid
 from .integrals import _BLOCK_ROWS, _tables, derive_seeds, word_entries
 from .schemes import (UNIT_NOISE, _nv_array_step, _reference_rows,
                       euler_step, nv_step, taylor_step)
@@ -56,7 +58,8 @@ REF_ERROR_FRACTION = 0.05
 REFERENCE_RTOL = 1e-8
 _MAX_DOUBLINGS = 10
 
-# Stream tag for experiments that draw increment matrices directly.
+# Tag of the one sequential stream moment_preservation draws its increment
+# matrix from (brownian._sfc64_stream).
 _TAG_MATRIX = 0xE1
 # Replicas per block of moment_preservation, the one place lanes are
 # blocked: a block's increments, squares and deviations (about 1.3 MB at
@@ -317,9 +320,12 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
     complex root per lane and step; ``stats["complex_roots"]`` counts
     them (n_steps * replicas).
 
-    The replicas run ``_NOISE_BLOCK`` at a time, in order, so memory does
-    not grow with their count.  A block of n replicas draws its rows of
-    the one ``(replicas, n_steps)`` standard normal matrix into the one
+    The ``(replicas, n_steps)`` standard normal matrix is read row by
+    row from one sequential SFC64 stream, ``brownian._sfc64_stream(seed,
+    _TAG_MATRIX)``: no entry is drawn on its own, so it needs no Philox
+    key, and SFC64 draws faster.  The replicas run ``_NOISE_BLOCK`` at a
+    time, in order, so memory does not grow with their count.  A block
+    of n replicas draws its rows of the matrix into the one
     noise buffer and scales it by the row of each step's sqrt(h), then
     by sqrt(kappa); each step is one ``_nv_array_step`` call over the
     block's squares.  After each step it keeps two numbers: its sum of
@@ -343,7 +349,7 @@ def moment_preservation(kappa: float, z0: complex, T: float, n_steps: int,
         raise ValueError("z0 and its square must be finite")
     times = _uniform_grid(T, n_steps).tolist()
     hs = [b - a for a, b in zip(times, times[1:])]
-    gen = philox_stream(seed, _TAG_MATRIX)
+    gen = _sfc64_stream(seed, _TAG_MATRIX)
     root_h, root_kappa = np.sqrt(hs), sqrt(kappa)
     sizes = [min(_NOISE_BLOCK, replicas - a)
              for a in range(0, replicas, _NOISE_BLOCK)]

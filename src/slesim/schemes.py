@@ -31,7 +31,8 @@ The branch every root takes lives here too: ``sqrt_h`` negates the
 principal root exactly when the sign bit of its imaginary part is set.
 Each form of that flip is written once: the scalar flip in ``sqrt_h``,
 the array flip in ``_flip_up``, the scalar fold into the noise shift
-(d - s is (-s) + d bit for bit) inline in ``_nv_steps``' loop, and the
+(d - s is (-s) + d bit for bit, decided on the root's argument, whose
+sign the root shares) inline in ``_nv_steps``' loop, and the
 array fold in ``_shift_up``, which ``_nv_array_step`` and ``_nv_lanes``
 share.
 
@@ -247,9 +248,14 @@ def _nv_steps(z: complex, steps) -> complex:
     pairs, walked once, so a trace hands over its own list of steps,
     reversed.  The ``sqrt_h`` flip (negate the root exactly when the
     sign bit of its imaginary part is set) of each step's root folds
-    into the noise shift, as d - s is (-s) + d bit for bit; the last
-    root is ``sqrt_h(w)`` itself.  So the result
-    equals that loop through public ``sqrt_h`` bit for bit; it rounds
+    into the noise shift, as d - s is (-s) + d bit for bit, and is
+    decided on the root's argument v = w - c before the root is taken:
+    ``cmath.sqrt`` gives its root the sign of v's imaginary part for
+    every v without a NaN part, signed zeros and infinities included,
+    and where a part is NaN both decisions give a NaN y.  The last root
+    is ``sqrt_h(w)`` itself.  So the result
+    equals that loop through public ``sqrt_h`` bit for bit, up to the
+    sign bit of a NaN part; it rounds
     differently from a loop of one-step calls, which takes a root of
     each w and squares it again.
 
@@ -270,13 +276,15 @@ def _nv_steps(z: complex, steps) -> complex:
         # the flip stays inline: a call per map made a 76-map chain about
         # 10% slower as a fold helper and 80% as sqrt_h (2-vCPU Xeon VM);
         # copysign is called only for a zero imaginary part, so the
-        # common cases pay one or two comparisons and no call
-        s = _sqrt(w - c)
-        im = s.imag
+        # common cases pay one or two comparisons and no call.  The sign
+        # bit is read from the root's argument v: cmath.sqrt gives its
+        # root the sign of v's imaginary part, signed zeros included
+        v = w - c
+        im = v.imag
         if im <= 0.0 and (im < 0.0 or _copysign(1.0, im) < 0.0):
-            y = d - s
+            y = d - _sqrt(v)
         else:
-            y = s + d
+            y = _sqrt(v) + d
         w = y * y - c
     # no step leaves the start as it is
     return z if c is None else sqrt_h(w)
@@ -352,13 +360,13 @@ def _nv_lanes(z, cs, ds) -> np.ndarray:
 
 # Below this many drivers, _reference_rows steps each reference on its
 # own with the scalar _nv_steps: one step of _nv_lanes makes ~15 numpy
-# calls, 9.5-12.5 us at widths 16-96, and one scalar map on complex
-# steps costs ~0.23 us (~0.25 us on float steps), measured through
-# _reference_rows on rows of 256 and 1024 steps on a 2-vCPU Xeon VM, so
-# the two break even near 44 lanes (near 40 on float steps); 64 is still
-# the first power of two past that, as it was past the 48-56 of the
-# kernels that stepped z.
-_LANE_CROSSOVER = 64
+# calls, and one scalar map costs ~0.23 us.  Through _reference_rows on
+# one row of 256, 1024 and 2048 steps at every width 8-63 (2-vCPU Xeon
+# VM, two runs), the lanes were faster at all three step counts from 46
+# drivers on: the scalar tail took 1.03-1.06x the lane time at 46 and
+# 1.22-1.44x at 56-63.  At 43-45 the lanes won at some step counts only,
+# and at 40 they took 1.07-1.14x the scalar time.
+_LANE_CROSSOVER = 46
 # Steps per block of the rows _reference_rows feeds to _nv_lanes: bounds
 # the (steps, lanes) arrays it builds.
 _STEP_BLOCK = 32

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from slesim import experiments, schemes
-from slesim.brownian import BrownianPath, philox_stream
+from slesim.brownian import BrownianPath, _sfc64_stream
 from slesim.cli import main
 from slesim.experiments import (ReferenceConvergenceError,
                                 divergence_probe, epsilon_scaling,
@@ -189,7 +189,7 @@ def test_block_increments_equal_one_matrix_draw(monkeypatch, block,
 
     monkeypatch.setattr(experiments, "_nv_array_step", record)
     moment_preservation(1.0, 1j, 1.0, 4, replicas, 9)
-    want = philox_stream(9, experiments._TAG_MATRIX).standard_normal(
+    want = _sfc64_stream(9, experiments._TAG_MATRIX).standard_normal(
         (replicas, 4))
     starts = range(0, replicas, block)
     assert len(seen) == 4 * len(starts)
@@ -213,7 +213,7 @@ def test_block_displacements_round_sqrt_h_then_sqrt_kappa(monkeypatch):
 
     monkeypatch.setattr(experiments, "_nv_array_step", record)
     moment_preservation(2.0, 1j, 1.0, steps, replicas, 9)
-    draws = philox_stream(9, experiments._TAG_MATRIX).standard_normal(
+    draws = _sfc64_stream(9, experiments._TAG_MATRIX).standard_normal(
         (replicas, steps))
     times = experiments._uniform_grid(1.0, steps).tolist()
     block = experiments._NOISE_BLOCK
@@ -293,7 +293,7 @@ def test_moment_rows_equal_stored_matrix_recomputation(monkeypatch):
     # sqrt(kappa) dB)^2 - 2h, through public sqrt_h and flow_noise.  The
     # default block holds all 2000 replicas; blocks of 7 and 300 merge
     kappa, z0, T, n_steps, replicas, seed = 2.0, 0.5 + 1j, 1.0, 8, 2000, 3
-    incs = philox_stream(seed, experiments._TAG_MATRIX).standard_normal(
+    incs = _sfc64_stream(seed, experiments._TAG_MATRIX).standard_normal(
         (replicas, n_steps))
     times = (T * (np.arange(n_steps + 1) / n_steps)).tolist()
     z = np.full(replicas, z0, dtype=np.complex128)
@@ -317,7 +317,7 @@ def _moment_squares_by(step, v, T, n_steps, replicas, seed):
     # v, square = step(v, h, noise) on fresh arrays from the start v, with
     # square the Z^2 each row reads; returns the grid and the (steps,
     # replicas) matrix of those squares
-    incs = philox_stream(seed, experiments._TAG_MATRIX).standard_normal(
+    incs = _sfc64_stream(seed, experiments._TAG_MATRIX).standard_normal(
         (replicas, n_steps))
     times = (T * (np.arange(n_steps + 1) / n_steps)).tolist()
     squares = np.empty((n_steps, replicas), dtype=np.complex128)
@@ -386,7 +386,7 @@ def test_moment_refuses_non_finite_horizon_and_kappa(monkeypatch, kappa, T):
     def no_draws(*args):
         raise AssertionError("increments were drawn")
 
-    monkeypatch.setattr(experiments, "philox_stream", no_draws)
+    monkeypatch.setattr(experiments, "_sfc64_stream", no_draws)
     with pytest.raises(ValueError, match="finite"):
         moment_preservation(kappa, 1j, T, 4, 100, 0)
 

@@ -23,14 +23,15 @@ say so and update these values on purpose.
 
 ``moments`` is not pinned: it steps whole arrays of complex numbers, and
 numpy may round complex arithmetic differently per SIMD lane, so its
-digest may vary by CPU.
+digest may vary by CPU.  Its increment matrix is drawn from one SFC64
+stream, whose first draws are pinned with the Philox ones.
 """
 
 import hashlib
 
 import pytest
 
-from slesim.brownian import BrownianPath, philox_stream
+from slesim.brownian import BrownianPath, _sfc64_stream, philox_stream
 from slesim.cli import main
 from slesim.trace import build_trace
 
@@ -41,6 +42,11 @@ def test_pinned_stream_values():
     assert philox_stream(2 ** 64 - 1, 2 ** 64 - 1).standard_normal() == \
         0.6313842391058808
     assert philox_stream(-1, 12345).standard_normal() == -1.0195761687083655
+    # the sequential stream of the moments increment matrix
+    assert _sfc64_stream(0, 0xE1).standard_normal(3).tolist() == [
+        -1.2775602832753783, -0.43553827446068805, -0.33002827342377183]
+    assert _sfc64_stream(2 ** 64 - 1, 0xE1).standard_normal(3).tolist() == [
+        -1.3936185001575887, 0.8174059794039672, 0.9140343268116844]
 
 
 def test_pinned_midpoint_draws():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slesim import brownian, experiments, schemes, trace, vfalgebra
-from slesim.brownian import BrownianPath, philox_stream
+from slesim.brownian import BrownianPath, _sfc64_stream, philox_stream
 from slesim.experiments import (divergence_probe, epsilon_scaling,
                                 moment_preservation, scheme_comparison)
 from slesim.integrals import compute_table, derive_seeds
@@ -390,7 +390,7 @@ def test_every_real_parameter_check_is_one_rule(monkeypatch, name, call, x):
 
     monkeypatch.setattr(brownian, "_normals", no_draws)
     monkeypatch.setattr(brownian, "_block_normals", no_draws)
-    monkeypatch.setattr(experiments, "philox_stream", no_draws)
+    monkeypatch.setattr(experiments, "_sfc64_stream", no_draws)
     monkeypatch.setattr(experiments, "derive_seeds", no_draws)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
         call(x)
@@ -457,7 +457,7 @@ def test_every_count_check_is_one_rule(monkeypatch, name, call, n):
 
     monkeypatch.setattr(brownian, "_normals", no_draws)
     monkeypatch.setattr(brownian, "_block_normals", no_draws)
-    monkeypatch.setattr(experiments, "philox_stream", no_draws)
+    monkeypatch.setattr(experiments, "_sfc64_stream", no_draws)
     monkeypatch.setattr(experiments, "derive_seeds", no_draws)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
         call(n)
@@ -533,6 +533,7 @@ def test_integer_seeds_keep_their_bits():
     def keyed(seed):
         path = BrownianPath([0.0, 0.5, 1.0], [0.0, 0.3, -0.1], seed)
         return (philox_stream(seed, 3).standard_normal(2).tolist(),
+                _sfc64_stream(seed, 3).standard_normal(2).tolist(),
                 derive_seeds(seed, [0, 1]).tolist(),
                 path.refine().values.tolist(),
                 BrownianPath.sample_uniform(1.0, 4, seed).values.tolist())
@@ -1001,6 +1002,33 @@ def test_scalar_kernel_sees_the_sign_of_a_step_s_imaginary_zero():
     assert want.real < 0.0
     assert _bits(schemes._nv_steps(z0, [(complex(c, -0.0), 0j)])) != \
         _bits(want)
+
+
+_EDGE_PART = st.one_of(st.floats(-1e300, 1e300),
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300,
+                                        -1e300, math.inf, -math.inf]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(v=st.builds(complex, _EDGE_PART, _EDGE_PART),
+       z0=st.builds(complex, _EDGE_PART, _EDGE_PART),
+       steps=st.lists(st.tuples(
+           st.one_of(st.floats(0.0, 1e300),
+                     st.sampled_from([0.0, 5e-324, 1e-300, math.inf])),
+           _EDGE_PART), min_size=1, max_size=12))
+def test_scalar_kernel_reads_its_flip_from_the_root_s_argument(v, z0, steps):
+    # _nv_steps decides each step's flip on the sign bit of the root's
+    # argument v = w - c, sqrt_h on that of the root: for every v without
+    # a NaN part, cmath.sqrt gives the root the sign of v's imaginary
+    # part, signed zeros and infinities included.  So the kernel and the
+    # W chain through public sqrt_h give the same bits; a NaN part, which
+    # overflow and infinities make, need only be a NaN on both sides
+    assert math.copysign(1.0, cmath.sqrt(v).imag) == \
+        math.copysign(1.0, v.imag)
+    cs = [complex(c) for c, _ in steps]
+    ds = [complex(d) for _, d in steps]
+    assert _same_result(schemes._nv_steps(z0, zip(cs, ds)),
+                        _chain_in_w(z0, cs, ds))
 
 
 def test_kernel_steps_are_complex_with_a_positive_zero_imaginary_part(
