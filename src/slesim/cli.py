@@ -7,8 +7,8 @@ symbolic operator table and an iterated-integral table.  Every subcommand
 writes ``<name>.csv``, with deterministic bytes for fixed seed and config,
 plus a ``<name>.json`` sidecar with the full config, run diagnostics and
 the only wall-clock metadata; ``trace`` also writes ``trace.svg``.  Every
-float flag must be finite.  Every run is serial: ``--threads`` is
-accepted on every subcommand and ignored.
+float flag must be finite.  ``--seed`` is on every subcommand that draws,
+so not on ``taylor-terms``, whose sidecar records ``seed`` as null.
 
 Exit codes: 0 success, 1 validation error (bad flags, existing outputs
 without --force), 2 numerical failure (a trace interval still too coarse
@@ -71,16 +71,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0,
-                       help="stream key (default 0)")
+    def common(p, draws=True):
+        if draws:
+            p.add_argument("--seed", type=int, default=0,
+                           help="stream key (default 0)")
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${ENV_OUT} or .)")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored; every run is serial "
-                            "(default 1)")
 
     p = sub.add_parser("trace", help="adaptively refined trace plus SVG")
     p.add_argument("--kappa", type=_finite, required=True)
@@ -132,7 +130,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("taylor-terms", help="symbolic operator monomials")
     p.add_argument("--r", type=int, required=True, help="word length")
-    common(p)
+    common(p, draws=False)
 
     p = sub.add_parser("integrals", help="iterated-integral table dump")
     p.add_argument("--T", type=_finite, default=1.0, dest="horizon")
@@ -189,8 +187,7 @@ def _cmd_trace(args) -> int:
                 for t, z in result.points]
         config = {"kappa": args.kappa, "T": args.horizon,
                   "n_init": args.n_init, "tolerance": args.tolerance,
-                  "max_depth": args.max_depth, "shift": args.shift,
-                  "threads": args.threads}
+                  "max_depth": args.max_depth, "shift": args.shift}
         report = ex.ExperimentReport("trace", rows, None, config, args.seed,
                                      {"points": len(rows), **result.stats})
         return report, render_svg(result)
@@ -245,7 +242,7 @@ def _cmd_taylor_terms(args) -> int:
                  "a_power": term.a_power, "z_power": term.z_power}
                 for word, term in enumerate_level(args.r)]
         return ex.ExperimentReport("taylor_terms", rows, None,
-                                   {"r": args.r}, args.seed),
+                                   {"r": args.r}, None),
     return _run_report(args, "taylor_terms", runner)
 
 

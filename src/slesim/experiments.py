@@ -76,15 +76,17 @@ class ReferenceConvergenceError(RuntimeError):
 class ExperimentReport:
     """Rows plus the provenance needed to reproduce them exactly.
 
-    ``stats`` holds run diagnostics (a trace's point count and work
-    counters) for the sidecar; it never reaches the CSV.
+    ``seed`` is None for a report that draws nothing (``taylor_terms``),
+    as ``fit`` is None for a report with no log-log fit.  ``stats`` holds
+    run diagnostics (a trace's point count and work counters) for the
+    sidecar; it never reaches the CSV.
     """
 
     name: str
     rows: list
     fit: tuple | None
     config: dict
-    seed: int
+    seed: int | None
     stats: dict = field(default_factory=dict)
 
 

@@ -26,13 +26,13 @@ independent reference.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .brownian import BrownianPath, _check_samples
-from .vfalgebra import _check_level, _check_positive, _check_seed, _check_word
+from .vfalgebra import (_check_level, _check_positive, _check_seed,
+                        _check_word, _is_integer_type)
 
 __all__ = [
     "IteratedIntegralTable",
@@ -240,13 +240,17 @@ def derive_seeds(seed: int, indices) -> np.ndarray:
     Args:
         seed: any integer but a bool (``vfalgebra._check_seed``); only
             its low 64 bits count.
-        indices: ints in [0, 2**64).
+        indices: integers in [0, 2**64), not bools
+            (``vfalgebra._is_integer_type``).
 
     Returns:
         uint64 array, one sub-seed per index.
     """
     seed = _check_seed(seed)
-    idx = [operator.index(i) for i in indices]
+    idx = list(indices)
+    # one test per type present, not per index: blocks run to thousands
+    if not all(map(_is_integer_type, set(map(type, idx)))):
+        raise ValueError("indices must be integers, not bools or floats")
     if idx and (min(idx) < 0 or max(idx) >= 1 << 64):
         raise ValueError("indices must lie in [0, 2**64)")
     idx = np.array(idx, dtype=np.uint64)

@@ -63,12 +63,10 @@ class TraceRefinementError(RuntimeError):
 @dataclass
 class TraceResult:
     """Accepted ``(t, z)`` trace points with build diagnostics; the
-    times are the final partition."""
+    times are the final partition.  The build's arguments are not kept:
+    the caller has them."""
 
     points: list
-    tolerance: float
-    kappa: float
-    shift_applied: bool
     stats: dict
 
     def __len__(self) -> int:
@@ -160,8 +158,7 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
     shift = sqkap * path.value_at(T) if apply_shift else 0.0
     points = [(t, z + shift)
               for t, z in zip(path.times[:end + 1].tolist(), zz)]
-    return TraceResult(points=points, tolerance=tolerance, kappa=kappa,
-                       shift_applied=bool(apply_shift),
+    return TraceResult(points=points,
                        stats={"refinement_depth_max": max(depth),
                               "map_evaluations": end * (end + 1) // 2,
                               "chain_map_applications": applications,

@@ -12,8 +12,8 @@ The module imports only the standard library, so every other module can
 import its parameter checks: ``_check_level`` for truncation levels,
 ``_check_count`` for integer counts, ``_check_seed`` for seeds, and
 ``_check_positive`` and ``_check_nonnegative`` for real parameters, each
-rule stated once; the three integer checks share ``_is_integer``, and
-the real checks refuse NaN and infinities.
+rule stated once; the three integer checks and ``derive_seeds`` share
+``_is_integer_type``, and the real checks refuse NaN and infinities.
 """
 
 from __future__ import annotations
@@ -69,17 +69,18 @@ def _check_word(word) -> Word:
     return word
 
 
-def _is_integer(n) -> bool:
-    """The one integer rule of the checks below: numpy integers are
-    integers, a bool is not, and neither is a float with an integer
-    value."""
-    return isinstance(n, Integral) and not isinstance(n, bool)
+def _is_integer_type(kind: type) -> bool:
+    """The one integer rule of the checks below, a rule on types: numpy
+    integers are integers, a bool is not, and neither is a float with an
+    integer value.  ``derive_seeds`` applies it once per type of a block
+    of indices."""
+    return issubclass(kind, Integral) and kind is not bool
 
 
 def _check_level(r: int) -> None:
     """Refuse a truncation level (a word length) that is not an integer,
     then one outside [0, LEVEL_CAP]."""
-    if not _is_integer(r):
+    if not _is_integer_type(type(r)):
         raise ValueError(f"truncation level must be an integer, got {r!r}")
     if r < 0:
         raise ValueError(f"truncation level {r} is negative")
@@ -89,14 +90,14 @@ def _check_level(r: int) -> None:
 
 def _check_count(name: str, n, minimum: int) -> None:
     """Refuse a count that is not an integer >= minimum."""
-    if not (_is_integer(n) and n >= minimum):
+    if not (_is_integer_type(type(n)) and n >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
 
 
 def _check_seed(seed) -> int:
     """Refuse a seed that is not an integer.  Any sign and size is a
     seed, as only its low 64 bits count: returns them as an int."""
-    if not _is_integer(seed):
+    if not _is_integer_type(type(seed)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     return int(seed) & ((1 << 64) - 1)
 

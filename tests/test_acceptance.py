@@ -224,11 +224,13 @@ def test_criterion_7_trace_construction():
            f"(kappa 8/3) vs {counts[6.0]} (kappa 6)")
 
 
-def _cli(out_dir, *args):
-    # the child imports the same slesim as this process, installed or not
+def _cli(out_dir, *args, hash_seed):
+    # the child imports the same slesim as this process, installed or not,
+    # and salts its str hashes with hash_seed
     src = str(Path(slesim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cmd = [sys.executable, "-m", "slesim.cli", *args, "--out", str(out_dir)]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -236,9 +238,11 @@ def _cli(out_dir, *args):
 
 
 def test_criterion_8_cli_byte_determinism(tmp_path):
-    # every subcommand, fixed seed, --threads 1 vs --threads 8: all CSV
-    # outputs must be byte-identical (the trace SVG is held to the same
-    # bar since it derives from the same points)
+    # every subcommand, fixed seed, run in two fresh interpreters whose
+    # str hashes differ (PYTHONHASHSEED 0 and 1), so no output may hang
+    # on set or dict order of strings: all CSV outputs must be
+    # byte-identical (the trace SVG is held to the same bar since it
+    # derives from the same points)
     runs = {
         "trace": ["trace", "--kappa", "2.6666666666666665", "--n-init",
                   "16", "--tolerance", "0.1", "--seed", "11"],
@@ -256,15 +260,16 @@ def test_criterion_8_cli_byte_determinism(tmp_path):
     }
     checked = 0
     for name, args in runs.items():
-        t1 = tmp_path / name / "t1"
-        t8 = tmp_path / name / "t8"
-        _cli(t1, *args, "--threads", "1")
-        _cli(t8, *args, "--threads", "8")
-        for produced in sorted(t1.iterdir()):
+        h0 = tmp_path / name / "h0"
+        h1 = tmp_path / name / "h1"
+        _cli(h0, *args, hash_seed=0)
+        _cli(h1, *args, hash_seed=1)
+        for produced in sorted(h0.iterdir()):
             if produced.suffix == ".json":
                 continue  # sidecars intentionally carry wall-clock times
-            twin = t8 / produced.name
+            twin = h1 / produced.name
             assert produced.read_bytes() == twin.read_bytes(), produced
             checked += 1
     assert checked >= 8
-    _ok(8, f"{checked} output files byte-identical across --threads 1 vs 8")
+    _ok(8, f"{checked} output files byte-identical across PYTHONHASHSEED "
+           "0 vs 1")

@@ -270,6 +270,25 @@ def test_derive_seeds_empty_block_and_negative_index():
         np.random.SeedSequence((3, -1))  # the oracle refuses it too
 
 
+@pytest.mark.parametrize("indices", [
+    [True], [0, False], [np.bool_(True)], [1.5], [2.0], [0, np.float64(1.0)],
+    ["1"], [None],
+], ids=["true", "false-after-int", "numpy-bool", "fraction", "whole-float",
+        "numpy-float", "str", "none"])
+def test_derive_seeds_refuses_non_integer_indices(indices):
+    # the integer rule of seeds and levels: a bool is not an integer, and
+    # neither is a float with an integer value; [True] used to be served
+    # index 1's sub-seed
+    with pytest.raises(ValueError, match="integers"):
+        derive_seeds(0, indices)
+
+
+def test_derive_seeds_takes_numpy_integers_as_their_value():
+    numpy_ints = [np.uint64(2 ** 64 - 1), np.int64(5), np.uint8(7)]
+    assert (derive_seeds(4, numpy_ints).tolist()
+            == derive_seeds(4, [2 ** 64 - 1, 5, 7]).tolist())
+
+
 def test_l2_coupling_makes_exponent_exact():
     # Brownian scaling: on the grid times / c with samples values / sqrt(c)
     # each entry is t^deg(word) times its value on the unit grid, t = 1/c.

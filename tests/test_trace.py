@@ -35,7 +35,7 @@ def _build(kappa=8.0 / 3.0, seed=7, tolerance=0.1, T=1.0, n_init=16,
     return build_trace(path, T, kappa=kappa, tolerance=tolerance, **kw)
 
 
-def _assert_points_are_final_chains(result, path):
+def _assert_points_are_final_chains(result, path, kappa):
     # every accepted point is the full backward chain over the final
     # partition, bit for bit, so a second evaluation pass changes nothing.
     # The chain steps W = z^2 with public functions, not through the
@@ -49,10 +49,10 @@ def _assert_points_are_final_chains(result, path):
         w = z = 0j
         for i in reversed(range(k)):
             h, du = tt[i + 1] - tt[i], bb[i] - bb[i + 1]
-            y = flow_noise(sqrt_h(w - 2.0 * h), du, result.kappa)
+            y = flow_noise(sqrt_h(w - 2.0 * h), du, kappa)
             w = y * y - 2.0 * h
-            z = flow_drift(flow_noise(flow_drift(z, h / 2), du,
-                                      result.kappa), h / 2)
+            z = flow_drift(flow_noise(flow_drift(z, h / 2), du, kappa),
+                           h / 2)
         chains.append(sqrt_h(w))
         flows.append(z)
     assert [z for _, z in result.points] == chains
@@ -72,7 +72,7 @@ def test_points_equal_chains_over_final_partition(kappa, seed, tolerance,
     n = path.n_intervals
     result = build_trace(path, 1.0, kappa=kappa, tolerance=tolerance)
     assert len(result) > n + 1  # some intervals were bisected
-    _assert_points_are_final_chains(result, path)
+    _assert_points_are_final_chains(result, path, kappa)
 
 
 def test_chain_map_applications_count_rejected_candidates():
@@ -153,10 +153,10 @@ def test_trace_points_match_a_50_digit_chain():
 
 
 def test_gap_bound_holds_everywhere():
-    result = _build()
+    result = _build(tolerance=0.1)
     zs = [z for _, z in result.points]
     gaps = [abs(b - a) for a, b in zip(zs, zs[1:])]
-    assert max(gaps) < result.tolerance
+    assert max(gaps) < 0.1
     assert result.points[0] == (0.0, 0j)
 
 
@@ -217,7 +217,6 @@ def test_shift_translates_by_final_driver_value():
     plain = build_trace(a, 1.0, kappa=kappa, tolerance=0.2)
     shifted = build_trace(b, 1.0, kappa=kappa, tolerance=0.2,
                           apply_shift=True)
-    assert shifted.shift_applied and not plain.shift_applied
     want = math.sqrt(kappa) * a.value_at(1.0)  # schedule independent
     for (_, zp), (_, zs) in zip(plain.points, shifted.points):
         delta = zs - zp
@@ -349,8 +348,7 @@ def test_svg_rendering_is_deterministic():
 
 
 def test_svg_rejects_empty_result():
-    empty = TraceResult(points=[], tolerance=0.1, kappa=2.0,
-                        shift_applied=False, stats={})
+    empty = TraceResult(points=[], stats={})
     with pytest.raises(ValueError):
         render_svg(empty)
 
