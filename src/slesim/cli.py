@@ -12,8 +12,8 @@ so not on ``taylor-terms``, whose sidecar records ``seed`` as null.
 
 Exit codes: 0 success, 1 validation error (bad flags, existing outputs
 without --force), 2 numerical failure (a trace interval still too coarse
-after its bisection budget or at the float64 limit of time, a reference
-that did not converge, a ``moments`` run that overflows float64).
+at the float64 resolution of the horizon, a reference that did not
+converge, a ``moments`` run that overflows float64).
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--T", type=_finite, default=1.0, dest="horizon")
     p.add_argument("--n-init", type=int, default=64)
     p.add_argument("--tolerance", type=_finite, default=0.02)
-    p.add_argument("--max-depth", type=int, default=40)
     p.add_argument("--shift", action="store_true",
                    help="translate by sqrt(kappa) B(T)")
     common(p)
@@ -181,13 +180,12 @@ def _cmd_trace(args) -> int:
         path = BrownianPath.sample_uniform(args.horizon, args.n_init,
                                            args.seed)
         result = build_trace(path, args.horizon, args.kappa,
-                             tolerance=args.tolerance,
-                             max_depth=args.max_depth, apply_shift=args.shift)
+                             tolerance=args.tolerance, apply_shift=args.shift)
         rows = [{"t": t, "re": z.real, "im": z.imag}
                 for t, z in result.points]
         config = {"kappa": args.kappa, "T": args.horizon,
                   "n_init": args.n_init, "tolerance": args.tolerance,
-                  "max_depth": args.max_depth, "shift": args.shift}
+                  "shift": args.shift}
         report = ex.ExperimentReport("trace", rows, None, config, args.seed,
                                      {"points": len(rows), **result.stats})
         return report, render_svg(result)

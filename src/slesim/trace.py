@@ -25,11 +25,11 @@ took.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import nextafter, sqrt
+from math import sqrt, ulp
 
 from .brownian import BrownianPath
 from .schemes import _nv_steps
-from .vfalgebra import _check_count, _check_nonnegative, _check_positive
+from .vfalgebra import _check_nonnegative, _check_positive
 
 __all__ = [
     "TraceRefinementError",
@@ -42,22 +42,24 @@ __all__ = [
 class TraceRefinementError(RuntimeError):
     """Gap condition unreachable on some interval.
 
-    Raised when the interval has spent its max_depth bisections, or when
-    its endpoints are adjacent float64 times, so that it has no midpoint
-    to bisect at (the driver's ValueError is then the ``__cause__``, and
-    the message says so).
+    Raised when a rejected interval is no wider than ``ulp(T)``, the
+    float64 resolution of the horizon T, or when float64 has no midpoint
+    for it (``t0 + t1`` overflows for T above about 9e307; the driver's
+    ValueError is then the ``__cause__``).  The fields are the
+    exception's args, so it pickles and copies.
     """
 
     def __init__(self, interval: tuple[float, float], depth: int, gap: float):
+        super().__init__(interval, depth, gap)
         self.interval = interval
         self.depth = depth
         self.gap = gap
-        a, b = interval
-        message = (f"interval ({a!r}, {b!r}) still has gap {gap:.6g} after "
-                   f"{depth} bisections")
-        if nextafter(a, b) == b:
-            message += "; its endpoints are adjacent float64 times"
-        super().__init__(message)
+
+    def __str__(self) -> str:
+        a, b = self.interval
+        return (f"interval ({a!r}, {b!r}) still has gap {self.gap:.6g} "
+                f"after {self.depth} bisections, at the float64 resolution "
+                "of the horizon")
 
 
 @dataclass
@@ -74,9 +76,12 @@ class TraceResult:
 
 
 def build_trace(path: BrownianPath, T: float, kappa: float,
-                tolerance: float = 0.02, max_depth: int = 40,
+                tolerance: float = 0.02,
                 apply_shift: bool = False) -> TraceResult:
     """Adaptively refined trace of the driver on [0, T].
+
+    A rejected interval is bisected unless it is no wider than ulp(T):
+    no bisection can resolve its gap in float64 at that horizon.
 
     Args:
         path: driver, mutated in place by bridge bisections; must carry T
@@ -86,7 +91,6 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
         kappa: noise strength, finite and >= 0 (0 gives the
             deterministic slit).
         tolerance: accepted spatial gap bound, finite and > 0.
-        max_depth: bisection budget per initial interval, an integer >= 0.
         apply_shift: translate all points by sqrt(kappa) B(T) (maps the
             picture to the coordinate frame anchored at the driver's
             endpoint).
@@ -102,20 +106,20 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
 
     Raises:
         ValueError: T, kappa or tolerance is outside its range, NaN or
-            infinite; max_depth is not an integer >= 0; or the path ends
-            before T.
-        TraceRefinementError: some interval cannot meet the gap bound
-            within max_depth bisections, or reaches adjacent float64
-            times (no midpoint left to bisect at) before it does.
+            infinite; the path ends before T; or T is not one of its
+            sample times.
+        TraceRefinementError: some interval is no wider than ulp(T), or
+            has no float64 midpoint, and its gap is still not below the
+            tolerance.
     """
     _check_positive("horizon T", T)
     _check_nonnegative("kappa", kappa)
     _check_positive("tolerance", tolerance)
-    _check_count("max_depth", max_depth, 0)
     if path.horizon < T:
         raise ValueError(f"path horizon {path.horizon} is shorter than {T}")
 
     end = path.index_of(T)
+    resolution = ulp(T)
     # steps[i] = (2 h_i, sqrt(kappa) (B_i - B_{i+1})), the (c, d) step of
     # _nv_steps for interval i of the partition, which is the path's grid
     # on [0, T], each part a complex with a +0.0 imaginary part, so every
@@ -142,7 +146,7 @@ def build_trace(path: BrownianPath, T: float, kappa: float,
             zz.append(z_r)
             continue
         (t0, b0), (t1, b1) = path.sample(i), path.sample(i + 1)
-        if depth[i] >= max_depth:
+        if t1 - t0 <= resolution:
             raise TraceRefinementError((t0, t1), depth[i], gap)
         try:
             path.insert_midpoint(i)

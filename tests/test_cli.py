@@ -76,9 +76,11 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     ["taylor-terms", "--r", "1", "--threads", "2"],
     ["integrals", "--threads", "2"],
     ["taylor-terms", "--r", "1", "--seed", "3"],
+    ["trace", "--kappa", "6", "--max-depth", "2"],
 ], ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
 def test_flags_that_would_do_nothing_are_refused(argv, tmp_path, capsys):
-    # every run is serial, and taylor-terms draws nothing
+    # every run is serial, taylor-terms draws nothing, and a trace
+    # bisects until the float64 resolution of its horizon
     out = tmp_path / "new"
     assert run(*argv, "--out", str(out)) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
@@ -231,11 +233,17 @@ def test_integrals_table_satisfies_shuffle(tmp_path):
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):
-    code = run("trace", "--kappa", "6", "--n-init", "4",
-               "--tolerance", "1e-5", "--max-depth", "2",
-               "--out", str(tmp_path))
+    # seed 28 at the README configuration: an interval 46 bisections deep
+    # reaches the float64 resolution of T = 1 with its gap above the
+    # tolerance
+    code = run("trace", "--kappa", "6", "--tolerance", "0.02",
+               "--seed", "28", "--out", str(tmp_path))
     assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert ("interval (0.2850462914859617, 0.28504629148596194)" in err
+            and "after 46 bisections" in err)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["scaling", "compare"])

@@ -430,9 +430,6 @@ _COUNT_PARAMETERS = [
     ("sample_uniform", "interval count n", 1,
      lambda n: BrownianPath.sample_uniform(1.0, n, 0)),
     ("zeros", "interval count n", 1, lambda n: BrownianPath.zeros(1.0, n)),
-    ("build_trace", "max_depth", 0,
-     lambda n: build_trace(BrownianPath.zeros(1.0, 4), 1.0, 2.0,
-                           max_depth=n)),
 ]
 # below the minimum; a float, integer-valued or not; a bool, which is an
 # int to Python but never a count; a string, None and a list.  The list is

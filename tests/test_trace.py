@@ -1,6 +1,9 @@
 """Adaptive trace builder: exactness, gap control, determinism."""
 
+import cmath
+import copy
 import math
+import pickle
 import statistics
 
 import pytest
@@ -27,6 +30,69 @@ def test_zero_noise_any_kappa():
         result = build_trace(path, 0.7, kappa=kappa, tolerance=0.4)
         for t, z in result.points:
             assert abs(z - 2j * math.sqrt(t)) <= 1e-10
+
+
+class _SqrtDriver(BrownianPath):
+    """The driver c sqrt(t) on n uniform intervals of [0, 1], exact at
+    every knot: a bisection inserts c sqrt(tm), not a bridge draw."""
+
+    def __init__(self, c, n):
+        times = [k / n for k in range(n + 1)]
+        super().__init__(times, [c * math.sqrt(t) for t in times], seed=0,
+                         bridge_scale=0.0)
+        self.c = c
+
+    def insert_midpoint(self, i):
+        super().insert_midpoint(i)
+        self._values[i + 1] = self.c * math.sqrt(self._times[i + 1])
+        return self
+
+
+def _slit_tip(c):
+    # gamma(1) of the Loewner chain driven by c sqrt(t): a straight slit
+    # at angle pi alpha (Kager, Nienhuis & Kadanoff, J. Stat. Phys. 115,
+    # 2004), and gamma(t) = sqrt(t) gamma(1) by scaling; 2i at c = 0
+    r = math.sqrt(c * c + 16.0)
+    alpha = (1.0 - c / r) / 2.0
+    return (r * alpha ** alpha * (1.0 - alpha) ** (1.0 - alpha)
+            * cmath.exp(1j * math.pi * alpha))
+
+
+def _sqrt_driver_trace(c, n, tolerance):
+    # kappa 1, so the chain's noise is the driver's own increments
+    return build_trace(_SqrtDriver(c, n), 1.0, kappa=1.0,
+                       tolerance=tolerance)
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0, 4.0])
+def test_sqrt_driver_traces_the_slit_of_minus_c_sqrt_t(c):
+    # the points are the trace of the driver -sqrt(kappa) B: with no
+    # refinement, the tip at n = 512 lies on the -c slit, far from the +c
+    # one (7.4e-6 against 1.58 at c = 1, 3.2e-5 against 6.68 at c = 4)
+    tip = _sqrt_driver_trace(c, 512, 1e9).points[-1][1]
+    assert abs(tip - _slit_tip(-c)) <= 1e-4
+    assert abs(tip - _slit_tip(c)) >= 1.0
+
+
+@pytest.mark.parametrize("c", [1.0, 4.0])
+def test_sqrt_driver_tip_error_is_of_order_three_halves(c):
+    # uniform partitions, no refinement: the tip error falls about 8x per
+    # 4x in n (4.86e-4, 5.99e-5, 7.40e-6 at c = 1; 2.37e-3, 2.69e-4,
+    # 3.17e-5 at c = 4)
+    errors = [abs(_sqrt_driver_trace(c, n, 1e9).points[-1][1]
+                  - _slit_tip(-c)) for n in (32, 128, 512)]
+    assert all(7.0 <= a / b <= 9.0 for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("c,bound", [(1.0, 0.05), (4.0, 0.15)])
+def test_sqrt_driver_point_error_is_a_fixed_fraction_of_tol(c, bound):
+    # the gap rule from 64 intervals: the sup point error is 0.0365 tol at
+    # c = 1 and 0.1151 tol at c = 4, at every tolerance of the ladder
+    for tolerance in (0.16, 0.08, 0.04, 0.02):
+        result = _sqrt_driver_trace(c, 64, tolerance)
+        error = max(abs(z - math.sqrt(t) * _slit_tip(-c))
+                    for t, z in result.points)
+        assert error <= bound * tolerance
 
 
 def _build(kappa=8.0 / 3.0, seed=7, tolerance=0.1, T=1.0, n_init=16,
@@ -224,53 +290,79 @@ def test_shift_translates_by_final_driver_value():
         assert abs(delta - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def test_refinement_budget_error():
-    path = BrownianPath.sample_uniform(1.0, 4, seed=29)
-    with pytest.raises(TraceRefinementError) as info:
-        build_trace(path, 1.0, kappa=6.0, tolerance=1e-4, max_depth=3)
-    err = info.value
-    assert err.depth == 3
-    assert err.gap > 1e-4
-    assert err.interval[0] < err.interval[1]
-    assert str(err).endswith("after 3 bisections")  # budget, not float64
-
-
 def test_float64_limit_is_a_refinement_error():
-    # the first interval is (0, 5e-324): adjacent float64 times, so it has
-    # no midpoint to bisect at although the depth budget is not spent
+    # the first interval is (0, 5e-324), narrower than ulp(1), the float64
+    # resolution of the horizon: refused without an attempt to bisect it
     path = BrownianPath([0.0, 5e-324, 1.0], [0.0, 10.0, 10.0], seed=0)
     with pytest.raises(TraceRefinementError) as info:
         build_trace(path, 1.0, kappa=6.0, tolerance=0.1)
     err = info.value
     assert err.interval == (0.0, 5e-324)
     assert err.depth == 0 and err.gap >= 0.1
-    assert isinstance(err.__cause__, ValueError)
-    assert str(err).endswith("after 0 bisections; its endpoints are "
-                             "adjacent float64 times")
+    assert err.__cause__ is None
+    assert str(err).endswith("after 0 bisections, at the float64 "
+                             "resolution of the horizon")
     assert path.times.tolist() == [0.0, 5e-324, 1.0]  # nothing inserted
 
 
+def test_refinement_error_survives_pickle_and_copy():
+    # a failing seed's error crosses a process boundary intact
+    err = TraceRefinementError((0.25, 0.5), 46, 0.031)
+    for twin in (pickle.loads(pickle.dumps(err)), copy.copy(err),
+                 copy.deepcopy(err)):
+        assert type(twin) is TraceRefinementError
+        assert (twin.interval, twin.depth, twin.gap) == \
+            ((0.25, 0.5), 46, 0.031)
+        assert str(twin) == str(err)
+
+
+def test_refinement_stops_at_the_resolution_of_the_horizon():
+    # at kappa 1e300 no gap is ever met: the first interval, (0, 1/64), is
+    # bisected 46 times down to (0, 2^-52) = (0, ulp(1)), although float64
+    # could halve it about 1000 times more
+    path = BrownianPath.sample_uniform(1.0, 64, seed=0)
+    with pytest.raises(TraceRefinementError) as info:
+        build_trace(path, 1.0, kappa=1e300, tolerance=0.02)
+    assert info.value.interval == (0.0, 2.0 ** -52)
+    assert info.value.depth == 46
+
+
+def test_seed_38_needs_more_than_40_bisections():
+    # a kappa 6 trace can need more than 40 bisections in one interval:
+    # seed 38 of the README configuration needs 45, and finishes
+    path = BrownianPath.sample_uniform(1.0, 64, seed=38)
+    result = build_trace(path, 1.0, kappa=6.0, tolerance=0.02)
+    assert len(result) == 3286
+    assert result.stats["refinement_depth_max"] == 45
+
+
 def test_seed_2_failure_is_not_round_off():
-    # at the README configuration with a budget of 60, seed 2 bisects one
-    # interval down to adjacent float64 times.  The accepted point at its
-    # left end a and the last six rejected candidates, each one map from a
-    # to a later midpoint, are float chains within 1e-12 of the same maps
-    # in 50 digits, and every exact gap is still at least the tolerance:
-    # the failure is the trace's, not float64 round-off's
+    # at the README configuration, seed 2 bisects one interval 46 times,
+    # down to 2 ulps, the float64 resolution of T = 1.  The failing
+    # candidate and the six the sweep rejected last, each one map from an
+    # accepted point to the right end of the interval it then bisected,
+    # are float chains within 1e-12 of the same maps in 50 digits, and so
+    # are their accepted points; every exact gap is still at least the
+    # tolerance: the failure is the trace's, not float64 round-off's
     mpmath = pytest.importorskip("mpmath")
     kappa, tolerance = 6.0, 0.02
     path = BrownianPath.sample_uniform(1.0, 64, seed=2)
+    bisected = []
+    insert = path.insert_midpoint
+
+    def recorded(i):
+        bisected.append((path.sample(i)[0], path.sample(i + 1)[0]))
+        return insert(i)
+
+    path.insert_midpoint = recorded
     with pytest.raises(TraceRefinementError) as info:
-        build_trace(path, 1.0, kappa=kappa, tolerance=tolerance,
-                    max_depth=60)
+        build_trace(path, 1.0, kappa=kappa, tolerance=tolerance)
     a, b = info.value.interval
-    assert (a, b) == (0.6506828813559679, 0.650682881355968)
-    i = path.index_of(a)
+    assert (a, b) == (0.6506828813559677, 0.650682881355968)
+    assert info.value.depth == 46 and b - a == 2 * math.ulp(a)
     tt, bb = path.times.tolist(), path.values.tolist()
-    assert tt[i + 1] == b
+    assert tt[path.index_of(a) + 1] == b
     root = math.sqrt(kappa)
-    cs = [2.0 * (tt[k + 1] - tt[k]) for k in range(i)]
-    ds = [root * (bb[k] - bb[k + 1]) for k in range(i)]
 
     def chains(cs, ds):
         # the sweep's float chain and the 50-digit one over the same maps
@@ -278,25 +370,16 @@ def test_seed_2_failure_is_not_round_off():
                 _exact_chain(mpmath, cs, ds))
 
     with mpmath.workdps(50):
-        point, exact_point = chains(cs, ds)
-        assert abs(point - exact_point) <= 1e-12
-        for j in range(6):
-            z, exact = chains(cs + [2.0 * (tt[i + 1 + j] - a)],
-                              ds + [root * (bb[i] - bb[i + 1 + j])])
+        for left, right in bisected[-6:] + [(a, b)]:
+            i, k = path.index_of(left), path.index_of(right)
+            cs = [2.0 * (tt[m + 1] - tt[m]) for m in range(i)]
+            ds = [root * (bb[m] - bb[m + 1]) for m in range(i)]
+            point, exact_point = chains(cs, ds)
+            assert abs(point - exact_point) <= 1e-12
+            z, exact = chains(cs + [2.0 * (right - left)],
+                              ds + [root * (bb[i] - bb[k])])
             assert abs(z - exact) <= 1e-12
             assert abs(exact - exact_point) >= tolerance
-
-
-@pytest.mark.parametrize("max_depth", [math.nan, math.inf, -math.inf, 2.5,
-                                       -1])
-def test_max_depth_must_be_a_nonnegative_integer(max_depth):
-    # refused before any bisection, so the path keeps its samples
-    path = BrownianPath.sample_uniform(1.0, 64, seed=8)
-    times = path.times.tolist()
-    with pytest.raises(ValueError, match="max_depth"):
-        build_trace(path, 1.0, kappa=6.0, tolerance=0.16,
-                    max_depth=max_depth)
-    assert path.times.tolist() == times
 
 
 def test_build_validation():
