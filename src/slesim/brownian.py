@@ -24,11 +24,14 @@ ziggurat tables are read from the installed numpy on first use by
 steering its ``standard_normal`` with chosen words, then checked against
 its scalar draws, so the bits are numpy's whatever its version.
 
-One matrix of draws is not keyed: :func:`_sfc64_stream` is a sequential
+Two sets of draws are not keyed: :func:`_sfc64_stream` is a sequential
 SFC64 generator seeded by (seed, tag), from which
-``experiments.moment_preservation`` reads its increment matrix in order.
-No entry of that matrix is drawn on its own, so it needs no key, and
-SFC64 draws normals faster than Philox.
+``experiments.moment_preservation`` reads its increment matrix and
+``experiments.divergence_probe`` its drivers, each in order.  Neither is
+ever refined, so no draw of them is asked for on its own: they need no
+key, and SFC64 draws normals faster than Philox.
+:func:`_sum_increments` turns rows of normals into uniform-grid drivers,
+for keyed and sequential draws alike.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def philox_stream(seed: int, tag: int) -> np.random.Generator:
 
 
 def _sfc64_stream(seed: int, tag: int) -> np.random.Generator:
-    """Sequential SFC64 generator seeded by (seed, tag), for one matrix of
+    """Sequential SFC64 generator seeded by (seed, tag), for a matrix of
     draws that no key addresses.
 
     No draw of it is ever asked for on its own: after a ziggurat
@@ -307,20 +310,33 @@ def _uniform_grid(T: float, n: int) -> np.ndarray:
     return T * (np.arange(n + 1) / n)
 
 
+def _sum_increments(noise: np.ndarray, T: float,
+                    out: np.ndarray) -> np.ndarray:
+    """The driver rule: row r of ``out`` becomes B(0) = 0 followed by the
+    running sums, in order along the row, of the increments
+    ``sqrt(T / n) * noise[r]``; returns ``out``.
+
+    ``noise`` holds rows of n standard normals and is scaled in place.
+    Scaling and summing are elementwise and sequential along the row, so
+    a row's bits do not depend on the other rows or on its position.
+    """
+    noise *= sqrt(T / noise.shape[1])
+    out[:, 0] = 0.0
+    np.cumsum(noise, axis=1, out=out[:, 1:])
+    return out
+
+
 def _uniform_block(T: float, n: int, seeds) -> np.ndarray:
     """One row of samples on the uniform grid per seed.
 
-    Every row is drawn from its own seed's increment stream, and scaling
-    and summing are elementwise and sequential along the row, so a row's
-    bits do not depend on the other rows or on its position.  ``T`` and
-    ``n`` are those of a grid :func:`_uniform_grid` has accepted.
+    Every row is drawn from its own seed's increment stream and summed by
+    :func:`_sum_increments`.  ``T`` and ``n`` are those of a grid
+    :func:`_uniform_grid` has accepted.
     """
-    values = np.empty((len(seeds), n + 1))
-    values[:, 0] = 0.0
-    for row, seed in zip(values, seeds):
-        row[1:] = _normals(seed, _TAG_INCREMENTS, n)
-    np.cumsum(values[:, 1:] * sqrt(T / n), axis=1, out=values[:, 1:])
-    return values
+    noise = np.empty((len(seeds), n))
+    for row, seed in zip(noise, seeds):
+        row[:] = _normals(seed, _TAG_INCREMENTS, n)
+    return _sum_increments(noise, T, np.empty((len(seeds), n + 1)))
 
 
 def _bisect(t: np.ndarray, v: np.ndarray, seeds,

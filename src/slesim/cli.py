@@ -13,7 +13,10 @@ so not on ``taylor-terms``, whose sidecar records ``seed`` as null.
 Exit codes: 0 success, 1 validation error (bad flags, existing outputs
 without --force), 2 numerical failure (a trace interval still too coarse
 at the float64 resolution of the horizon, a reference that did not
-converge, a ``moments`` run that overflows float64).
+converge, a ``moments`` run that overflows float64, or any other float
+overflow or division by an underflowed zero, such as ``divergence`` at
+a kappa of 1e-300 or 1e300).  A numerical failure, like a validation error,
+writes no output directory.
 """
 
 from __future__ import annotations
@@ -278,8 +281,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"slesim: error: {exc}", file=sys.stderr)
         return 1
+    # ArithmeticError covers a Python float that overflows (OverflowError)
+    # or a quotient of an underflowed 0 (ZeroDivisionError), as well as
+    # numpy's FloatingPointError
     except (TraceRefinementError, ex.ReferenceConvergenceError,
-            FloatingPointError) as exc:
+            ArithmeticError) as exc:
         print(f"slesim: numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,8 @@
 Each experiment returns an :class:`ExperimentReport` that is a bitwise
 deterministic function of (config, seed): every random draw is keyed by
 seed and replica index, except ``moment_preservation``'s increment
-matrix, which is read in order from one SFC64 stream seeded by seed;
+matrix and ``divergence_probe``'s drivers, which nothing refines: each
+is read in order from one SFC64 stream seeded by seed and its own tag;
 every replica's arithmetic is independent of the others (also where
 replicas step together as the lanes of one array), results are
 collected in replica order, and reductions use numpy's fixed-order
@@ -31,7 +32,8 @@ from math import isfinite, log, nan, sqrt
 
 import numpy as np
 
-from .brownian import _bisect, _sfc64_stream, _uniform_block, _uniform_grid
+from .brownian import (_bisect, _sfc64_stream, _sum_increments,
+                       _uniform_block, _uniform_grid)
 from .integrals import _BLOCK_ROWS, _tables, derive_seeds, word_entries
 from .schemes import (UNIT_NOISE, _nv_array_step, _reference_rows,
                       euler_step, nv_step, taylor_step)
@@ -58,9 +60,11 @@ REF_ERROR_FRACTION = 0.05
 REFERENCE_RTOL = 1e-8
 _MAX_DOUBLINGS = 10
 
-# Tag of the one sequential stream moment_preservation draws its increment
-# matrix from (brownian._sfc64_stream).
+# Tags of the sequential streams (brownian._sfc64_stream) that
+# moment_preservation draws its increment matrix from and divergence_probe
+# its drivers from.
 _TAG_MATRIX = 0xE1
+_TAG_DRIVERS = 0xD1
 # Replicas per block of moment_preservation, the one place lanes are
 # blocked: a block's increments, squares and deviations (about 1.3 MB at
 # 16 steps) are drawn, stepped and reduced while they stay in cache, and
@@ -249,6 +253,16 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
     log(estimate)/log(eps), which carries that constant as a bias.  Words
     whose symbolic term vanishes are recorded in the config and skipped;
     a list in which every term vanishes is refused before any draw.
+
+    The drivers are never refined, so they need no keyed draws: every
+    driver at eps, in replica order, then every one at eps/2, reads its
+    ``resolution`` standard normals in order from one sequential SFC64
+    stream, ``brownian._sfc64_stream(seed, _TAG_DRIVERS)``.  They are
+    drawn ``_BLOCK_ROWS`` at a time, the rows ``word_entries`` walks
+    together, into one reused buffer and summed by
+    ``brownian._sum_increments``, so the bytes do not depend on the block
+    size.  A float overflow or a division by an estimate that underflowed
+    to 0 raises ``OverflowError`` or ``ZeroDivisionError``.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -268,19 +282,18 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
 
     # integrals[lvl][:, k] is word k over the replicas, in replica order;
     # one driver per (replica, eps level), shared by all words
+    gen = _sfc64_stream(seed, _TAG_DRIVERS)
+    noise = np.empty((min(_BLOCK_ROWS, replicas), resolution))
+    block = np.empty((len(noise), resolution + 1))
     integrals = []
-    for lvl, t in enumerate(horizons):
-        seeds = derive_seeds(seed, range(lvl * replicas,
-                                         (lvl + 1) * replicas)).tolist()
+    for t in horizons:
         times = _uniform_grid(t, resolution)
         entries = np.empty((replicas, len(live)))
-        # drawn a bounded block of drivers at a time, the rows word_entries
-        # walks together.  Each block stays bound until the next one is
-        # drawn: freeing it first had the allocator return and refetch its
-        # memory per block, ~10% slower at 2000 replicas (2-vCPU Xeon VM).
         for a in range(0, replicas, _BLOCK_ROWS):
-            values = _uniform_block(t, resolution, seeds[a:a + _BLOCK_ROWS])
-            entries[a:a + len(values)] = word_entries(times, values, live)
+            n = min(_BLOCK_ROWS, replicas - a)
+            values = _sum_increments(gen.standard_normal(out=noise[:n]), t,
+                                     block[:n])
+            entries[a:a + n] = word_entries(times, values, live)
         integrals.append(entries)
 
     rows = []

@@ -246,6 +246,24 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    # an estimate underflows to 0 before log(est[0] / est[1])
+    ["divergence", "--replicas", "3", "--kappa", "1e300"],
+    ["divergence", "--replicas", "2", "--eps", "1e-100"],
+    # a ** j of the Taylor coefficient overflows a Python float
+    ["divergence", "--replicas", "3", "--kappa", "1e-300"],
+    ["scaling", "--replicas", "2", "--kappa", "1e-300"],
+    ["compare", "--replicas", "2", "--kappa", "1e-300"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:1] + argv[3:]))
+def test_float_overflow_or_underflow_exits_two(tmp_path, capsys, argv):
+    # these runs used to end in an uncaught OverflowError or
+    # ZeroDivisionError, a traceback and exit status 1
+    out = tmp_path / "new"
+    assert run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("slesim: numerical failure: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["scaling", "compare"])
 def test_reference_doublings_in_sidecar(tmp_path, command):
     # the per-row histogram is deterministic and leaves the CSV alone

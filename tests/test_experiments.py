@@ -15,9 +15,10 @@ from slesim.experiments import (ReferenceConvergenceError,
                                 divergence_probe, epsilon_scaling,
                                 moment_preservation, scheme_comparison,
                                 write_report_csv, write_report_sidecar)
-from slesim.integrals import compute_table, derive_seeds
+from slesim.integrals import compute_table, derive_seeds, word_entries
 from slesim.schemes import (flow_drift, flow_noise, reference_solve, sqrt_h,
                             taylor_step)
+from slesim.vfalgebra import compose, eval_term
 
 EPS3 = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0]
 
@@ -67,7 +68,9 @@ def _forbid_draws(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a driver was drawn")
 
+    # keyed drivers (scaling, compare) and sequential ones (divergence)
     monkeypatch.setattr(experiments, "derive_seeds", no_draws)
+    monkeypatch.setattr(experiments, "_sfc64_stream", no_draws)
 
 
 @pytest.mark.parametrize("r", [13, -1])
@@ -115,6 +118,46 @@ def test_divergence_refuses_kappa_before_drawing(monkeypatch, kappa):
     _forbid_draws(monkeypatch)
     with pytest.raises(ValueError, match="kappa"):
         divergence_probe(0.125, 0.5, [(0,), (1,)], 50, seed=4, kappa=kappa)
+
+
+def test_divergence_bytes_do_not_depend_on_the_block_size(monkeypatch,
+                                                          tmp_path):
+    # 150 = 21 * 7 + 3 replicas: the last block of 7 is short
+    def csv_bytes(name):
+        report = divergence_probe(0.125, 0.5, [(1,), (1, 0), (0, 0)], 150,
+                                  seed=8, resolution=16)
+        write_report_csv(report, tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    default = csv_bytes("default.csv")
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", 7)
+    assert csv_bytes("seven.csv") == default
+
+
+def test_divergence_drivers_are_the_stream_rows_in_order():
+    # every driver at eps, replica by replica, then every one at eps/2,
+    # each row of the one stream scaled by sqrt(t / n) and summed from 0
+    eps, delta, kappa, replicas, n = 0.125, 0.5, 3.0, 70, 16
+    words = [(1,), (1, 0), (1, 0, 0)]
+    report = divergence_probe(eps, delta, words, replicas, seed=6,
+                              kappa=kappa, resolution=n)
+    gen = _sfc64_stream(6, experiments._TAG_DRIVERS)
+    est, rel_se = [], []
+    for e in (eps, 0.5 * eps):
+        t = e ** (2.0 - delta)
+        drivers = [np.concatenate(([0.0], np.cumsum(x * math.sqrt(t / n))))
+                   for x in gen.standard_normal((replicas, n))]
+        entries = word_entries(t * (np.arange(n + 1) / n), drivers, words)
+        norms = [experiments._l2_and_stderr(col) for col in entries.T]
+        est.append([abs(eval_term(compose(w), complex(0.0, e), kappa)) * m
+                    for w, (m, _) in zip(words, norms)])
+        rel_se.append([se / m for m, se in norms])
+    assert [row["word"] for row in report.rows] == ["1", "10", "100"]
+    for k, row in enumerate(report.rows):
+        assert row["estimate"] == est[0][k]
+        assert row["stderr"] == est[0][k] * rel_se[0][k]
+        assert row["exponent"] == (math.log(est[0][k] / est[1][k])
+                                   / math.log(2.0))
 
 
 def test_divergence_magnitudes_grow_with_degree():
@@ -490,7 +533,9 @@ def test_epsilon_scaling_probes_taylor_once_per_refinement(monkeypatch):
 
 
 def test_replica_seeds_build_no_seed_sequence(monkeypatch):
-    # every replica's sub-seed comes from one block hash per eps level
+    # every keyed replica's sub-seed comes from one block hash per row;
+    # divergence drivers come from one SFC64 stream, seeded by one
+    # SeedSequence whatever the replica count
     built = Counter()
     seed_sequence = np.random.SeedSequence
 
@@ -501,9 +546,14 @@ def test_replica_seeds_build_no_seed_sequence(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", counting)
     np.random.SeedSequence(0)  # the patch counts
     assert built["SeedSequence"] == 1
-    divergence_probe(0.125, 0.5, [(1,), (0, 1)], 5, seed=2, resolution=8)
+    for replicas in (5, 500):
+        built.clear()
+        divergence_probe(0.125, 0.5, [(1,), (0, 1)], replicas, seed=2,
+                         resolution=8)
+        assert built["SeedSequence"] == 1
+    built.clear()
     epsilon_scaling(EPS3, 0.5, 2, 2.0, 3, seed=4, substeps=8)
-    assert built["SeedSequence"] == 1
+    assert built["SeedSequence"] == 0
 
 
 def _scalar_reference(z0, t, substeps, kappa, depth, probes, sub_seed):

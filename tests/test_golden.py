@@ -17,14 +17,17 @@ digest pins the points but not these counters.  The one ``trace``, three
 kernels moved from stepping z, two roots a map, to stepping W = z^2, one
 root a map: that rounds differently, at the 1e-13 level of the rows, and
 the trace ``stats`` gained ``complex_roots`` then, with the other
-counters unchanged.  A change that alters any
+counters unchanged.  The three ``divergence`` digests were re-pinned
+when its drivers moved from one keyed Philox stream per replica to one
+sequential SFC64 stream per run, read in order.  A change that alters any
 random stream, or the arithmetic on it, fails here; such a change must
 say so and update these values on purpose.
 
 ``moments`` is not pinned: it steps whole arrays of complex numbers, and
 numpy may round complex arithmetic differently per SIMD lane, so its
 digest may vary by CPU.  Its increment matrix is drawn from one SFC64
-stream, whose first draws are pinned with the Philox ones.
+stream, whose first draws are pinned with the Philox ones, as are those
+of the ``divergence`` drivers' stream.
 """
 
 import hashlib
@@ -47,6 +50,11 @@ def test_pinned_stream_values():
         -1.2775602832753783, -0.43553827446068805, -0.33002827342377183]
     assert _sfc64_stream(2 ** 64 - 1, 0xE1).standard_normal(3).tolist() == [
         -1.3936185001575887, 0.8174059794039672, 0.9140343268116844]
+    # the sequential stream of the divergence drivers
+    assert _sfc64_stream(0, 0xD1).standard_normal(3).tolist() == [
+        -0.38943539986614867, 0.21342028735436144, -0.04693692283299823]
+    assert _sfc64_stream(2 ** 64 - 1, 0xD1).standard_normal(3).tolist() == [
+        0.7413136230463842, 0.946137634068592, -1.3489338863203404]
 
 
 def test_pinned_midpoint_draws():
@@ -68,16 +76,16 @@ def test_pinned_midpoint_draws():
     (["compare", "--replicas", "4", "--seed", "0"], "compare.csv",
      "6ae0133ffda45801a2618b9a507b1c25d33504f14529ce2e771b8f4e279dc639"),
     (["divergence", "--replicas", "20", "--seed", "0"], "divergence.csv",
-     "c7fd8f2b956b087f78e2dd94319f6741159887aa8be7d573b3b12bf44028cfb3"),
+     "52771e2b33f2c20e9bd7a2237c9aecf5f08223f35d4b3e619d8e79547a3f1e55"),
     (["integrals", "--n", "128", "--r", "3", "--seed", "0"], "integrals.csv",
      "d2ab691b4464b738e47263b1c09fb81fc4d7f7f5a277c51eb4a63acd937962db"),
     (["taylor-terms", "--r", "6"], "taylor_terms.csv",
      "f8b442ee32ca5c514e7a68dde24cbfd1727ef8b68ee847b3134a5c438a9d4f0d"),
     (["divergence", "--replicas", "300", "--seed", "1"], "divergence.csv",
-     "f2e95a384925f58c6596c751a9e4b4b05c063b8f905fb3ec3fb212c01990aab7"),
+     "2041afa7fdae11b0c68de3cdf7bfbd5ef633bcf982a57011d2e94cf2cd2bec58"),
     (["divergence", "--replicas", "300", "--seed", "1",
       "--words", "1", "0", "01", "10"], "divergence.csv",
-     "adf4136a659bad27eb3bb950af9db77cc5bd9f64d9e246e6e628042d1f5f3005"),
+     "8db26438499cbce05ec4a45ccc48bef9b8c74f85d296bd93918dad282f2dd285"),
     # 240-500 lanes: the first doublings run on the lane kernel
     (["scaling", "--replicas", "100", "--eps", "0.125", "0.0625", "0.03125",
       "--seed", "0"], "scaling.csv",
