@@ -2,7 +2,8 @@
 
 Each experiment returns an :class:`ExperimentReport` that is a bitwise
 deterministic function of (config, seed): every random draw is keyed by
-seed and replica index, except ``moment_preservation``'s increment
+seed and replica index (and a reference driver's midpoints by their
+doubling as well), except ``moment_preservation``'s increment
 matrix and ``divergence_probe``'s drivers, which nothing refines: each
 is read in order from one SFC64 stream seeded by seed and its own tag;
 every replica's arithmetic is independent of the others (also where
@@ -135,7 +136,11 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
     Every replica of every row is a lane, and all lanes double together.
     The drivers of a row share one grid at every doubling, so they are the
     rows of one array; :func:`slesim.schemes._reference_rows` steps their
-    references.
+    references.  At doubling d, every live driver of a row gains all its
+    midpoints in one bisection pass, :func:`slesim.brownian._bisect`:
+    its n midpoints, in interval order, are bridge draws from the first n
+    normals of its sub-seed's stream of tag d, so a replica's driver does
+    not depend on which other replicas are still live.
 
     Returns ``(errors, doublings)``: ``errors[j]`` is an array of shape
     (replicas, number of probes) in replica order, and entry k of
@@ -158,7 +163,8 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
         for j in rows:
             if live[j]:
                 grids[j], values[j] = _bisect(
-                    grids[j], values[j], [seeds[j][i] for i in live[j]])
+                    grids[j], values[j], [seeds[j][i] for i in live[j]],
+                    doubling)
         finer = _reference_rows(starts, grids, values, kappa)
         moving = []
         for j in rows:
@@ -261,8 +267,10 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
     drawn ``_BLOCK_ROWS`` at a time, the rows ``word_entries`` walks
     together, into one reused buffer and summed by
     ``brownian._sum_increments``, so the bytes do not depend on the block
-    size.  A float overflow or a division by an estimate that underflowed
-    to 0 raises ``OverflowError`` or ``ZeroDivisionError``.
+    size.  A Taylor coefficient that overflows float64 raises
+    ``OverflowError`` (from ``eval_term``), and an estimate that is 0 at
+    either eps level raises ``ZeroDivisionError`` naming the word, the
+    level and kappa.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -304,6 +312,10 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
             coeff = abs(eval_term(terms[w], complex(0.0, e), kappa))
             norm, se = _l2_and_stderr(integrals[lvl][:, k])
             est.append(coeff * norm)
+            if est[-1] == 0.0:
+                raise ZeroDivisionError(
+                    f"word {format_word(w)}: estimate at eps = {e!r} is 0 "
+                    f"at kappa = {kappa!r}, so no exponent can be formed")
             rel_se.append(se / norm if norm > 0.0 else 0.0)
         exponent = log(est[0] / est[1]) / log(2.0)
         rows.append({

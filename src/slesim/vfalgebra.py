@@ -190,6 +190,8 @@ def eval_term(term: LaurentTerm, z: complex, kappa: float) -> complex:
 
     Raises:
         ValueError: kappa is not finite and > 0.
+        OverflowError: a^j overflows float64; the message names kappa,
+            a and j.
     """
     _check_positive("kappa", kappa)
     if term.coeff == 0:
@@ -198,4 +200,10 @@ def eval_term(term: LaurentTerm, z: complex, kappa: float) -> complex:
     if z == 0 and term.z_power < 0:
         raise ZeroDivisionError("pole: term with negative power evaluated at z = 0")
     a = 2.0 / kappa
-    return float(term.coeff) * a ** term.a_power * z ** term.z_power
+    try:
+        scale = a ** term.a_power
+    except OverflowError:
+        raise OverflowError(
+            f"a ** j overflows float64 at kappa = {kappa!r}, a = 2 / kappa "
+            f"= {a!r}, j = {term.a_power}") from None
+    return float(term.coeff) * scale * z ** term.z_power

@@ -10,27 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slesim import brownian
-from slesim.brownian import (BrownianPath, _bisect, _block_normals, _normals,
-                             _philox_words, _uniform_block, _uniform_grid,
-                             _zig_tables, philox_stream)
-
-_TOP = 2 ** 64 - 1
-# (seed, tag) keys whose first Philox word numpy's ziggurat fast path does
-# not decide: level 0 with rabits >= ki[0] (the tail), level 1 (ki[1] is
-# 0), and one level past 1.  test_slow_keys_take_the_slow_path checks them.
-_SLOW_SEEDS = (7, -5)
-_SLOW_TAGS = (2104, 567, 1868, 626, 543)
+from slesim.brownian import (BrownianPath, _bisect, _normals, _uniform_block,
+                             _uniform_grid, philox_stream)
 
 
 def _bits(x) -> list:
     """Exact bit patterns of float64 values, so -0.0 differs from 0.0."""
     return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
-
-
-def _first_word(seed: int, tag: int) -> int:
-    # a uint64 key array: numpy casts a list of ints >= 2**63 to zero
-    key = np.array([seed & _TOP, tag], dtype=np.uint64)
-    return int(np.random.Philox(key=key).random_raw())
 
 
 def test_same_seed_same_path():
@@ -155,139 +141,25 @@ def test_refine_equals_reversed_midpoint_loop(seed, n):
 @given(st.integers(-2 ** 63, 2 ** 64 - 10), st.integers(1, 40),
        st.integers(1, 9), st.floats(1e-6, 1e3))
 def test_block_bisection_equals_midpoint_loop(seed, n, rows, T):
-    # one row per driver, all on the uniform grid: three passes over the
-    # block give the bits of each path's own scalar midpoint draws
+    # one row per driver, all on the uniform grid: at doubling d, each
+    # row's midpoints, in interval order, are the bridge midpoints of the
+    # first normals of its stream of tag d, formed one by one
     seeds = list(range(seed, seed + rows))
     times, values = _uniform_grid(T, n), _uniform_block(T, n, seeds)
-    paths = [BrownianPath.sample_uniform(T, n, s) for s in seeds]
-    for _ in range(3):
-        times, values = _bisect(times, values, seeds)
-        for path in paths:
-            for i in reversed(range(path.n_intervals)):
-                path.insert_midpoint(i)
-    for path, row in zip(paths, values):
-        assert _bits(path.times) == _bits(times)
-        assert _bits(path.values) == _bits(row)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, _TOP), st.integers(0, _TOP))
-@example(0, 0)
-@example(_TOP, _TOP)
-def test_philox_word_is_numpys_first_word(seed, tag):
-    got = _philox_words(np.array([seed], dtype=np.uint64),
-                        np.array([tag], dtype=np.uint64))
-    assert got.tolist() == [_first_word(seed, tag)]
-
-
-def test_slow_keys_take_the_slow_path():
-    wi, ki = _zig_tables()
-    levels = set()
-    for seed in _SLOW_SEEDS:
-        for tag in _SLOW_TAGS:
-            word = _first_word(seed, tag)
-            level, rabits = word & 0xFF, (word >> 9) & (2 ** 52 - 1)
-            if rabits >= int(ki[level]):
-                levels.add(min(level, 2))
-    assert levels == {0, 1, 2}
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(st.integers(-2 ** 63, _TOP),
-                          st.sampled_from([-1, 0, 2 ** 63, _TOP])),
-                max_size=4),
-       st.lists(st.one_of(st.integers(0, _TOP), st.sampled_from([0, _TOP])),
-                max_size=12))
-def test_block_normals_equal_one_draw_per_key(seeds, tags):
-    # every example also draws the slow keys, levels 0 and 1 included
-    seeds = seeds + list(_SLOW_SEEDS)
-    tags = tags + list(_SLOW_TAGS)
-    got = _block_normals(seeds, np.array(tags, dtype=np.uint64))
-    assert got.shape == (len(seeds), len(tags))
-    assert _bits(got) == _bits([[_normals(s, t) for t in tags]
-                                for s in seeds])
-
-
-def test_block_normals_span_several_blocks():
-    # 37 x 250 keys: three blocks of rows, the last one short
-    seeds = [2 ** 63 + 11 * k for k in range(37)]
-    tags = np.arange(1, 251, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    assert len(seeds) * len(tags) > 2 * brownian._KEY_BLOCK
-    got = _block_normals(seeds, tags)
-    assert _bits(got) == _bits([[_normals(s, t) for t in tags.tolist()]
-                                for s in seeds])
-    assert _block_normals(seeds, tags[:0]).shape == (37, 0)
-
-
-def test_tables_are_numpys():
-    # the first entries of numpy's ziggurat_constants.h, and a ki that
-    # passed the self-check (a failed check zeroes it)
-    wi, ki = _zig_tables()
-    assert wi[:3].tolist() == [8.68362706080130616677e-16,
-                               4.77933017572773682428e-17,
-                               6.35435241740526230246e-17]
-    assert ki[:3].tolist() == [0x000EF33D8025EF6A, 0, 0x000C08BE98FBC6A8]
-    assert (ki[2:] > 0).all()
-    # the ratio guess saves the bisection on every level past 1
-    assert brownian._derive_tables()[2] < 1200
-
-
-def test_self_check_falls_back_on_corrupted_tables(monkeypatch):
-    # tables one ulp off must fail the self-check, which sends every key
-    # to the scalar draw, so the bits still equal numpy's
-    derive = brownian._derive_tables
-
-    def corrupted():
-        wi, ki, draws = derive()
-        return np.nextafter(wi, np.inf), ki, draws
-
-    monkeypatch.setattr(brownian, "_derive_tables", corrupted)
-    monkeypatch.setattr(brownian, "_tables", None)
-    seeds = [3, _TOP]
-    tags = np.arange(64, dtype=np.uint64) * np.uint64(977)
-    got = _block_normals(seeds, tags)
-    assert _bits(got) == _bits([[_normals(s, t) for t in tags.tolist()]
-                                for s in seeds])
-    assert not brownian._tables[1].any()
-
-
-def test_first_bisection_in_two_threads_matches_serial(monkeypatch):
-    # both threads find the tables missing at once; one derives them,
-    # the other waits for it, and both draw the serial bits
-    times, values = _uniform_grid(1.0, 64), _uniform_block(1.0, 64,
-                                                           [5, 6, 7])
-    want = _bisect(times, values, [5, 6, 7])
-    derive = brownian._derive_tables
-    derived = []
-
-    def counted():
-        derived.append(1)
-        return derive()
-
-    monkeypatch.setattr(brownian, "_derive_tables", counted)
-    monkeypatch.setattr(brownian, "_tables", None)
-    out = {}
-    start = threading.Barrier(2)
-
-    def work(k):
-        start.wait()
-        out[k] = _bisect(times, values, [5, 6, 7])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(derived) == 1
-    for k in (0, 1):
-        assert _bits(out[k][0]) == _bits(want[0])
-        assert _bits(out[k][1]) == _bits(want[1])
+    want = [(times.tolist(), row.tolist()) for row in values]
+    for doubling in (1, 2, 3):
+        times, values = _bisect(times, values, seeds, doubling)
+        for k, (t, v) in enumerate(want):
+            xi = philox_stream(seeds[k], doubling).standard_normal(len(t) - 1)
+            tm = [0.5 * (a + b) for a, b in zip(t, t[1:])]
+            vm = [0.5 * (a + b) + math.sqrt(0.25 * (t1 - t0)) * x
+                  for a, b, t0, t1, x in zip(v, v[1:], t, t[1:], xi.tolist())]
+            t = [x for pair in zip(t, tm) for x in pair] + t[-1:]
+            v = [x for pair in zip(v, vm) for x in pair] + v[-1:]
+            want[k] = t, v
+    for (t, v), row in zip(want, values):
+        assert _bits(times) == _bits(t)
+        assert _bits(row) == _bits(v)
 
 
 def test_refine_of_unbisectable_interval_leaves_path_unchanged():

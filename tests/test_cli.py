@@ -125,7 +125,9 @@ def test_every_sidecar_has_the_same_keys(tmp_path, capsys):
         "divergence": ["--replicas", "4", "--resolution", "8",
                        "--words", "0"],
         "moments": ["--replicas", "4", "--steps", "2"],
-        "compare": ["--replicas", "2", "--substeps", "8"],
+        # seed 0 at this config does not settle (see
+        # test_unsettled_reference_exits_two)
+        "compare": ["--replicas", "2", "--substeps", "8", "--seed", "1"],
         "taylor-terms": ["--r", "1"],
         "integrals": ["--n", "4", "--r", "1"],
     }
@@ -257,10 +259,25 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:1] + argv[3:]))
 def test_float_overflow_or_underflow_exits_two(tmp_path, capsys, argv):
     # these runs used to end in an uncaught OverflowError or
-    # ZeroDivisionError, a traceback and exit status 1
+    # ZeroDivisionError, a traceback and exit status 1; the message names
+    # the parameter whose value failed
     out = tmp_path / "new"
     assert run(*argv, "--out", str(out)) == 2
-    assert capsys.readouterr().err.startswith("slesim: numerical failure: ")
+    err = capsys.readouterr().err
+    assert err.startswith("slesim: numerical failure: ")
+    flag = argv[-2].lstrip("-")
+    assert f"{flag} = {float(argv[-1])!r}" in err
+    assert not out.exists()
+
+
+def test_unsettled_reference_exits_two(tmp_path, capsys):
+    # about 1% of seeds at this small config leave a reference still
+    # moving after every doubling; seed 0 is one, with no monkeypatching
+    out = tmp_path / "new"
+    assert run("compare", "--replicas", "2", "--substeps", "8",
+               "--seed", "0", "--out", str(out)) == 2
+    assert "numerical failure: reference still moving" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 

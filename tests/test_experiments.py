@@ -4,12 +4,13 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from slesim import experiments, schemes
-from slesim.brownian import BrownianPath, _sfc64_stream
+from slesim.brownian import BrownianPath, _sfc64_stream, philox_stream
 from slesim.cli import main
 from slesim.experiments import (ReferenceConvergenceError,
                                 divergence_probe, epsilon_scaling,
@@ -557,19 +558,34 @@ def test_replica_seeds_build_no_seed_sequence(monkeypatch):
 
 
 def _scalar_reference(z0, t, substeps, kappa, depth, probes, sub_seed):
-    """One replica's reference loop on its own BrownianPath: the oracle.
+    """One replica's reference loop on its own driver: the oracle.
 
-    Returns (errors, doublings) or raises ReferenceConvergenceError, as
-    the per-replica loop did before every replica of a run stepped
-    together.
+    The driver is built here from the draw rule, not by ``brownian``: its
+    increments are the first normals of the sub-seed's stream of tag 0,
+    and at doubling d each interval (t0, t1), in order, gains the bridge
+    midpoint of the next normal of the stream of tag d.  Returns (errors,
+    doublings) or raises ReferenceConvergenceError, as the per-replica
+    loop did before every replica of a run stepped together.
     """
-    path = BrownianPath.sample_uniform(t, substeps, sub_seed)
-    ref = reference_solve(z0, path, t, kappa)
+    times = [t * (k / substeps) for k in range(substeps + 1)]
+    incs = philox_stream(sub_seed, 0).standard_normal(substeps)
+    values = [0.0, *accumulate((incs * math.sqrt(t / substeps)).tolist())]
+    ref = reference_solve(z0, BrownianPath(times, values, sub_seed), t, kappa)
     for doubling in range(1, experiments._MAX_DOUBLINGS + 1):
-        path.refine()
+        xi = philox_stream(sub_seed, doubling).standard_normal(substeps)
+        mids = [(0.5 * (t0 + t1),
+                 0.5 * (v0 + v1) + math.sqrt(0.25 * (t1 - t0)) * x)
+                for t0, t1, v0, v1, x in zip(times, times[1:], values,
+                                             values[1:], xi.tolist())]
+        times = [s for pair in zip(times, (m for m, _ in mids))
+                 for s in pair] + times[-1:]
+        values = [s for pair in zip(values, (v for _, v in mids))
+                  for s in pair] + values[-1:]
+        substeps *= 2
+        path = BrownianPath(times, values, sub_seed)
         finer = reference_solve(z0, path, t, kappa)
         errors = tuple(abs(finer - a) for a in probes(
-            z0, t, compute_table(path, t, depth), path.value_at(t)))
+            z0, t, compute_table(path, t, depth), values[-1]))
         moved = abs(finer - ref)
         budget = max(experiments.REF_ERROR_FRACTION * min(errors),
                      experiments.REFERENCE_RTOL * abs(finer))
@@ -637,9 +653,9 @@ def test_scalar_tail_builds_no_path(monkeypatch):
 
 def test_reference_convergence_error(monkeypatch):
     # one doubling allowed: row 0 is probed against a far point, so its
-    # budget is loose and all its lanes converge; in row 1 replicas 0-2
-    # converge and replica 3 is the first lane still moving, which must
-    # name the error although later lanes fail too
+    # budget is loose and all its lanes converge; in row 1 replica 0 is
+    # the first lane still moving, which must name the error although
+    # later lanes fail too
     monkeypatch.setattr(experiments, "_MAX_DOUBLINGS", 1)
     starts, horizons, substeps, kappa, depth, _ = _LANE_RUN
 
@@ -655,7 +671,7 @@ def test_reference_convergence_error(monkeypatch):
                               kappa, depth, probes, seeds[k])
         except ReferenceConvergenceError as exc:
             failures.append((k, str(exc)))
-    assert failures[0][0] == 43 and len(failures) > 1
+    assert failures[0][0] == 40 and len(failures) > 1
     with pytest.raises(ReferenceConvergenceError) as caught:
         experiments._reference_errors(starts, horizons, substeps, kappa,
                                       depth, probes, 11, 40)

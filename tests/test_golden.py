@@ -19,7 +19,11 @@ root a map: that rounds differently, at the 1e-13 level of the rows, and
 the trace ``stats`` gained ``complex_roots`` then, with the other
 counters unchanged.  The three ``divergence`` digests were re-pinned
 when its drivers moved from one keyed Philox stream per replica to one
-sequential SFC64 stream per run, read in order.  A change that alters any
+sequential SFC64 stream per run, read in order.  The three ``scaling``
+and two ``compare`` digests were re-pinned again when a reference
+driver's bisection passes moved from one midpoint stream per (sub-seed,
+midpoint time) to one per (sub-seed, doubling), each row's midpoints
+read in interval order.  A change that alters any
 random stream, or the arithmetic on it, fails here; such a change must
 say so and update these values on purpose.
 
@@ -69,12 +73,12 @@ def test_pinned_midpoint_draws():
 
 @pytest.mark.parametrize("argv,name,digest", [
     (["scaling", "--replicas", "4", "--seed", "0"], "scaling.csv",
-     "a7577ee25e8923f9e9a25ede4002577005e28096d71a56532c344fe1fbc65d86"),
+     "eb9915a8554c4d942e8ce72fbd90509c8e0330984ac36060e72227d99a7b3675"),
     (["trace", "--kappa", "6", "--tolerance", "0.16", "--seed", "8"],
      "trace.csv",
      "763d5bd61b8cb985c19913eaa3b851e3d3242611f4075c6eec1aaa3572ebd8a5"),
     (["compare", "--replicas", "4", "--seed", "0"], "compare.csv",
-     "6ae0133ffda45801a2618b9a507b1c25d33504f14529ce2e771b8f4e279dc639"),
+     "59100606f20c32f325f11995809b1fd399703f8efa2e04d27b89df55bdcdc4f7"),
     (["divergence", "--replicas", "20", "--seed", "0"], "divergence.csv",
      "52771e2b33f2c20e9bd7a2237c9aecf5f08223f35d4b3e619d8e79547a3f1e55"),
     (["integrals", "--n", "128", "--r", "3", "--seed", "0"], "integrals.csv",
@@ -89,12 +93,12 @@ def test_pinned_midpoint_draws():
     # 240-500 lanes: the first doublings run on the lane kernel
     (["scaling", "--replicas", "100", "--eps", "0.125", "0.0625", "0.03125",
       "--seed", "0"], "scaling.csv",
-     "c1209162cd14c8e42cc2b6d40b5437986ef373a25cf220acf6bb0d129b0dc41d"),
+     "8f175f87de6e72256bc8276a014fd022f1451f60efd6dc064354cbaeea16487c"),
     (["scaling", "--replicas", "60", "--eps", "0.25", "0.125", "0.0625",
       "0.03125", "--kappa", "6", "--seed", "3"], "scaling.csv",
-     "7fc86c51074a73694bf0b6829edd66b72b1499d9bf91f0ca342d240532c92d40"),
+     "21e00903da39d7a9b6fa248576b9a1c9247cd87c1421fc2cd3d1928065387122"),
     (["compare", "--replicas", "100", "--seed", "0"], "compare.csv",
-     "77c0f3f692d79c01b7b6f95d4f5b7f4ebde2976d60bdf6bca2321016aef97409"),
+     "20e6855ceec5708489b3e729af3acc6573cda914b59a4fe8487e2ddceba26cf9"),
 ])
 def test_pinned_csv_bytes(tmp_path, capsys, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0

@@ -389,7 +389,6 @@ def test_every_real_parameter_check_is_one_rule(monkeypatch, name, call, x):
         raise AssertionError("a random draw was made")
 
     monkeypatch.setattr(brownian, "_normals", no_draws)
-    monkeypatch.setattr(brownian, "_block_normals", no_draws)
     monkeypatch.setattr(experiments, "_sfc64_stream", no_draws)
     monkeypatch.setattr(experiments, "derive_seeds", no_draws)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
@@ -453,7 +452,6 @@ def test_every_count_check_is_one_rule(monkeypatch, name, call, n):
         raise AssertionError("a random draw was made")
 
     monkeypatch.setattr(brownian, "_normals", no_draws)
-    monkeypatch.setattr(brownian, "_block_normals", no_draws)
     monkeypatch.setattr(experiments, "_sfc64_stream", no_draws)
     monkeypatch.setattr(experiments, "derive_seeds", no_draws)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
@@ -518,7 +516,6 @@ def test_every_seed_check_is_one_rule(monkeypatch, entry, seed):
         raise AssertionError("a random draw was made")
 
     monkeypatch.setattr(brownian, "_normals", no_draws)
-    monkeypatch.setattr(brownian, "_block_normals", no_draws)
     with pytest.raises(ValueError, match="^seed must be an integer"):
         _SEED_ENTRIES[entry](seed)
 
