@@ -572,16 +572,13 @@ def _scalar_reference(z0, t, substeps, kappa, depth, probes, sub_seed):
     values = [0.0, *accumulate((incs * math.sqrt(t / substeps)).tolist())]
     ref = reference_solve(z0, BrownianPath(times, values, sub_seed), t, kappa)
     for doubling in range(1, experiments._MAX_DOUBLINGS + 1):
-        xi = philox_stream(sub_seed, doubling).standard_normal(substeps)
-        mids = [(0.5 * (t0 + t1),
-                 0.5 * (v0 + v1) + math.sqrt(0.25 * (t1 - t0)) * x)
-                for t0, t1, v0, v1, x in zip(times, times[1:], values,
-                                             values[1:], xi.tolist())]
-        times = [s for pair in zip(times, (m for m, _ in mids))
-                 for s in pair] + times[-1:]
-        values = [s for pair in zip(values, (v for _, v in mids))
-                  for s in pair] + values[-1:]
-        substeps *= 2
+        xi = philox_stream(sub_seed, doubling).standard_normal(len(times) - 1)
+        tm = [0.5 * (t0 + t1) for t0, t1 in zip(times, times[1:])]
+        vm = [0.5 * (v0 + v1) + math.sqrt(0.25 * (t1 - t0)) * x
+              for v0, v1, t0, t1, x in zip(values, values[1:], times,
+                                           times[1:], xi.tolist())]
+        times = [s for pair in zip(times, tm) for s in pair] + times[-1:]
+        values = [s for pair in zip(values, vm) for s in pair] + values[-1:]
         path = BrownianPath(times, values, sub_seed)
         finer = reference_solve(z0, path, t, kappa)
         errors = tuple(abs(finer - a) for a in probes(
