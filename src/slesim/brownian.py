@@ -27,8 +27,10 @@ SFC64 generator seeded by (seed, tag), from which
 ``experiments.divergence_probe`` its drivers, each in order.  Neither is
 ever refined, so no draw of them is asked for on its own: they need no
 key, and SFC64 draws normals faster than Philox.
-:func:`_sum_increments` turns rows of normals into uniform-grid drivers,
-for keyed and sequential draws alike.
+:func:`_scale_increments` turns rows of normals into the increments of
+uniform-grid drivers, and :func:`_sum_increments` sums them into the
+drivers' samples; ``integrals._walk_lanes`` sums ``divergence_probe``'s
+increments the same way, one interval at a time across its drivers.
 """
 
 from __future__ import annotations
@@ -138,19 +140,25 @@ def _uniform_grid(T: float, n: int) -> np.ndarray:
     return T * (np.arange(n + 1) / n)
 
 
+def _scale_increments(noise: np.ndarray, T: float) -> np.ndarray:
+    """Rows of n standard normals, scaled in place by sqrt(T / n) into
+    the increments of drivers on the uniform grid; returns ``noise``."""
+    noise *= sqrt(T / noise.shape[1])
+    return noise
+
+
 def _sum_increments(noise: np.ndarray, T: float,
                     out: np.ndarray) -> np.ndarray:
     """The driver rule: row r of ``out`` becomes B(0) = 0 followed by the
     running sums, in order along the row, of the increments
-    ``sqrt(T / n) * noise[r]``; returns ``out``.
+    :func:`_scale_increments` makes of ``noise[r]``; returns ``out``.
 
     ``noise`` holds rows of n standard normals and is scaled in place.
     Scaling and summing are elementwise and sequential along the row, so
     a row's bits do not depend on the other rows or on its position.
     """
-    noise *= sqrt(T / noise.shape[1])
     out[:, 0] = 0.0
-    np.cumsum(noise, axis=1, out=out[:, 1:])
+    np.cumsum(_scale_increments(noise, T), axis=1, out=out[:, 1:])
     return out
 
 

@@ -15,7 +15,8 @@ without --force), 2 numerical failure (a trace interval still too coarse
 at the float64 resolution of the horizon, a reference that did not
 converge, a ``moments`` run that overflows float64, or any other float
 overflow or division by an underflowed zero, such as ``divergence`` at
-a kappa of 1e-300 or 1e300).  A numerical failure, like a validation error,
+a kappa of 1e-300 or 1e300, or ``scaling``, ``divergence`` and
+``compare`` at a kappa below about 1.1e-308, where a = 2/kappa is inf).  A numerical failure, like a validation error,
 writes no output directory.
 """
 

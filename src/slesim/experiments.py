@@ -7,9 +7,11 @@ doubling as well), except ``moment_preservation``'s increment
 matrix and ``divergence_probe``'s drivers, which nothing refines: each
 is read in order from one SFC64 stream seeded by seed and its own tag;
 every replica's arithmetic is independent of the others (also where
-replicas step together as the lanes of one array), results are
-collected in replica order, and reductions use numpy's fixed-order
-pairwise summation.  ``moment_preservation`` reduces a fixed
+replicas step together as the lanes of one array, as the references of
+a row do, and ``divergence_probe``'s drivers, walked one interval at a
+time across a block of them), results are collected in replica order,
+and reductions use numpy's fixed-order pairwise summation.
+``moment_preservation`` reduces a fixed
 block of replicas at a time, in order: pairwise sums within a block, and
 the blocks' sums and squared deviations merged one after another by the
 rule of Chan, Golub & LeVeque.  Reports are written as CSV plus a JSON
@@ -33,13 +35,14 @@ from math import isfinite, log, nan, sqrt
 
 import numpy as np
 
-from .brownian import (_bisect, _sfc64_stream, _sum_increments,
+from .brownian import (_bisect, _scale_increments, _sfc64_stream,
                        _uniform_block, _uniform_grid)
-from .integrals import _BLOCK_ROWS, _tables, derive_seeds, word_entries
+from .integrals import _plan, _tables, _walk_lanes, derive_seeds
 from .schemes import (UNIT_NOISE, _nv_array_step, _reference_rows,
                       euler_step, nv_step, taylor_step)
-from .vfalgebra import (_check_count, _check_level, _check_nonnegative,
-                        _check_positive, compose, deg, eval_term, format_word)
+from .vfalgebra import (_check_count, _check_kappa, _check_level,
+                        _check_nonnegative, _check_positive, compose, deg,
+                        eval_term, format_word)
 
 __all__ = [
     "ExperimentReport",
@@ -71,6 +74,9 @@ _TAG_DRIVERS = 0xD1
 # 16 steps) are drawn, stepped and reduced while they stay in cache, and
 # the next block draws and steps in the same buffers.
 _NOISE_BLOCK = 8192
+# Drivers per block of divergence_probe, drawn into one reused buffer (2 MB
+# at 256 intervals) and walked as the lanes of integrals._walk_lanes
+_DRIVER_LANES = 1024
 
 
 class ReferenceConvergenceError(RuntimeError):
@@ -221,7 +227,7 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
     # a repeat adds no point to the log-log fit, only weight
     if len(set(eps_list)) < len(eps_list):
         raise ValueError("eps values must be distinct")
-    _check_positive("kappa", kappa)
+    _check_kappa(kappa)
     # refuses a level no Taylor step takes, before any driver is drawn
     _check_level(r)
 
@@ -248,6 +254,24 @@ def epsilon_scaling(eps_list, delta: float, r: int, kappa: float,
                             {"reference_doublings": doublings})
 
 
+def _driver_grid(eps: float, delta: float, level: float,
+                 resolution: int) -> tuple[float, np.ndarray]:
+    """Horizon ``level ** (2 - delta)`` of ``divergence_probe``'s drivers
+    at one eps level, and the interval lengths of its uniform grid.
+
+    Raises ValueError, naming eps, delta and the level, if the horizon has
+    underflowed to 0 or its grid has an interval of float64 length 0.
+    """
+    t = level ** (2.0 - delta)
+    steps = np.diff(_uniform_grid(t, resolution)) if t > 0.0 else None
+    if steps is None or not (steps > 0.0).all():
+        raise ValueError(
+            f"eps = {eps!r}, delta = {delta!r}: the horizon {level!r} ** "
+            f"(2 - delta) = {t!r} is too small for {resolution} float64 "
+            f"intervals")
+    return t, steps
+
+
 def divergence_probe(eps: float, delta: float, words, replicas: int,
                      seed: int, kappa: float = 2.0,
                      resolution: int = 256) -> ExperimentReport:
@@ -264,13 +288,18 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
     driver at eps, in replica order, then every one at eps/2, reads its
     ``resolution`` standard normals in order from one sequential SFC64
     stream, ``brownian._sfc64_stream(seed, _TAG_DRIVERS)``.  They are
-    drawn ``_BLOCK_ROWS`` at a time, the rows ``word_entries`` walks
-    together, into one reused buffer and summed by
-    ``brownian._sum_increments``, so the bytes do not depend on the block
-    size.  A Taylor coefficient that overflows float64 raises
-    ``OverflowError`` (from ``eval_term``), and an estimate that is 0 at
-    either eps level raises ``ZeroDivisionError`` naming the word, the
-    level and kappa.
+    drawn ``_DRIVER_LANES`` at a time into one reused buffer, scaled in
+    place by ``brownian._scale_increments``, and walked as the lanes of
+    ``integrals._walk_lanes``, which sums each driver as
+    ``brownian._sum_increments`` would and integrates every word on it
+    bit for bit as ``word_entries`` would; so the bytes do not depend on
+    the block size.  Both eps levels' grids are checked before the first
+    draw: a horizon too small for ``resolution`` float64 intervals raises
+    ``ValueError`` naming eps, delta and the level.  A kappa for which
+    a = 2 / kappa, or a Taylor coefficient, overflows float64 raises
+    ``OverflowError`` (from ``_check_kappa`` or ``eval_term``), and an
+    estimate that is 0 at either eps level raises ``ZeroDivisionError``
+    naming the word, the level and kappa.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -278,7 +307,7 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
         raise ValueError("delta must lie in (0, 2)")
     _check_count("replicas", replicas, 2)
     _check_count("resolution", resolution, 1)
-    _check_positive("kappa", kappa)
+    _check_kappa(kappa)
     words = [tuple(w) for w in words]
     terms = {w: compose(w) for w in words}
     skipped = [format_word(w) for w in words if terms[w].is_zero()]
@@ -286,22 +315,27 @@ def divergence_probe(eps: float, delta: float, words, replicas: int,
     if not live:
         raise ValueError("every word's Taylor term vanishes")
     levels = [eps, 0.5 * eps]
-    horizons = [e ** (2.0 - delta) for e in levels]
+    # both grids are checked before the first draw; neither is kept, as
+    # the allocation layout moves this workload's time (ROADMAP
+    # "Not planned")
+    for e in levels:
+        _driver_grid(eps, delta, e, resolution)
+    plan = _plan(live)
 
     # integrals[lvl][:, k] is word k over the replicas, in replica order;
     # one driver per (replica, eps level), shared by all words
     gen = _sfc64_stream(seed, _TAG_DRIVERS)
-    noise = np.empty((min(_BLOCK_ROWS, replicas), resolution))
-    block = np.empty((len(noise), resolution + 1))
+    noise = np.empty((min(_DRIVER_LANES, replicas), resolution))
     integrals = []
-    for t in horizons:
-        times = _uniform_grid(t, resolution)
+    for e in levels:
+        t, dt = _driver_grid(eps, delta, e, resolution)
         entries = np.empty((replicas, len(live)))
-        for a in range(0, replicas, _BLOCK_ROWS):
-            n = min(_BLOCK_ROWS, replicas - a)
-            values = _sum_increments(gen.standard_normal(out=noise[:n]), t,
-                                     block[:n])
-            entries[a:a + n] = word_entries(times, values, live)
+        for a in range(0, replicas, _DRIVER_LANES):
+            n = min(_DRIVER_LANES, replicas - a)
+            ends = _walk_lanes(dt, _scale_increments(
+                gen.standard_normal(out=noise[:n]), t), plan)
+            for k, w in enumerate(live):
+                entries[a:a + n, k] = ends[w]
         integrals.append(entries)
 
     rows = []
@@ -456,7 +490,7 @@ def scheme_comparison(kappa: float, eps: float, horizons, replicas: int,
     horizons = [float(t) for t in horizons]
     for t in horizons:
         _check_positive("horizon", t)
-    _check_positive("kappa", kappa)
+    _check_kappa(kappa)
 
     def probes(z0, t, table, b) -> tuple:
         return (euler_step(z0, t, b, kappa),

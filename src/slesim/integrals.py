@@ -11,16 +11,21 @@ exact whenever the integrand is linear there - in particular every entry
 up to length 2 is exact for the piecewise-linear path, e.g. the (1, 1)
 entry telescopes to B(t)^2 / 2.
 
-One prefix walk, behind :func:`word_entries`, integrates chosen words
-on any number of drivers that share one grid, one row per driver: it
-walks the rows a bounded block at a time and integrates each distinct
-word prefix once per block, parents before children.  The table builder
-behind :func:`compute_table` lists every word up to a length and only
-formats the rows :func:`word_entries` returns.  The quadrature is
-made of separate real float64 ufuncs and a sequential cumsum along each
-row, so every row rounds exactly as :func:`iterated_integral`, the
-prefix chain of one word on one driver, which stays apart as the
-independent reference.
+The prefix walk integrates chosen words on any number of drivers that
+share one grid, each distinct word prefix once, parents before children,
+in one of two layouts.  :func:`word_entries` walks row-major, one row
+per driver, a bounded block of rows at a time, each running integral a
+cumsum along its row; the table builder behind :func:`compute_table`
+lists every word up to a length and only formats its rows.
+``_walk_lanes`` walks time-major: one interval at a time across a block
+of drivers, its lanes, summing the driver from its increments on the
+way; ``experiments.divergence_probe`` walks its drivers so.  Either way
+the quadrature is made of separate real float64 ufuncs, and each running
+integral adds in order along the time axis, so every driver rounds
+exactly as :func:`iterated_integral`, the prefix chain of one word on
+one driver, which stays apart as the independent reference.  The lanes
+pay a few numpy calls per prefix and interval: cheap across a thousand
+drivers, but not across the few rows of a table.
 """
 
 from __future__ import annotations
@@ -42,11 +47,10 @@ __all__ = [
     "derive_seeds",
 ]
 
-# Rows per block of the prefix walk: :func:`word_entries` alone blocks
-# the rows it integrates, and ``divergence_probe`` draws its drivers this
-# many at a time.  The walk keeps a few arrays of one block's shape alive
-# (one per word prefix still to extend), so memory stays near 1 MB at 256
-# intervals whatever the number of rows.
+# Rows per block of the row-major walk: :func:`word_entries` alone blocks
+# the rows it integrates.  The walk keeps a few arrays of one block's
+# shape alive (one per word prefix still to extend), so memory stays near
+# 1 MB at 256 intervals whatever the number of rows.
 _BLOCK_ROWS = 64
 
 
@@ -122,6 +126,79 @@ def _walk(legs, plan) -> dict:
             ends[q] = running[q][..., -1].copy()
             if q not in parents:
                 del running[q]
+    return ends
+
+
+def _walk_lanes(dt, increments, plan) -> dict:
+    """:func:`_walk`'s end values, walked time-major across lanes.
+
+    Row ``i`` of ``increments`` is lane ``i``: the n increments x_k of a
+    driver on the grid of interval lengths ``dt``, that is B(0) = 0
+    followed by their running sums, as ``brownian._sum_increments`` makes
+    it.  For each interval k in turn, every lane at once: B_{k+1} = B_k
+    + x_k and dB_k = B_{k+1} - B_k, then, parents first, every prefix
+    that depends on the driver gains the midpoint 0.5 * (old + new) of
+    its parent times its leg (dt_k or dB_k).  Each lane does the float64
+    operations of its row in :func:`_walk` (and of ``np.diff`` of the
+    driver) in the same order, so its bits are the row's; the adds of one
+    interval do not depend on each other and run as SIMD, where a
+    ``cumsum`` along a row is a chain of dependent adds.  As in a
+    ``cumsum``, the first step is the running value itself: it is added
+    to -0.0, which leaves every float as it is, while the midpoints read
+    B(0) and every prefix at time 0 as +0.0.  Prefixes made only of 0s
+    stay 1-D over time, as in :func:`_walk`.
+
+    Raises ValueError if some driver is not finite.
+    """
+    # NaN and infinities show in the least and greatest increment, and
+    # reading those allocates no mask of the block
+    if not np.isfinite([increments.min(), increments.max()]).all():
+        raise ValueError("driver increments must be finite")
+    add, mul = np.add, np.multiply
+    dt = np.asarray(dt, dtype=np.float64)
+    lanes = len(increments)
+    flat = {(): np.ones(len(dt) + 1)}
+    ends = {(): flat[()][-1].copy()}
+    # run[q] holds the lanes of prefix q (of B for the empty word) before
+    # and after interval k, in rows k % 2 and 1 - k % 2
+    run = {(): np.zeros((2, lanes))}
+    groups = []
+    for p, letters in plan:
+        children = []
+        for j in letters:
+            q = p + (j,)
+            if 1 in q:
+                run[q] = np.zeros((2, lanes))
+                children.append((j, run[q]))
+            else:
+                flat[q] = _integrate(_midpoints(flat[p]), dt)
+                ends[q] = flat[q][-1].copy()
+        if children and 1 in p:
+            groups.append((run[p], None, children))
+        elif children:
+            # a flat parent's midpoints are one float per interval
+            groups.append((None, _midpoints(flat[p]).tolist(), children))
+    unset = np.full(lanes, -0.0)
+    b, dB = run[()], np.empty(lanes)
+    avg, step = np.empty(lanes), np.empty(lanes)
+    for k, h in enumerate(dt.tolist()):
+        was, now = k & 1, 1 - (k & 1)
+        add(b[was] if k else unset, increments[:, k], out=b[now])
+        np.subtract(b[now], b[was], out=dB)
+        for parent, mids, children in groups:
+            if mids is None:
+                add(parent[was], parent[now], out=avg)
+                mul(avg, 0.5, out=avg)
+            for j, r in children:
+                if mids is None:
+                    mul(avg, dB if j else h, out=step)
+                else:
+                    mul(dB, mids[k], out=step)
+                add(r[was] if k else unset, step, out=r[now])
+    final = len(dt) & 1
+    for q, r in run.items():
+        if q:
+            ends[q] = r[final]
     return ends
 
 

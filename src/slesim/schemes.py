@@ -54,8 +54,8 @@ import numpy as np
 
 from .brownian import BrownianPath
 from .integrals import IteratedIntegralTable
-from .vfalgebra import (_check_level, _check_nonnegative, _check_positive,
-                        enumerate_level, eval_term)
+from .vfalgebra import (_check_kappa, _check_level, _check_nonnegative,
+                        _check_positive, enumerate_level, eval_term)
 
 __all__ = [
     "sqrt_h",
@@ -428,7 +428,7 @@ def euler_step(z, h, dB, kappa: float):
     """One Euler-Maruyama step of the unit_noise equation; with constant
     diffusion this is also the Milstein step.  Has a pole at z = 0."""
     _check_nonnegative("step size h", h)
-    _check_positive("kappa", kappa)
+    _check_kappa(kappa)
     return z - (2.0 / kappa) / z * h + dB
 
 

@@ -11,8 +11,9 @@ left: the rightmost letter differentiates first.
 The module imports only the standard library, so every other module can
 import its parameter checks: ``_check_level`` for truncation levels,
 ``_check_count`` for integer counts, ``_check_seed`` for seeds, and
-``_check_positive`` and ``_check_nonnegative`` for real parameters, each
-rule stated once; the three integer checks and ``derive_seeds`` share
+``_check_positive`` and ``_check_nonnegative`` for real parameters, and
+``_check_kappa`` for a kappa that a = 2/kappa divides by, each rule
+stated once; the three integer checks and ``derive_seeds`` share
 ``_is_integer_type``, and the real checks refuse NaN and infinities.
 """
 
@@ -108,6 +109,18 @@ def _check_positive(name: str, x) -> None:
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
+def _check_kappa(kappa) -> None:
+    """Refuse a kappa outside 0 < kappa < inf with ValueError, and one so
+    small (below about 1.1e-308) that a = 2 / kappa overflows float64
+    with OverflowError, naming kappa and a."""
+    _check_positive("kappa", kappa)
+    a = 2.0 / float(kappa)
+    if a == math.inf:
+        raise OverflowError(
+            f"a = 2 / kappa overflows float64 at kappa = {kappa!r}, "
+            f"a = {a!r}")
+
+
 def _check_nonnegative(name: str, x) -> None:
     """Refuse a real parameter outside 0 <= x < inf; NaN is outside too."""
     if not 0.0 <= x < math.inf:
@@ -190,10 +203,10 @@ def eval_term(term: LaurentTerm, z: complex, kappa: float) -> complex:
 
     Raises:
         ValueError: kappa is not finite and > 0.
-        OverflowError: a^j overflows float64; the message names kappa,
-            a and j.
+        OverflowError: a or a^j overflows float64; the message names
+            kappa and a (and j).
     """
-    _check_positive("kappa", kappa)
+    _check_kappa(kappa)
     if term.coeff == 0:
         return 0j
     z = complex(z)

@@ -256,11 +256,16 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
     ["divergence", "--replicas", "3", "--kappa", "1e-300"],
     ["scaling", "--replicas", "2", "--kappa", "1e-300"],
     ["compare", "--replicas", "2", "--kappa", "1e-300"],
+    # a = 2 / kappa itself is inf
+    ["divergence", "--replicas", "3", "--kappa", "5e-324"],
+    ["scaling", "--replicas", "2", "--kappa", "5e-324"],
+    ["compare", "--replicas", "2", "--kappa", "5e-324"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:1] + argv[3:]))
 def test_float_overflow_or_underflow_exits_two(tmp_path, capsys, argv):
     # these runs used to end in an uncaught OverflowError or
-    # ZeroDivisionError, a traceback and exit status 1; the message names
-    # the parameter whose value failed
+    # ZeroDivisionError, a traceback and exit status 1 (at kappa 5e-324,
+    # in exit 0 and inf rows, or in a reference "still moving by nan");
+    # the message names the parameter whose value failed
     out = tmp_path / "new"
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err

@@ -121,9 +121,43 @@ def test_divergence_refuses_kappa_before_drawing(monkeypatch, kappa):
         divergence_probe(0.125, 0.5, [(0,), (1,)], 50, seed=4, kappa=kappa)
 
 
+@pytest.mark.parametrize("resolution, message", [
+    (256, "the horizon 4.75e-163 ** (2 - delta) = 1e-323 is too small "
+          "for 256 float64 intervals"),
+    (1, "the horizon 2.375e-163 ** (2 - delta) = 0.0 is too small for 1 "),
+])
+def test_divergence_refuses_an_underflowed_grid_before_drawing(
+        monkeypatch, resolution, message):
+    # eps^1.99 = 1e-323 holds one float64 interval but not 256, and
+    # (eps/2)^1.99 underflows to 0: either used to be refused only after
+    # a level's first block was drawn, as "times must be strictly
+    # increasing"
+    _forbid_draws(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        divergence_probe(4.75e-163, 0.01, [(1,)], 2, 0,
+                         resolution=resolution)
+    assert str(info.value).startswith("eps = 4.75e-163, delta = 0.01: ")
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: divergence_probe(0.125, 0.5, [(1,)], 4, 0, kappa=5e-324),
+    lambda: epsilon_scaling(EPS3, 0.5, 2, 5e-324, 4, seed=0, substeps=8),
+    lambda: scheme_comparison(5e-324, 0.125, [0.01], 4, 0, substeps=8),
+], ids=["divergence", "scaling", "compare"])
+def test_kappa_whose_a_overflows_is_refused_before_drawing(monkeypatch, run):
+    # a = 2 / kappa is inf below kappa of about 1.1e-308: divergence used
+    # to write inf and nan rows, and scaling and compare blamed a
+    # reference still moving by nan
+    _forbid_draws(monkeypatch)
+    with pytest.raises(OverflowError, match=r"kappa = 5e-324, a = inf"):
+        run()
+
+
 def test_divergence_bytes_do_not_depend_on_the_block_size(monkeypatch,
                                                           tmp_path):
-    # 150 = 21 * 7 + 3 replicas: the last block of 7 is short
+    # 150 = 21 * 7 + 3 replicas: with blocks of 7 drivers the last is
+    # short, where the default draws and walks them all as one block
     def csv_bytes(name):
         report = divergence_probe(0.125, 0.5, [(1,), (1, 0), (0, 0)], 150,
                                   seed=8, resolution=16)
@@ -131,7 +165,7 @@ def test_divergence_bytes_do_not_depend_on_the_block_size(monkeypatch,
         return (tmp_path / name).read_bytes()
 
     default = csv_bytes("default.csv")
-    monkeypatch.setattr(experiments, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(experiments, "_DRIVER_LANES", 7)
     assert csv_bytes("seven.csv") == default
 
 

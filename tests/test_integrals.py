@@ -140,6 +140,52 @@ def test_word_entries_equal_iterated_integral_bitwise(words, zeros, rows, n,
     assert alone.tobytes() == entries[i:i + 1].tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(words=_words, zeros=st.integers(1, 4), lanes=st.integers(1, 40),
+       gaps=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=16),
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+       block=st.integers(1, 40), signed_zero=st.booleans(),
+       seed=st.integers(0, 99))
+# one lane of one interval whose increment is -0.0: every end keeps the
+# sign a cumsum gives it, -0.0 for (1,), (1, 1) and (0, 1)
+@example(words=[(1,), (1, 1), (0, 1)], zeros=1, lanes=1, gaps=[0.5],
+         scale=1.0, block=1, signed_zero=True, seed=0)
+def test_lane_walk_equals_row_walk_bitwise(words, zeros, lanes, gaps, scale,
+                                           block, signed_zero, seed):
+    # repeated, empty and flat words, and words whose parent is flat, on a
+    # non-uniform grid; the lanes go to the walk a block at a time, the
+    # last block short unless block divides lanes
+    words = words + [words[0], (0,) * zeros, (0, 1), (0, 0, 1), ()]
+    times = np.concatenate(([0.0], np.cumsum(gaps)))
+    x = scale * np.random.default_rng(seed).standard_normal((lanes,
+                                                              len(gaps)))
+    if signed_zero:
+        x[0, 0] = -0.0
+    values = np.zeros((lanes, len(times)))
+    np.cumsum(x, axis=1, out=values[:, 1:])
+    plan = integrals._plan(words)
+    walked = np.empty((lanes, len(words)))
+    for a in range(0, lanes, block):
+        ends = integrals._walk_lanes(np.diff(times), x[a:a + block], plan)
+        for k, w in enumerate(words):
+            walked[a:a + block, k] = ends[w]
+    assert walked.tobytes() == word_entries(times, values, words).tobytes()
+    for row, v in zip(walked, values):
+        path = BrownianPath(times, v, seed=0)
+        loop = np.array([iterated_integral(path, times[-1], w)
+                         for w in words])
+        assert row.tobytes() == loop.tobytes()
+
+
+def test_lane_walk_refuses_a_driver_that_is_not_finite():
+    x = np.ones((3, 4))
+    x[1, 2] = np.inf
+    x[2, 1] = np.nan
+    for rows in (x[1:2], x[2:]):
+        with pytest.raises(ValueError, match="finite"):
+            integrals._walk_lanes(np.ones(4), rows, integrals._plan([(1,)]))
+
+
 def test_table_block_keeps_only_live_prefix_arrays():
     # one block of 64 drivers on 8,193 knots at r = 3: the walk holds the
     # arrays of the parents still to integrate and a few temporaries, not
