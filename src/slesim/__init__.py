@@ -16,7 +16,7 @@ noise shift (inline in ``_nv_steps``) and the array fold (``_shift_up``).
 """
 
 from .brownian import BrownianPath, philox_stream
-from .integrals import (IteratedIntegralTable, compute_table, derive_seeds,
+from .integrals import (IteratedIntegralTable, compute_table,
                         iterated_integral, word_entries)
 from .schemes import (SCALED_NOISE, UNIT_NOISE, euler_step, flow_drift,
                       flow_noise, nv_step, reference_solve, sqrt_h,
@@ -36,7 +36,7 @@ __all__ = [
     "BrownianPath", "philox_stream",
     "sqrt_h",
     "IteratedIntegralTable", "compute_table",
-    "derive_seeds", "iterated_integral", "word_entries",
+    "iterated_integral", "word_entries",
     "REFERENCE_RTOL", "SCALED_NOISE", "UNIT_NOISE", "euler_step",
     "flow_drift", "flow_noise", "nv_step", "reference_solve", "taylor_step",
     "TraceRefinementError", "TraceResult", "build_trace", "render_svg",

@@ -10,13 +10,18 @@ of the stream of tag 0.  A :class:`BrownianPath` midpoint is the first
 normal of the stream tagged with the bit pattern of its time, so two runs
 that bisect the same intervals in different orders produce bitwise
 identical samples.  :func:`_uniform_block` draws many uniform-grid drivers
-as rows of one array, each row bit for bit the path
-:meth:`BrownianPath.sample_uniform` draws from the same seed.
+as rows of one array, one replica per row; the row of replica 0 is bit
+for bit the path :meth:`BrownianPath.sample_uniform` draws from the same
+seed.
 
-The reference drivers of ``experiments._reference_errors`` are refined
+Every keyed stream is ``Philox(key=(seed, tag), counter=(0, 0, 0,
+replica))``: the key names the quantity drawn and the counter's last word
+the replica.  A :class:`BrownianPath` is replica 0.  The reference
+drivers of ``experiments._reference_errors`` are replicas 1 and up, one
+per reference, drawn as the rows of :func:`_uniform_block` and refined
 only by whole bisection passes, :func:`_bisect`, so their midpoints are
-keyed by (seed, doubling) in place of time: at doubling d, a row's n
-midpoints, in interval order, are the first n normals of the stream of
+keyed by (seed, doubling) in place of time: at doubling d, a replica's n
+midpoints, in interval order, are the first n normals of its stream of
 tag d.  Every keyed draw goes through :func:`_normals`: each thread keeps
 one Philox bit generator and resets it to the stream's starting state
 before every draw, one reset per midpoint of a path or per row of a pass.
@@ -54,13 +59,21 @@ _MASK64 = (1 << 64) - 1
 _TAG_INCREMENTS = 0
 
 
-def philox_stream(seed: int, tag: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, tag), not by call order.
+def philox_stream(seed: int, tag: int,
+                  replica: int = 0) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, tag), not by call order,
+    with ``replica`` in the last word of its starting counter.
 
     ``seed`` is any integer but a bool (``vfalgebra._check_seed``); only
-    its low 64 bits count."""
+    its low 64 bits count.  ``replica`` is an integer in [0, 2**64): 0
+    for a :class:`BrownianPath`, 1 and up for the reference drivers of
+    ``experiments._reference_errors``.  A stream carries into the
+    counter's last word only after 2**192 blocks of draws, so two
+    replicas' streams do not overlap."""
     key = np.array([_check_seed(seed), tag & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    _check_count("replica", replica, 0)
+    counter = np.array([0, 0, 0, replica], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def _sfc64_stream(seed: int, tag: int) -> np.random.Generator:
@@ -83,9 +96,10 @@ def _philox():
     """This thread's Philox, its generator and its reset state.
 
     Setting ``bitgen.state = state`` puts the generator in the state a
-    new stream starts in: key ``state["state"]["key"]``, zero counter,
-    empty output buffer.  The state setter reads the words one at a time,
-    which is cheaper from Python int lists than from numpy arrays.
+    new stream starts in: key ``state["state"]["key"]``, counter
+    ``state["state"]["counter"]``, empty output buffer.  The state setter
+    reads the words one at a time, which is cheaper from Python int lists
+    than from numpy arrays.
     """
     try:
         return _local.philox
@@ -99,14 +113,16 @@ def _philox():
         return _local.philox
 
 
-def _normals(seed: int, tag: int, size=None):
-    """``philox_stream(seed, tag).standard_normal(size)``, bit for bit."""
+def _normals(seed: int, tag: int, replica: int = 0, out=None):
+    """``philox_stream(seed, tag, replica).standard_normal(out=out)``, bit
+    for bit: one normal without ``out``, else ``out`` filled."""
     bitgen, gen, state = _philox()
     key = state["state"]["key"]
     key[0] = seed & _MASK64
     key[1] = tag & _MASK64
+    state["state"]["counter"][3] = replica
     bitgen.state = state
-    return gen.standard_normal(size)
+    return gen.standard_normal(out=out)
 
 
 def _time_tag(t: float) -> int:
@@ -162,23 +178,25 @@ def _sum_increments(noise: np.ndarray, T: float,
     return out
 
 
-def _normal_rows(seeds, tag: int, n: int) -> np.ndarray:
-    """Row r is ``_normals(seeds[r], tag, n)``: one reset stream per row."""
-    out = np.empty((len(seeds), n))
-    for row, seed in zip(out, seeds):
-        row[:] = _normals(seed, tag, n)
+def _normal_rows(seed: int, tag: int, replicas, n: int) -> np.ndarray:
+    """Row r is the first n normals of ``philox_stream(seed, tag,
+    replicas[r])``, drawn into the row: one reset stream per row."""
+    out = np.empty((len(replicas), n))
+    for row, replica in zip(out, replicas):
+        _normals(seed, tag, replica, row)
     return out
 
 
-def _uniform_block(T: float, n: int, seeds) -> np.ndarray:
-    """One row of samples on the uniform grid per seed.
+def _uniform_block(T: float, n: int, seed: int, replicas) -> np.ndarray:
+    """One row of samples on the uniform grid per replica.
 
-    Every row is drawn from its own seed's increment stream and summed by
+    Every row is drawn from its replica's increment stream and summed by
     :func:`_sum_increments`.  ``T`` and ``n`` are those of a grid
-    :func:`_uniform_grid` has accepted.
+    :func:`_uniform_grid` has accepted, ``seed`` one that
+    ``vfalgebra._check_seed`` has.
     """
-    return _sum_increments(_normal_rows(seeds, _TAG_INCREMENTS, n), T,
-                           np.empty((len(seeds), n + 1)))
+    return _sum_increments(_normal_rows(seed, _TAG_INCREMENTS, replicas, n),
+                           T, np.empty((len(replicas), n + 1)))
 
 
 def _midpoints(t: np.ndarray) -> np.ndarray:
@@ -216,18 +234,18 @@ def _bridge(t: np.ndarray, tm: np.ndarray, v: np.ndarray,
     return times, values
 
 
-def _bisect(t: np.ndarray, v: np.ndarray, seeds,
+def _bisect(t: np.ndarray, v: np.ndarray, seed: int, replicas,
             doubling: int) -> tuple[np.ndarray, np.ndarray]:
     """Every interval of grid ``t`` gains its midpoint, in every row of ``v``.
 
     ``v`` holds one driver per row, sampled on ``t``.  Row r reads its
-    bridge normals, in interval order, from one stream,
-    ``_normals(seeds[r], doubling, len(t) - 1)``, and scales each by
+    bridge normals, in interval order, from the stream of replica
+    ``replicas[r]`` and tag ``doubling``, and scales each by
     ``sqrt(0.25 * (t1 - t0))``.  Returns the refined grid and values.  If
     some interval cannot be bisected in float64, raises ValueError.
     """
     tm = _midpoints(t)
-    xi = _normal_rows(seeds, doubling, len(tm))
+    xi = _normal_rows(seed, doubling, replicas, len(tm))
     xi *= np.sqrt(0.25 * np.diff(t))
     return _bridge(t, tm, v, xi)
 
@@ -270,7 +288,8 @@ class BrownianPath:
             seed: stream key; equal seeds give bitwise-equal paths.
         """
         times = _uniform_grid(T, n)
-        return cls(times, _uniform_block(T, n, [_check_seed(seed)])[0], seed)
+        return cls(times, _uniform_block(T, n, _check_seed(seed), [0])[0],
+                   seed)
 
     @classmethod
     def zeros(cls, T: float, n: int) -> "BrownianPath":

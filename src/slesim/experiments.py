@@ -37,12 +37,12 @@ import numpy as np
 
 from .brownian import (_bisect, _scale_increments, _sfc64_stream,
                        _uniform_block, _uniform_grid)
-from .integrals import _plan, _tables, _walk_lanes, derive_seeds
+from .integrals import _plan, _tables, _walk_lanes
 from .schemes import (UNIT_NOISE, _nv_array_step, _reference_rows,
                       euler_step, nv_step, taylor_step)
 from .vfalgebra import (_check_count, _check_kappa, _check_level,
-                        _check_nonnegative, _check_positive, compose, deg,
-                        eval_term, format_word)
+                        _check_nonnegative, _check_positive, _check_seed,
+                        compose, deg, eval_term, format_word)
 
 __all__ = [
     "ExperimentReport",
@@ -128,16 +128,19 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
     """Probe errors of every replica of every row against its reference.
 
     Row j starts at ``starts[j]`` and ends at ``horizons[j]``; its replica
-    i draws its driver on ``substeps`` uniform intervals from the sub-seed
-    of index ``j * replicas + i`` (see :func:`derive_seeds`).  A replica's
-    reference is the splitting solution on its driver, refined one
-    bisection pass at a time until one more pass moves it by at most
-    REF_ERROR_FRACTION of the smallest error it is probed with, or by
-    REFERENCE_RTOL relative, whichever is larger.  ``probes(z0, t, table,
-    b)`` returns the approximations to measure on the driver as refined so
-    far: ``table`` holds its iterated integrals up to length ``depth``
-    over [0, t], ``b`` its value at t.  Accepted errors are final: a
-    driver is not refined after its errors are probed.
+    i draws its driver on ``substeps`` uniform intervals from the streams
+    of replica ``1 + j * replicas + i`` (see
+    :func:`slesim.brownian.philox_stream`), so no reference draws the
+    streams of a :class:`~slesim.brownian.BrownianPath`, replica 0, of
+    the same seed.  A replica's reference is the splitting solution on
+    its driver, refined one bisection pass at a time until one more pass
+    moves it by at most REF_ERROR_FRACTION of the smallest error it is
+    probed with, or by REFERENCE_RTOL relative, whichever is larger.
+    ``probes(z0, t, table, b)`` returns the approximations to measure on
+    the driver as refined so far: ``table`` holds its iterated integrals
+    up to length ``depth`` over [0, t], ``b`` its value at t.  Accepted
+    errors are final: a driver is not refined after its errors are
+    probed.
 
     Every replica of every row is a lane, and all lanes double together.
     The drivers of a row share one grid at every doubling, so they are the
@@ -145,8 +148,8 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
     references.  At doubling d, every live driver of a row gains all its
     midpoints in one bisection pass, :func:`slesim.brownian._bisect`:
     its n midpoints, in interval order, are bridge draws from the first n
-    normals of its sub-seed's stream of tag d, so a replica's driver does
-    not depend on which other replicas are still live.
+    normals of its stream of tag d, so a replica's driver does not depend
+    on which other replicas are still live.
 
     Returns ``(errors, doublings)``: ``errors[j]`` is an array of shape
     (replicas, number of probes) in replica order, and entry k of
@@ -154,14 +157,15 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
     doublings.  Raises ReferenceConvergenceError for the first replica,
     in (row, replica) order, still moving after _MAX_DOUBLINGS doublings.
     """
+    seed = _check_seed(seed)
     rows = range(len(horizons))
-    seeds = [derive_seeds(seed, range(j * replicas, (j + 1) * replicas))
-             .tolist() for j in rows]
     grids = [_uniform_grid(t, substeps) for t in horizons]
     # per row: the replicas still moving, their drivers (values[j][k] is
     # replica live[j][k] on grids[j]) and their references so far
     live = [list(range(replicas)) for _ in rows]
-    values = [_uniform_block(horizons[j], substeps, seeds[j]) for j in rows]
+    values = [_uniform_block(horizons[j], substeps, seed,
+                             range(1 + j * replicas, 1 + (j + 1) * replicas))
+              for j in rows]
     refs = _reference_rows(starts, grids, values, kappa)
     errors = [[None] * replicas for _ in rows]
     accepted_at = [[0] * replicas for _ in rows]
@@ -169,8 +173,8 @@ def _reference_errors(starts, horizons, substeps: int, kappa: float,
         for j in rows:
             if live[j]:
                 grids[j], values[j] = _bisect(
-                    grids[j], values[j], [seeds[j][i] for i in live[j]],
-                    doubling)
+                    grids[j], values[j], seed,
+                    [1 + j * replicas + i for i in live[j]], doubling)
         finer = _reference_rows(starts, grids, values, kappa)
         moving = []
         for j in rows:

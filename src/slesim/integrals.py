@@ -36,15 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brownian import BrownianPath, _check_samples
-from .vfalgebra import (_check_level, _check_positive, _check_seed,
-                        _check_word, _is_integer_type)
+from .vfalgebra import _check_level, _check_positive, _check_word
 
 __all__ = [
     "IteratedIntegralTable",
     "compute_table",
     "iterated_integral",
     "word_entries",
-    "derive_seeds",
 ]
 
 # Rows per block of the row-major walk: :func:`word_entries` alone blocks
@@ -290,65 +288,3 @@ def word_entries(times, values, words) -> np.ndarray:
         for k, w in enumerate(words):
             entries[a:a + len(block), k] = ends[w]
     return entries
-
-
-# The hash of numpy's seed sequence (numpy/random/bit_generator.pyx) for a
-# pool of four uint32 words.  Its multipliers do not depend on the entropy:
-# the k-th hashmix xors with _HASH_A[k] and multiplies by _HASH_A[k + 1].
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_HASH_A = [_INIT_A * _MULT_A ** k & _M32 for k in range(17)]
-_HASH_B = [_INIT_B * _MULT_B ** k & _M32 for k in range(3)]
-
-
-def _fold(v: np.ndarray) -> np.ndarray:
-    return v ^ (v >> 16)
-
-
-def derive_seeds(seed: int, indices) -> np.ndarray:
-    """Stable per-replica sub-seeds; independent of evaluation order.
-
-    Entry k is the first uint64 word that numpy's seed sequence generates
-    from the entropy ``(seed & (2**64 - 1), indices[k])``, bit for bit;
-    the hash runs for the whole block at once in uint32 array arithmetic.
-
-    Args:
-        seed: any integer but a bool (``vfalgebra._check_seed``); only
-            its low 64 bits count.
-        indices: integers in [0, 2**64), not bools
-            (``vfalgebra._is_integer_type``).
-
-    Returns:
-        uint64 array, one sub-seed per index.
-    """
-    seed = _check_seed(seed)
-    idx = list(indices)
-    # one test per type present, not per index: blocks run to thousands
-    if not all(map(_is_integer_type, set(map(type, idx)))):
-        raise ValueError("indices must be integers, not bools or floats")
-    if idx and (min(idx) < 0 or max(idx) >= 1 << 64):
-        raise ValueError("indices must lie in [0, 2**64)")
-    idx = np.array(idx, dtype=np.uint64)
-    # The seed sequence writes the seed and the index as 1 or 2 uint32
-    # words each (1 below 2**32) and hashes 0 into the pool words past
-    # them.  So the index as 2 words, the high one 0 below 2**32, padded
-    # with 0 to the pool's 4 words, hashes the same, and no entropy is
-    # left to mix in past the pool.
-    words = [seed & _M32, seed >> 32] if seed >> 32 else [seed]
-    pool = [np.full(len(idx), w, dtype=np.uint32) for w in words]
-    pool += [(idx & _M32).astype(np.uint32), (idx >> 32).astype(np.uint32)]
-    pool += [np.zeros(len(idx), dtype=np.uint32)] * (4 - len(pool))
-    consts = itertools.pairwise(_HASH_A)
-
-    def hashmix(v):
-        x, m = next(consts)
-        return _fold((v ^ x) * m)
-
-    pool = [hashmix(w) for w in pool]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _fold(_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src]))
-    lo, hi = (_fold((pool[k] ^ _HASH_B[k]) * _HASH_B[k + 1]).astype(np.uint64)
-              for k in (0, 1))
-    return lo | hi << 32

@@ -13,8 +13,8 @@ import its parameter checks: ``_check_level`` for truncation levels,
 ``_check_count`` for integer counts, ``_check_seed`` for seeds, and
 ``_check_positive`` and ``_check_nonnegative`` for real parameters, and
 ``_check_kappa`` for a kappa that a = 2/kappa divides by, each rule
-stated once; the three integer checks and ``derive_seeds`` share
-``_is_integer_type``, and the real checks refuse NaN and infinities.
+stated once; the three integer checks share ``_is_integer_type``, and
+the real checks refuse NaN and infinities.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ def _check_word(word) -> Word:
 def _is_integer_type(kind: type) -> bool:
     """The one integer rule of the checks below, a rule on types: numpy
     integers are integers, a bool is not, and neither is a float with an
-    integer value.  ``derive_seeds`` applies it once per type of a block
-    of indices."""
+    integer value."""
     return issubclass(kind, Integral) and kind is not bool
 
 

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -49,15 +50,21 @@ def test_uniform_grid_rounds_like_scalar_loop(T, n):
 
 
 def test_uniform_blocks_equal_sample_uniform():
-    # every row equals its own path, whichever block of seeds it is in
-    seeds = [3 * s + 1 for s in range(130)]
+    # every row is the driver summed from its own replica's increment
+    # stream, whichever block of replicas it is in; replica 0's row is
+    # the path sample_uniform draws from the same seed
+    replicas = [0] + [3 * r + 1 for r in range(130)]
     times = _uniform_grid(0.7, 9)
-    values = _uniform_block(0.7, 9, seeds)
-    assert _bits(_uniform_block(0.7, 9, seeds[64:])) == _bits(values[64:])
-    for seed, row in zip(seeds, values):
-        p = BrownianPath.sample_uniform(0.7, 9, seed=seed)
-        assert times.tolist() == p.times.tolist()
-        assert row.tolist() == p.values.tolist()
+    values = _uniform_block(0.7, 9, 11, replicas)
+    assert _bits(_uniform_block(0.7, 9, 11, replicas[64:])) == \
+        _bits(values[64:])
+    for replica, row in zip(replicas, values):
+        incs = philox_stream(11, 0, replica).standard_normal(9)
+        want = [0.0, *accumulate((incs * math.sqrt(0.7 / 9)).tolist())]
+        assert row.tolist() == want
+    p = BrownianPath.sample_uniform(0.7, 9, seed=11)
+    assert times.tolist() == p.times.tolist()
+    assert values[0].tolist() == p.values.tolist()
     assert BrownianPath.zeros(0.7, 9).times.tolist() == times.tolist()
 
 
@@ -138,19 +145,20 @@ def test_refine_equals_reversed_midpoint_loop(seed, n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(-2 ** 63, 2 ** 64 - 10), st.integers(1, 40),
-       st.integers(1, 9), st.floats(1e-6, 1e3))
-def test_block_bisection_equals_midpoint_loop(seed, n, rows, T):
-    # one row per driver, all on the uniform grid: at doubling d, each
+@given(st.integers(-2 ** 63, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 10),
+       st.integers(1, 40), st.integers(1, 9), st.floats(1e-6, 1e3))
+def test_block_bisection_equals_midpoint_loop(seed, first, n, rows, T):
+    # one row per replica, all on the uniform grid: at doubling d, each
     # row's midpoints, in interval order, are the bridge midpoints of the
-    # first normals of its stream of tag d, formed one by one
-    seeds = list(range(seed, seed + rows))
-    times, values = _uniform_grid(T, n), _uniform_block(T, n, seeds)
+    # first normals of its replica's stream of tag d, formed one by one
+    replicas = list(range(first, first + rows))
+    times, values = _uniform_grid(T, n), _uniform_block(T, n, seed, replicas)
     want = [(times.tolist(), row.tolist()) for row in values]
     for doubling in (1, 2, 3):
-        times, values = _bisect(times, values, seeds, doubling)
+        times, values = _bisect(times, values, seed, replicas, doubling)
         for k, (t, v) in enumerate(want):
-            xi = philox_stream(seeds[k], doubling).standard_normal(len(t) - 1)
+            xi = philox_stream(seed, doubling,
+                               replicas[k]).standard_normal(len(t) - 1)
             tm = [0.5 * (a + b) for a, b in zip(t, t[1:])]
             vm = [0.5 * (a + b) + math.sqrt(0.25 * (t1 - t0)) * x
                   for a, b, t0, t1, x in zip(v, v[1:], t, t[1:], xi.tolist())]
@@ -184,14 +192,22 @@ def test_refine_of_unbisectable_interval_leaves_path_unchanged():
 @given(st.one_of(st.integers(0, 2 ** 64 - 1), st.just(-1),
                  st.integers(-2 ** 63, -1)),
        st.one_of(st.integers(0, 2 ** 64 - 1), st.just(2 ** 64 - 1)),
+       st.one_of(st.just(0), st.integers(0, 2 ** 64 - 1)),
        st.integers(0, 9))
-def test_reset_generator_draws_equal_a_new_stream(seed, tag, n):
-    want = philox_stream(seed, tag).standard_normal()
-    got = _normals(seed, tag)
+def test_reset_generator_draws_equal_a_new_stream(seed, tag, replica, n):
+    want = philox_stream(seed, tag, replica).standard_normal()
+    got = _normals(seed, tag, replica)
     assert type(got) is float and got == want
-    want = philox_stream(seed, tag).standard_normal(n)
-    got = _normals(seed, tag, n)
-    assert got.dtype == np.float64 and got.tolist() == want.tolist()
+    want = philox_stream(seed, tag, replica).standard_normal(n)
+    out = np.empty(n)
+    assert _normals(seed, tag, replica, out) is out
+    assert out.tolist() == want.tolist()
+    # the oracle: numpy's Philox started at counter (0, 0, 0, replica)
+    key = np.array([seed & (2 ** 64 - 1), tag], dtype=np.uint64)
+    counter = np.array([0, 0, 0, replica], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key, counter=counter)
+    assert np.random.Generator(bitgen).standard_normal(n).tolist() == \
+        want.tolist()
 
 
 def test_concurrent_refinement_matches_serial():

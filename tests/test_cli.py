@@ -125,8 +125,8 @@ def test_every_sidecar_has_the_same_keys(tmp_path, capsys):
         "divergence": ["--replicas", "4", "--resolution", "8",
                        "--words", "0"],
         "moments": ["--replicas", "4", "--steps", "2"],
-        # seed 0 at this config does not settle (see
-        # test_unsettled_reference_exits_two)
+        # some seeds at this config do not settle (see
+        # test_unsettled_reference_exits_two); seed 1 does
         "compare": ["--replicas", "2", "--substeps", "8", "--seed", "1"],
         "taylor-terms": ["--r", "1"],
         "integrals": ["--n", "4", "--r", "1"],
@@ -277,10 +277,10 @@ def test_float_overflow_or_underflow_exits_two(tmp_path, capsys, argv):
 
 def test_unsettled_reference_exits_two(tmp_path, capsys):
     # about 1% of seeds at this small config leave a reference still
-    # moving after every doubling; seed 0 is one, with no monkeypatching
+    # moving after every doubling; seed 154 is one, with no monkeypatching
     out = tmp_path / "new"
     assert run("compare", "--replicas", "2", "--substeps", "8",
-               "--seed", "0", "--out", str(out)) == 2
+               "--seed", "154", "--out", str(out)) == 2
     assert "numerical failure: reference still moving" in \
         capsys.readouterr().err
     assert not out.exists()

@@ -4,7 +4,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, count
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from slesim.experiments import (ReferenceConvergenceError,
                                 divergence_probe, epsilon_scaling,
                                 moment_preservation, scheme_comparison,
                                 write_report_csv, write_report_sidecar)
-from slesim.integrals import compute_table, derive_seeds, word_entries
+from slesim.integrals import compute_table, word_entries
 from slesim.schemes import (flow_drift, flow_noise, reference_solve, sqrt_h,
                             taylor_step)
 from slesim.vfalgebra import compose, eval_term
@@ -70,7 +70,7 @@ def _forbid_draws(monkeypatch):
         raise AssertionError("a driver was drawn")
 
     # keyed drivers (scaling, compare) and sequential ones (divergence)
-    monkeypatch.setattr(experiments, "derive_seeds", no_draws)
+    monkeypatch.setattr(experiments, "_uniform_block", no_draws)
     monkeypatch.setattr(experiments, "_sfc64_stream", no_draws)
 
 
@@ -568,9 +568,9 @@ def test_epsilon_scaling_probes_taylor_once_per_refinement(monkeypatch):
 
 
 def test_replica_seeds_build_no_seed_sequence(monkeypatch):
-    # every keyed replica's sub-seed comes from one block hash per row;
-    # divergence drivers come from one SFC64 stream, seeded by one
-    # SeedSequence whatever the replica count
+    # a keyed replica is a word of its streams' starting counter, not a
+    # hashed sub-seed; divergence drivers come from one SFC64 stream,
+    # seeded by one SeedSequence whatever the replica count
     built = Counter()
     seed_sequence = np.random.SeedSequence
 
@@ -591,29 +591,45 @@ def test_replica_seeds_build_no_seed_sequence(monkeypatch):
     assert built["SeedSequence"] == 0
 
 
-def _scalar_reference(z0, t, substeps, kappa, depth, probes, sub_seed):
-    """One replica's reference loop on its own driver: the oracle.
+def _replica_drivers(seed, replica, t, substeps):
+    """One reference replica's driver on [0, t] as drawn, then after each
+    doubling: the oracle of the draw rule.
 
-    The driver is built here from the draw rule, not by ``brownian``: its
-    increments are the first normals of the sub-seed's stream of tag 0,
-    and at doubling d each interval (t0, t1), in order, gains the bridge
-    midpoint of the next normal of the stream of tag d.  Returns (errors,
-    doublings) or raises ReferenceConvergenceError, as the per-replica
-    loop did before every replica of a run stepped together.
+    The driver is built here from ``philox_stream``, not by ``brownian``:
+    its increments are the first normals of the replica's stream of tag
+    0, and at doubling d each interval (t0, t1), in order, gains the
+    bridge midpoint of the next normal of its stream of tag d.  Yields
+    (times, values) as lists.
     """
     times = [t * (k / substeps) for k in range(substeps + 1)]
-    incs = philox_stream(sub_seed, 0).standard_normal(substeps)
+    incs = philox_stream(seed, 0, replica).standard_normal(substeps)
     values = [0.0, *accumulate((incs * math.sqrt(t / substeps)).tolist())]
-    ref = reference_solve(z0, BrownianPath(times, values, sub_seed), t, kappa)
-    for doubling in range(1, experiments._MAX_DOUBLINGS + 1):
-        xi = philox_stream(sub_seed, doubling).standard_normal(len(times) - 1)
+    for doubling in count(1):
+        yield times, values
+        xi = philox_stream(seed, doubling,
+                           replica).standard_normal(len(times) - 1)
         tm = [0.5 * (t0 + t1) for t0, t1 in zip(times, times[1:])]
         vm = [0.5 * (v0 + v1) + math.sqrt(0.25 * (t1 - t0)) * x
               for v0, v1, t0, t1, x in zip(values, values[1:], times,
                                            times[1:], xi.tolist())]
         times = [s for pair in zip(times, tm) for s in pair] + times[-1:]
         values = [s for pair in zip(values, vm) for s in pair] + values[-1:]
-        path = BrownianPath(times, values, sub_seed)
+
+
+def _scalar_reference(z0, t, substeps, kappa, depth, probes, seed, replica):
+    """One replica's reference loop on its own driver, built by
+    :func:`_replica_drivers`: the oracle.
+
+    Returns (errors, doublings) or raises ReferenceConvergenceError, as
+    the per-replica loop did before every replica of a run stepped
+    together.
+    """
+    drivers = _replica_drivers(seed, replica, t, substeps)
+    times, values = next(drivers)
+    ref = reference_solve(z0, BrownianPath(times, values, seed), t, kappa)
+    for doubling in range(1, experiments._MAX_DOUBLINGS + 1):
+        times, values = next(drivers)
+        path = BrownianPath(times, values, seed)
         finer = reference_solve(z0, path, t, kappa)
         errors = tuple(abs(finer - a) for a in probes(
             z0, t, compute_table(path, t, depth), values[-1]))
@@ -658,10 +674,9 @@ def test_lane_loop_equals_scalar_loop(monkeypatch):
     errors, doublings = experiments._reference_errors(
         starts, horizons, substeps, kappa, depth, probes, 5, 40)
     assert lane_calls and tail_calls
-    seeds = derive_seeds(5, range(80)).tolist()
     for j, (z0, t) in enumerate(zip(starts, horizons)):
-        want = [_scalar_reference(z0, t, substeps, kappa, depth, probes,
-                                  seeds[j * 40 + i]) for i in range(40)]
+        want = [_scalar_reference(z0, t, substeps, kappa, depth, probes, 5,
+                                  1 + j * 40 + i) for i in range(40)]
         assert errors[j].tolist() == [list(e) for e, _ in want]
         assert doublings[j] == np.bincount([d for _, d in want]).tolist()
 
@@ -682,6 +697,56 @@ def test_scalar_tail_builds_no_path(monkeypatch):
     assert tail_calls and not built
 
 
+def _record_drivers(monkeypatch):
+    """Collects, per call of ``_reference_rows``, copies of the (grid,
+    drivers) of every row: the drivers as drawn, then after each
+    doubling."""
+    calls = []
+    reference_rows = experiments._reference_rows
+
+    def recording(starts, grids, values, kappa):
+        calls.append([(t.copy(), v.copy()) for t, v in zip(grids, values)])
+        return reference_rows(starts, grids, values, kappa)
+
+    monkeypatch.setattr(experiments, "_reference_rows", recording)
+    return calls
+
+
+def test_reference_drivers_are_their_replicas_streams(monkeypatch):
+    # no budget is ever met, so every replica stays live for both
+    # doublings; replica i of row j, as drawn and after each doubling,
+    # is rebuilt from philox_stream(seed, tag, 1 + j * replicas + i) alone
+    monkeypatch.setattr(experiments, "_MAX_DOUBLINGS", 2)
+    monkeypatch.setattr(experiments, "REF_ERROR_FRACTION", -1.0)
+    monkeypatch.setattr(experiments, "REFERENCE_RTOL", -1.0)
+    calls = _record_drivers(monkeypatch)
+    seed, replicas, substeps = 2 ** 64 - 3, 3, 4
+    with pytest.raises(ReferenceConvergenceError):
+        epsilon_scaling(EPS3, 0.5, 2, 2.0, replicas, seed, substeps)
+    assert len(calls) == 3
+    for j, eps in enumerate(EPS3):
+        for i in range(replicas):
+            want = _replica_drivers(seed, 1 + j * replicas + i,
+                                    eps ** 2.5, substeps)
+            for call, (times, values) in zip(calls, want):
+                grid, drivers = call[j]
+                assert grid.tobytes() == np.array(times).tobytes()
+                assert drivers[i].tobytes() == np.array(values).tobytes()
+
+
+def test_no_reference_replica_draws_a_paths_stream(monkeypatch):
+    # a BrownianPath is replica 0 of its seed; the references are 1 and
+    # up, so no increment of any of them is one of the path's
+    calls = _record_drivers(monkeypatch)
+    seed, substeps = 7, 8
+    epsilon_scaling(EPS3, 0.5, 2, 2.0, 30, seed, substeps)
+    for eps, (times, drivers) in zip(EPS3, calls[0]):
+        path = BrownianPath.sample_uniform(eps ** 2.5, substeps, seed)
+        assert times.tolist() == path.times.tolist()
+        shared = np.intersect1d(np.diff(drivers), np.diff(path.values))
+        assert shared.size == 0
+
+
 def test_reference_convergence_error(monkeypatch):
     # one doubling allowed: row 0 is probed against a far point, so its
     # budget is loose and all its lanes converge; in row 1 replica 0 is
@@ -694,12 +759,11 @@ def test_reference_convergence_error(monkeypatch):
         return ((z0 + 1e3,) if z0 == starts[0]
                 else _taylor2(z0, t, table, b))
 
-    seeds = derive_seeds(11, range(80)).tolist()
     failures = []
     for k in range(80):
         try:
             _scalar_reference(starts[k // 40], horizons[k // 40], substeps,
-                              kappa, depth, probes, seeds[k])
+                              kappa, depth, probes, 11, 1 + k)
         except ReferenceConvergenceError as exc:
             failures.append((k, str(exc)))
     assert failures[0][0] == 40 and len(failures) > 1

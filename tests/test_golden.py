@@ -23,9 +23,16 @@ sequential SFC64 stream per run, read in order.  The three ``scaling``
 and two ``compare`` digests were re-pinned again when a reference
 driver's bisection passes moved from one midpoint stream per (sub-seed,
 midpoint time) to one per (sub-seed, doubling), each row's midpoints
-read in interval order.  A change that alters any
-random stream, or the arithmetic on it, fails here; such a change must
-say so and update these values on purpose.
+read in interval order.  The same five were re-pinned once more when a
+reference replica stopped drawing from a sub-seed, numpy's seed-sequence
+hash of (seed, index), and took its index as the last word of Philox's
+starting counter under the key (seed, tag) (replica ``1 + j * replicas
++ i`` of row j; a ``BrownianPath`` is replica 0): ``scaling --replicas
+4``, ``compare --replicas 4``, the two wide ``scaling`` runs and
+``compare --replicas 100``.  The first draws of one reference stream are
+pinned with the other streams'.  A change that alters any random stream,
+or the arithmetic on it, fails here; such a change must say so and
+update these values on purpose.
 
 ``moments`` is not pinned: it steps whole arrays of complex numbers, and
 numpy may round complex arithmetic differently per SIMD lane, so its
@@ -49,6 +56,11 @@ def test_pinned_stream_values():
     assert philox_stream(2 ** 64 - 1, 2 ** 64 - 1).standard_normal() == \
         0.6313842391058808
     assert philox_stream(-1, 12345).standard_normal() == -1.0195761687083655
+    # a reference driver's stream: doubling 1 of replica 1
+    assert philox_stream(0, 1, 1).standard_normal(3).tolist() == [
+        -0.1396969273187891, -0.8496874865570878, -0.8315804796311557]
+    assert philox_stream(2 ** 64 - 1, 1, 1).standard_normal(3).tolist() == [
+        -0.660584109453497, 0.4969849057604713, 1.3131145155699449]
     # the sequential stream of the moments increment matrix
     assert _sfc64_stream(0, 0xE1).standard_normal(3).tolist() == [
         -1.2775602832753783, -0.43553827446068805, -0.33002827342377183]
@@ -73,12 +85,12 @@ def test_pinned_midpoint_draws():
 
 @pytest.mark.parametrize("argv,name,digest", [
     (["scaling", "--replicas", "4", "--seed", "0"], "scaling.csv",
-     "eb9915a8554c4d942e8ce72fbd90509c8e0330984ac36060e72227d99a7b3675"),
+     "4898523886cde76b66ed18a6ff8a9d5222baf67f69fcaeb00c62488ed71de0fa"),
     (["trace", "--kappa", "6", "--tolerance", "0.16", "--seed", "8"],
      "trace.csv",
      "763d5bd61b8cb985c19913eaa3b851e3d3242611f4075c6eec1aaa3572ebd8a5"),
     (["compare", "--replicas", "4", "--seed", "0"], "compare.csv",
-     "59100606f20c32f325f11995809b1fd399703f8efa2e04d27b89df55bdcdc4f7"),
+     "8e1bf26a4b8ef16cb9ac4fe2506ec2984a6a933dd0e8bee01332044319b37755"),
     (["divergence", "--replicas", "20", "--seed", "0"], "divergence.csv",
      "52771e2b33f2c20e9bd7a2237c9aecf5f08223f35d4b3e619d8e79547a3f1e55"),
     (["integrals", "--n", "128", "--r", "3", "--seed", "0"], "integrals.csv",
@@ -93,12 +105,12 @@ def test_pinned_midpoint_draws():
     # 240-500 lanes: the first doublings run on the lane kernel
     (["scaling", "--replicas", "100", "--eps", "0.125", "0.0625", "0.03125",
       "--seed", "0"], "scaling.csv",
-     "8f175f87de6e72256bc8276a014fd022f1451f60efd6dc064354cbaeea16487c"),
+     "0a2e7d75e929605dcb0e2d5d36878960cc4daf35e7f284b3c3d33c897c5dea8a"),
     (["scaling", "--replicas", "60", "--eps", "0.25", "0.125", "0.0625",
       "0.03125", "--kappa", "6", "--seed", "3"], "scaling.csv",
-     "21e00903da39d7a9b6fa248576b9a1c9247cd87c1421fc2cd3d1928065387122"),
+     "8bdd9c200fda6bc32ffeacd4c8c253327a829596fb41a2af55b8861c2baa8b4f"),
     (["compare", "--replicas", "100", "--seed", "0"], "compare.csv",
-     "20e6855ceec5708489b3e729af3acc6573cda914b59a4fe8487e2ddceba26cf9"),
+     "ef713949f9e77c08b520e5d8d618d8e0548a43bfc0d1cc1c25bdea9d7d57ae08"),
 ])
 def test_pinned_csv_bytes(tmp_path, capsys, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0

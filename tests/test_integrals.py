@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from slesim import integrals
 from slesim.brownian import BrownianPath, _uniform_block, _uniform_grid
-from slesim.integrals import (compute_table, derive_seeds, iterated_integral,
+from slesim.integrals import (compute_table, iterated_integral,
                               word_entries)
 from slesim.vfalgebra import LEVEL_CAP, deg
 
@@ -120,7 +120,7 @@ def test_word_entries_equal_iterated_integral_bitwise(words, zeros, rows, n,
     w0 = words[0]
     words = words + [w0, w0[:-1], w0 + (1,), (0,) * zeros]
     paths = [BrownianPath.sample_uniform(T, n, seed=s)
-             for s in derive_seeds(seed, range(rows)).tolist()]
+             for s in range(300 * seed, 300 * seed + rows)]
     times = paths[0].times
     values = np.array([p.values for p in paths])
     entries = word_entries(times, values, words)
@@ -191,7 +191,7 @@ def test_table_block_keeps_only_live_prefix_arrays():
     # arrays of the parents still to integrate and a few temporaries, not
     # every prefix's array (13.4 blocks' worth, 56 MB, when it kept them)
     times = _uniform_grid(1.0, 8192)
-    values = _uniform_block(1.0, 8192, list(range(64)))
+    values = _uniform_block(1.0, 8192, 0, range(64))
     tracemalloc.start()
     try:
         tables = list(integrals._tables(times, values, 3))
@@ -211,7 +211,7 @@ def test_word_entries_memory_does_not_grow_with_rows():
     words = [(1,), (0,), (1, 0), (0, 0), (1, 0, 0), (0, 0, 0),
              (1, 0, 0, 0), (0, 0, 0, 0)]
     times = _uniform_grid(1.0, 256)
-    values = _uniform_block(1.0, 256, list(range(5000)))
+    values = _uniform_block(1.0, 256, 0, range(5000))
     tracemalloc.start()
     try:
         entries = word_entries(times, values, words)
@@ -275,74 +275,13 @@ def test_validation():
         compute_table(p, 1.0, 99)  # level cap
 
 
-def test_derive_seeds_is_stable_and_spread():
-    assert derive_seeds(0, [0]).tolist() == derive_seeds(0, [0]).tolist()
-    seen = set(derive_seeds(7, range(100)).tolist())
-    assert len(seen) == 100
-    assert derive_seeds(7, [1]).tolist() != derive_seeds(8, [1]).tolist()
-
-
-def _seed_sequence_state(seed, index):
-    entropy = (seed & (2 ** 64 - 1), index)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-_WORD = 2 ** 32
-_U64 = 2 ** 64 - 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(-2 ** 70, 2 ** 70),
-       indices=st.lists(st.integers(0, _U64), max_size=8))
-@example(seed=0, indices=[0, _WORD - 1, _WORD, _U64])
-@example(seed=_WORD - 1, indices=[1, _WORD + 1, 5, _WORD - 1])
-@example(seed=_WORD, indices=[_WORD, 0, _U64, 3])
-@example(seed=_U64, indices=[0, _U64, _WORD - 1, _WORD])
-@example(seed=-1, indices=[7, 2 ** 63])
-@example(seed=-_WORD, indices=[_WORD - 1, _WORD])
-def test_derive_seeds_equal_seed_sequence(seed, indices):
-    # blocks mix indices of one uint32 word (< 2**32) and of two
-    got = derive_seeds(seed, indices)
-    assert got.dtype == np.uint64
-    assert got.tolist() == [_seed_sequence_state(seed, i) for i in indices]
-
-
-def test_derive_seeds_empty_block_and_negative_index():
-    assert derive_seeds(3, []).shape == (0,)
-    assert derive_seeds(3, range(0)).dtype == np.uint64
-    with pytest.raises(ValueError):
-        derive_seeds(3, [0, -1])
-    with pytest.raises(ValueError):
-        np.random.SeedSequence((3, -1))  # the oracle refuses it too
-
-
-@pytest.mark.parametrize("indices", [
-    [True], [0, False], [np.bool_(True)], [1.5], [2.0], [0, np.float64(1.0)],
-    ["1"], [None],
-], ids=["true", "false-after-int", "numpy-bool", "fraction", "whole-float",
-        "numpy-float", "str", "none"])
-def test_derive_seeds_refuses_non_integer_indices(indices):
-    # the integer rule of seeds and levels: a bool is not an integer, and
-    # neither is a float with an integer value; [True] used to be served
-    # index 1's sub-seed
-    with pytest.raises(ValueError, match="integers"):
-        derive_seeds(0, indices)
-
-
-def test_derive_seeds_takes_numpy_integers_as_their_value():
-    numpy_ints = [np.uint64(2 ** 64 - 1), np.int64(5), np.uint8(7)]
-    assert (derive_seeds(4, numpy_ints).tolist()
-            == derive_seeds(4, [2 ** 64 - 1, 5, 7]).tolist())
-
-
 def test_l2_coupling_makes_exponent_exact():
     # Brownian scaling: on the grid times / c with samples values / sqrt(c)
     # each entry is t^deg(word) times its value on the unit grid, t = 1/c.
     # With c a power of 4 every operation of the quadrature scales by a
     # power of 2, so the scaling holds bit for bit, row by row.
     words = _words_up_to(4)
-    paths = [_path(n=32, seed=s)
-             for s in derive_seeds(1, range(100)).tolist()]
+    paths = [_path(n=32, seed=s) for s in range(100)]
     times = paths[0].times
     values = np.array([p.values for p in paths])
     at_1 = word_entries(times, values, words)

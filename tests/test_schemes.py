@@ -14,7 +14,7 @@ from slesim import brownian, experiments, schemes, trace, vfalgebra
 from slesim.brownian import BrownianPath, _sfc64_stream, philox_stream
 from slesim.experiments import (divergence_probe, epsilon_scaling,
                                 moment_preservation, scheme_comparison)
-from slesim.integrals import compute_table, derive_seeds
+from slesim.integrals import compute_table
 from slesim.schemes import (SCALED_NOISE, UNIT_NOISE, euler_step, flow_drift,
                             flow_noise, nv_step, reference_solve, sqrt_h,
                             taylor_step)
@@ -390,7 +390,6 @@ def test_every_real_parameter_check_is_one_rule(monkeypatch, name, call, x):
 
     monkeypatch.setattr(brownian, "_normals", no_draws)
     monkeypatch.setattr(experiments, "_sfc64_stream", no_draws)
-    monkeypatch.setattr(experiments, "derive_seeds", no_draws)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
         call(x)
 
@@ -426,6 +425,7 @@ _COUNT_PARAMETERS = [
      lambda n: scheme_comparison(2.0, 0.25, [1e-3], n, 0, 8)),
     ("scheme_comparison", "substeps", 1,
      lambda n: scheme_comparison(2.0, 0.25, [1e-3], 4, 0, n)),
+    ("philox_stream", "replica", 0, lambda n: philox_stream(0, 1, n)),
     ("sample_uniform", "interval count n", 1,
      lambda n: BrownianPath.sample_uniform(1.0, n, 0)),
     ("zeros", "interval count n", 1, lambda n: BrownianPath.zeros(1.0, n)),
@@ -453,7 +453,6 @@ def test_every_count_check_is_one_rule(monkeypatch, name, call, n):
 
     monkeypatch.setattr(brownian, "_normals", no_draws)
     monkeypatch.setattr(experiments, "_sfc64_stream", no_draws)
-    monkeypatch.setattr(experiments, "derive_seeds", no_draws)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
         call(n)
 
@@ -485,12 +484,11 @@ def test_numpy_integers_are_counts():
         BrownianPath.sample_uniform(1.0, 4, 0).values.tolist()
 
 
-# Every public entry keyed by a seed: the four that read it and the four
+# Every public entry keyed by a seed: the three that read it and the four
 # experiments that reach them, each called with every other argument
 # valid.
 _SEED_ENTRIES = {
     "philox_stream": lambda s: philox_stream(s, 0),
-    "derive_seeds": lambda s: derive_seeds(s, [0]),
     "BrownianPath": lambda s: BrownianPath([0.0, 0.5, 1.0],
                                            [0.0, 0.3, -0.1], s),
     "sample_uniform": lambda s: BrownianPath.sample_uniform(1.0, 4, s),
@@ -528,14 +526,10 @@ def test_integer_seeds_keep_their_bits():
         path = BrownianPath([0.0, 0.5, 1.0], [0.0, 0.3, -0.1], seed)
         return (philox_stream(seed, 3).standard_normal(2).tolist(),
                 _sfc64_stream(seed, 3).standard_normal(2).tolist(),
-                derive_seeds(seed, [0, 1]).tolist(),
+                philox_stream(seed, 3, 1).standard_normal(2).tolist(),
                 path.refine().values.tolist(),
                 BrownianPath.sample_uniform(1.0, 4, seed).values.tolist())
 
-    assert derive_seeds(5, [0, 1]).tolist() == [12631478326263854183,
-                                                17996766564426832300]
-    assert derive_seeds(-1, [0, 1]).tolist() == [12591116029944179981,
-                                                 14914632929012847982]
     for same in (np.int64(5), np.uint64(5), np.int8(5), 2 ** 64 + 5):
         assert keyed(same) == keyed(5)
     for same in (np.int32(-1), 2 ** 64 - 1):
